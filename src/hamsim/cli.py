@@ -133,17 +133,10 @@ def cmd_simulate(args) -> int:
         elif args.method == "qswift":
             report = estimate_qswift(model, args.t, config).to_json_dict()
         elif args.method in ("trotter", "rtrotter"):
-            value = estimate_trotter(
+            report = estimate_trotter(
                 model, args.t, args.segments, max(1, args.order),
                 randomized=args.method == "rtrotter", config=config,
-            )
-            report = {
-                "method": ("RTS" if args.method == "rtrotter" else "TS") + str(max(1, args.order)),
-                "value": value,
-                "plan_count": args.samples if args.method == "rtrotter" else 1,
-                "shot_count": args.samples * args.shots,
-                "seeds": {"master": args.seed},
-            }
+            ).to_json_dict()
         elif args.method == "all-order":
             stats = all_order_stats(
                 model, args.t, args.segments, args.samples, args.seed,
@@ -244,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--seed", type=int, default=DEFAULT_SEED)
     simulate.add_argument("--observable", help="Pauli axes string, default Z on qubit 0")
     simulate.add_argument("--out")
-    simulate.add_argument("--format", choices=("csv", "json"), default="json")
     simulate.set_defaults(fn=cmd_simulate)
 
     budget = sub.add_parser("budget", help="sampling-budget planner")

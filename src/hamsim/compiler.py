@@ -1,10 +1,16 @@
-"""Compile Hamiltonian models into executable gate plans.
+"""Compile Hamiltonian models into gate plans, and own every random draw.
 
 Plans are flat instruction lists in application order (first instruction acts
 first on the input state). TimeOp angles are bare Pauli-rotation angles with
 the term sign already folded in, so the executor applies e^{i angle P}
 without consulting the sign again. SwiftOp instructions name a term and a
 branch b; the sign folds into the controlled part at execution time.
+
+This module is the package's one sampler: the draw_* functions return
+0-based term-index arrays for m rows, consuming their generator in a fixed
+order, and `statevector.Kernel` executes them. The public samplers are
+m = 1 draws materialised by the *_from_draw functions, which replay any
+row of a batch as a plan.
 """
 
 from __future__ import annotations
@@ -134,45 +140,58 @@ def trotter_plan(model: HamiltonianModel, t: float, r: int, order: int) -> GateP
     return GatePlan(ops=tuple(segment * r), n_segments=r, method_tag=tag)
 
 
-def randomized_trotter_plan(
-    model: HamiltonianModel, t: float, r: int, order: int, rng_seed
-) -> GatePlan:
-    """Product-formula plan with an independent term permutation per segment.
-
-    Order 2 keeps the palindrome structure: the permuted forward half is
-    mirrored exactly, preserving the second-order cancellation.
-    """
+def draw_trotter_terms(model: HamiltonianModel, r: int, order: int, rng) -> np.ndarray:
+    """Term per instruction of one randomized plan: a fresh permutation per
+    segment, which order 2 mirrors to keep the second-order cancellation."""
     if order not in (1, 2):
         raise ValueError("randomized variant supports orders 1 and 2")
     if r < 1:
         raise ValueError("repetition count must be >= 1")
-    rng = as_rng(rng_seed)
+    perms = [rng.permutation(model.n_terms) for _ in range(r)]
+    if order == 2:
+        perms = [np.concatenate([perm, perm[::-1]]) for perm in perms]
+    return np.concatenate(perms)
+
+
+def trotter_step(t: float, r: int, order: int) -> float:
+    """Evolution time of every instruction in a randomized plan."""
     step = t / r
-    ops = []
-    for _ in range(r):
-        perm = [int(x) + 1 for x in rng.permutation(model.n_terms)]
-        if order == 1:
-            ops.extend(TimeOp(ell, model.term(ell).coefficient * step) for ell in perm)
-        else:
-            half = 0.5 * step
-            ops.extend(TimeOp(ell, model.term(ell).coefficient * half) for ell in perm)
-            ops.extend(
-                TimeOp(ell, model.term(ell).coefficient * half) for ell in reversed(perm)
-            )
-    return GatePlan(ops=tuple(ops), n_segments=r, method_tag=f"RTS{order}")
+    return step if order == 1 else 0.5 * step
+
+
+def randomized_trotter_plan(
+    model: HamiltonianModel, t: float, r: int, order: int, rng_seed
+) -> GatePlan:
+    """Product-formula plan with an independent term permutation per segment."""
+    terms = draw_trotter_terms(model, r, order, as_rng(rng_seed))
+    step = trotter_step(t, r, order)
+    ops = tuple(
+        TimeOp(int(e) + 1, model.terms[e].coefficient * step) for e in terms
+    )
+    return GatePlan(ops=ops, n_segments=r, method_tag=f"RTS{order}")
+
+
+def draw_qdrift(model: HamiltonianModel, n_segments: int, m: int, rng) -> np.ndarray:
+    """(m, N) term indices drawn iid from the importance weights."""
+    return rng.choice(model.n_terms, size=(m, n_segments), p=model.probs)
+
+
+def qdrift_plan_from_draw(
+    model: HamiltonianModel, t: float, terms: np.ndarray, row: int
+) -> GatePlan:
+    """Row `row` of a draw_qdrift batch as a plan."""
+    n_segments = terms.shape[1]
+    tau_angle = tau(model, t, n_segments)
+    ops = tuple(
+        TimeOp(int(e) + 1, model.terms[e].sign * tau_angle) for e in terms[row]
+    )
+    return GatePlan(ops=ops, n_segments=n_segments, method_tag="QDRIFT")
 
 
 def qdrift_plan(model: HamiltonianModel, t: float, n_segments: int, rng_seed) -> GatePlan:
     """N time operators with ell drawn iid from the importance weights."""
-    if n_segments < 1:
-        raise ValueError("segment count must be >= 1")
-    rng = as_rng(rng_seed)
-    tau_angle = tau(model, t, n_segments)
-    draws = rng.choice(model.n_terms, size=n_segments, p=model.probs)
-    ops = tuple(
-        TimeOp(int(ell) + 1, model.term(int(ell) + 1).sign * tau_angle) for ell in draws
-    )
-    return GatePlan(ops=ops, n_segments=n_segments, method_tag="QDRIFT")
+    terms = draw_qdrift(model, n_segments, 1, as_rng(rng_seed))
+    return qdrift_plan_from_draw(model, t, terms, 0)
 
 
 @lru_cache(maxsize=4096)
@@ -281,6 +300,57 @@ def build_swift_plan(
     return GatePlan(ops=tuple(ops), n_segments=n_segments, method_tag="QSWIFT")
 
 
+@dataclass(frozen=True)
+class SwiftDraw:
+    """m rows of one correction variant: sorted block slots sigma (m, k), a
+    time-operator term per slot (m, N) used outside sigma, and block j's
+    swift-operator terms parts[j] (m, n_j)."""
+
+    sigma: np.ndarray
+    fillers: np.ndarray
+    parts: tuple
+
+    def filler_slots(self) -> np.ndarray:
+        """(m, N) mask of each row's slots outside sigma, the ones fillers fill."""
+        free = np.ones(self.fillers.shape, dtype=bool)
+        free[np.arange(len(free))[:, None], self.sigma] = False
+        return free
+
+
+def draw_swift_variant(
+    model: HamiltonianModel, n_segments: int, term: CorrectionTerm, s_vec, m: int, rng
+) -> SwiftDraw:
+    """Uniform sorted k-subsets of slots, then iid fillers, then per part iid
+    indices (s_j = 0) or one shared index (s_j = 1)."""
+    k = term.k
+    if k > n_segments:
+        raise OrderExceedsSegments(f"bucket k={k} exceeds {n_segments} segments")
+    sigma = np.sort(np.argsort(rng.random((m, n_segments)), axis=1)[:, :k], axis=1)
+    fillers = draw_qdrift(model, n_segments, m, rng)
+    parts = []
+    for s, n_j in zip(s_vec, term.n_vec):
+        if s == 0:
+            parts.append(rng.choice(model.n_terms, size=(m, n_j), p=model.probs))
+        else:
+            one = rng.choice(model.n_terms, size=(m, 1), p=model.probs)
+            parts.append(np.repeat(one, n_j, axis=1))
+    return SwiftDraw(sigma=sigma, fillers=fillers, parts=tuple(parts))
+
+
+def swift_plan_from_draw(
+    model: HamiltonianModel, t: float, term: CorrectionTerm, s_vec, b_vecs,
+    draw: SwiftDraw, row: int,
+) -> GatePlan:
+    """Row `row` of a draw_swift_variant batch as the bucket circuit."""
+    sigma = tuple(int(x) for x in draw.sigma[row])
+    n_segments = draw.fillers.shape[1]
+    fillers = tuple(int(e) + 1 for e in draw.fillers[row][draw.filler_slots()[row]])
+    ell_vecs = tuple(tuple(int(e) + 1 for e in part[row]) for part in draw.parts)
+    return build_swift_plan(
+        model, t, n_segments, term, s_vec, b_vecs, sigma, ell_vecs, fillers
+    )
+
+
 def sample_swift_plan(
     model: HamiltonianModel,
     t: float,
@@ -290,33 +360,9 @@ def sample_swift_plan(
     b_vecs,
     rng_seed,
 ) -> GatePlan:
-    """Draw (sigma, ell-vectors, fillers) and assemble the bucket circuit.
-
-    Block positions are a uniform sorted k-subset of the N slots; block j's
-    indices are iid importance draws for s_j = 0 or one shared draw repeated
-    n_j times for s_j = 1; fillers are iid importance draws.
-    """
-    rng = as_rng(rng_seed)
-    k = term.k
-    if k > n_segments:
-        raise OrderExceedsSegments(f"bucket k={k} exceeds {n_segments} segments")
-    sigma = tuple(sorted(int(x) for x in rng.choice(n_segments, size=k, replace=False)))
-    probs = model.probs
-    ell_vecs = []
-    for j, s in enumerate(s_vec):
-        n_j = term.n_vec[j]
-        if s == 0:
-            draws = rng.choice(model.n_terms, size=n_j, p=probs)
-            ell_vecs.append(tuple(int(x) + 1 for x in draws))
-        else:
-            ell = int(rng.choice(model.n_terms, p=probs)) + 1
-            ell_vecs.append((ell,) * n_j)
-    fillers = tuple(
-        int(x) + 1 for x in rng.choice(model.n_terms, size=n_segments - k, p=probs)
-    )
-    return build_swift_plan(
-        model, t, n_segments, term, s_vec, b_vecs, sigma, ell_vecs, fillers
-    )
+    """Draw (sigma, ell-vectors, fillers) and assemble the bucket circuit."""
+    draw = draw_swift_variant(model, n_segments, term, s_vec, 1, as_rng(rng_seed))
+    return swift_plan_from_draw(model, t, term, s_vec, b_vecs, draw, 0)
 
 
 def all_order_b(tau_angle: float) -> float:
@@ -338,19 +384,69 @@ def all_order_b(tau_angle: float) -> float:
         n += 1
 
 
-def _beta_weights(tau_angle: float):
-    """(n values, beta(n)/B weights) covering all but < 1e-15 of the block mass."""
+def all_order_categories(tau_angle: float):
+    """(B, block sizes, category probabilities) of one all-order segment:
+    a time operator with probability 1/B, else a block of size n with
+    beta(n)/B; the < 1e-15 of block mass left out folds into the former."""
     b_norm = all_order_b(tau_angle)
-    ns, weights = [], []
+    sizes, weights = [], []
     n = 2
     while True:
         beta = 2.0 ** (n + 1) * tau_angle**n / factorial(n)
         if (beta < B_SERIES_RTOL * b_norm and n > 2) or n > 500:
             break
-        ns.append(n)
+        sizes.append(n)
         weights.append(beta / b_norm)
         n += 1
-    return b_norm, ns, weights
+    cat_probs = np.array([1.0 / b_norm] + weights)
+    cat_probs[0] += 1.0 - cat_probs.sum()
+    return b_norm, sizes, cat_probs
+
+
+@dataclass(frozen=True)
+class SwiftBlock:
+    """Rows of a segment batch that drew one block size, with their sign
+    bits s (r,), branch bits b (r, n) and terms (r, n)."""
+
+    rows: np.ndarray
+    s: np.ndarray
+    b: np.ndarray
+    terms: np.ndarray
+
+
+@dataclass(frozen=True)
+class SegmentDraw:
+    """One all-order segment for m rows: time-operator rows and terms, and a
+    SwiftBlock per drawn block size."""
+
+    time_rows: np.ndarray
+    time_terms: np.ndarray
+    blocks: tuple
+
+
+def draw_all_order_segment(
+    model: HamiltonianModel, block_sizes, cat_probs, m: int, rng
+) -> SegmentDraw:
+    """Categories, then time-operator terms, then per block size s, b and
+    terms from P_s^(n): iid for s = 0, one shared index for s = 1."""
+    probs = model.probs
+    cats = rng.choice(len(cat_probs), size=m, p=cat_probs)
+    time_rows = np.flatnonzero(cats == 0)
+    time_terms = np.zeros(0, dtype=np.int64)
+    if time_rows.size:
+        time_terms = rng.choice(model.n_terms, size=time_rows.size, p=probs)
+    blocks = []
+    for cat_id, n in enumerate(block_sizes, start=1):
+        rows = np.flatnonzero(cats == cat_id)
+        if not rows.size:
+            continue
+        s = rng.integers(0, 2, size=rows.size)
+        b = rng.integers(0, 2, size=(rows.size, n))
+        iid = rng.choice(model.n_terms, size=(rows.size, n), p=probs)
+        one = rng.choice(model.n_terms, size=rows.size, p=probs)
+        terms = np.where(s[:, None] == 1, one[:, None], iid)
+        blocks.append(SwiftBlock(rows=rows, s=s, b=b, terms=terms))
+    return SegmentDraw(time_rows=time_rows, time_terms=time_terms, blocks=tuple(blocks))
 
 
 @dataclass(frozen=True)
@@ -361,36 +457,28 @@ class AllOrderSegment:
     ops: tuple
 
 
+def all_order_segment_from_draw(
+    model: HamiltonianModel, tau_angle: float, draw: SegmentDraw, row: int
+) -> AllOrderSegment:
+    """Row `row` of a draw_all_order_segment batch as instructions."""
+    hit = np.flatnonzero(draw.time_rows == row)
+    if hit.size:
+        ell = int(draw.time_terms[hit[0]]) + 1
+        return AllOrderSegment(sign=1, ops=(TimeOp(ell, model.term(ell).sign * tau_angle),))
+    for block in draw.blocks:
+        hit = np.flatnonzero(block.rows == row)
+        if hit.size:
+            i = hit[0]
+            ops = tuple(SwiftOp(int(e) + 1, int(b)) for e, b in zip(block.terms[i], block.b[i]))
+            return AllOrderSegment(sign=1 - 2 * int(block.s[i]), ops=ops)
+    raise IndexError(f"row {row} is not in the draw")
+
+
 def sample_all_order_segment(
     model: HamiltonianModel, tau_angle: float, rng_seed
 ) -> AllOrderSegment:
-    """Draw a qDRIFT segment with probability 1/B, else an n-swift block.
-
-    Blocks carry sign (-1)^s with s uniform, uniform branch bits, and index
-    draws from P_s^(n) (iid product for s = 0, one repeated draw for s = 1).
-    """
-    rng = as_rng(rng_seed)
-    b_norm, ns, weights = _beta_weights(tau_angle)
-    u = rng.uniform()
-    acc = 1.0 / b_norm
-    if u < acc:
-        ell = int(rng.choice(model.n_terms, p=model.probs)) + 1
-        op = TimeOp(ell, model.term(ell).sign * tau_angle)
-        return AllOrderSegment(sign=1, ops=(op,))
-    for n, w in zip(ns, weights):
-        acc += w
-        if u < acc:
-            block_n = n
-            break
-    else:
-        block_n = ns[-1] if ns else 2
-    s = int(rng.integers(0, 2))
-    b_bits = [int(x) for x in rng.integers(0, 2, size=block_n)]
-    if s == 0:
-        draws = rng.choice(model.n_terms, size=block_n, p=model.probs)
-        ells = [int(x) + 1 for x in draws]
-    else:
-        ell = int(rng.choice(model.n_terms, p=model.probs)) + 1
-        ells = [ell] * block_n
-    ops = tuple(SwiftOp(ell, b) for ell, b in zip(ells, b_bits))
-    return AllOrderSegment(sign=1 - 2 * s, ops=ops)
+    """Draw a qDRIFT segment with probability 1/B, else an n-swift block
+    with sign (-1)^s, uniform s and branch bits (see draw_all_order_segment)."""
+    _, block_sizes, cat_probs = all_order_categories(tau_angle)
+    draw = draw_all_order_segment(model, block_sizes, cat_probs, 1, as_rng(rng_seed))
+    return all_order_segment_from_draw(model, tau_angle, draw, 0)

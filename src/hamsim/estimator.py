@@ -1,13 +1,12 @@
 """Monte Carlo observable estimation for compiled randomized plans.
 
-Estimators draw whole batches of plan randomness from streams derived as
-(seed, stream labels, variant, chunk), evolve all sampled trajectories of
-a batch segment-by-segment with rows grouped by drawn operator, and
-simulate shot readout binomially from exact expectations. Reduction order
+Estimators own streams, budgets, shot readout and reduction: the `compiler`
+draw layer fills batches of rows from streams derived as (seed, stream
+labels, variant, chunk), a `statevector.Kernel` evolves and reads them, and
+shots are simulated binomially from the exact expectations. Reduction order
 is fixed by variant and chunk index, so reports are bit-identical for any
-worker count. The exhaustive *_exact functions replace each random draw by
-a weighted enumeration; they are the unbiasedness oracles for the sampled
-paths.
+worker count. The exhaustive *_exact oracles evolve every draw of the
+support as a weighted row through the same Kernel calls.
 """
 
 from __future__ import annotations
@@ -15,30 +14,27 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import combinations, product
-from math import ceil, comb, sqrt
+from itertools import combinations
+from math import ceil, comb, prod, sqrt
 
 import numpy as np
 
-from ._pauli import pauli_action
 from ._rng import derived_rng
 from .compiler import (
     CorrectionTerm,
-    GatePlan,
-    TimeOp,
-    _beta_weights,
+    SwiftDraw,
+    all_order_categories,
     correction_terms,
-    randomized_trotter_plan,
+    draw_all_order_segment,
+    draw_qdrift,
+    draw_swift_variant,
+    draw_trotter_terms,
     trotter_plan,
+    trotter_step,
 )
 from .errors import BudgetOverflow, CombinatorialCap
 from .hamiltonian import HamiltonianModel, tau
-from .statevector import (
-    Observable,
-    expectation,
-    prepare_plus_input,
-    run_plan,
-)
+from .statevector import Kernel, Observable
 
 # Stream labels separating the independent sampling contexts under one seed.
 _STREAM_BASELINE = 0
@@ -77,8 +73,7 @@ class EstimatorConfig:
     observable may be an axes string or an Observable; only its axes are
     used, the ancilla-X flag is chosen by context (corrections measure the
     ancilla-dressed operator, baselines measure the system operator).
-    bucket_samples/bucket_shots override counts per n_vec; the multiplier
-    map scales the defaults instead.
+    bucket_samples/bucket_shots override counts per n_vec.
     """
 
     n_segments: int
@@ -90,7 +85,6 @@ class EstimatorConfig:
     system_zero: bool = False
     bucket_samples: dict = field(default_factory=dict)
     bucket_shots: dict = field(default_factory=dict)
-    bucket_sample_multiplier: dict = field(default_factory=dict)
     circuit_cap: int = 10**7
     threads: int | None = None
 
@@ -114,15 +108,10 @@ class EstimatorConfig:
         return axes.upper()
 
     def n_sample(self, n_vec: tuple) -> int:
-        if n_vec in self.bucket_samples:
-            return max(1, int(self.bucket_samples[n_vec]))
-        mult = self.bucket_sample_multiplier.get(n_vec, 1.0)
-        return max(1, ceil(self.n_sample_0 * mult))
+        return max(1, int(self.bucket_samples.get(n_vec, self.n_sample_0)))
 
     def n_shot(self, n_vec: tuple) -> int:
-        if n_vec in self.bucket_shots:
-            return max(1, int(self.bucket_shots[n_vec]))
-        return self.n_shot_0
+        return max(1, int(self.bucket_shots.get(n_vec, self.n_shot_0)))
 
 
 @dataclass
@@ -160,134 +149,24 @@ class EstimateReport:
 
 
 # ---------------------------------------------------------------------------
-# Batched trajectory engine shared by the sampled estimators.
-
-class _BatchContext:
-    """Precomputed Pauli actions and the initial ancilla-extended state."""
-
-    def __init__(self, model: HamiltonianModel, observable_axes: str, system_zero: bool):
-        n = model.n_qubits
-        self.model = model
-        self.half = 1 << n
-        self.signs = [term.sign for term in model.terms]
-        self.sys_actions = [pauli_action(term.axes, width=n) for term in model.terms]
-        # time ops act on the system inside both ancilla blocks at once
-        self.full_actions = [
-            pauli_action(term.axes, width=n + 1, start=1) for term in model.terms
-        ]
-        self.obs_action = pauli_action(observable_axes, width=n)
-        self.init = prepare_plus_input(n, system_zero=system_zero).amplitudes
-
-    def fresh(self, m: int) -> np.ndarray:
-        return np.tile(self.init, (m, 1))
-
-    def rotate_rows(self, states, rows, ell0: int, tau_angle: float) -> None:
-        """e^{i sign tau P} on the full register for the given rows."""
-        theta = self.signs[ell0] * tau_angle
-        sub = states[rows]
-        states[rows] = np.cos(theta) * sub + 1j * np.sin(theta) * self.full_actions[
-            ell0
-        ].apply(sub)
-
-    def swift_rows(self, states, rows, ell0: int, b: int) -> None:
-        """One swift-operator variant on the given rows."""
-        half = self.half
-        action = self.sys_actions[ell0]
-        sign = self.signs[ell0]
-        sub = states[rows]
-        if b == 0:
-            sub[:, half:] = 1j * sign * action.apply(sub[:, half:])
-        else:
-            sub[:, :half] = sign * action.apply(sub[:, :half])
-            sub[:, half:] = -1j * sub[:, half:]
-        states[rows] = sub
-
-    def expectations(self, states, ancilla_x: bool) -> np.ndarray:
-        half = self.half
-        lower, upper = states[:, :half], states[:, half:]
-        q_low = self.obs_action.apply(lower)
-        q_up = self.obs_action.apply(upper)
-        if ancilla_x:
-            vals = np.einsum("ij,ij->i", lower.conj(), q_up)
-            vals = vals + np.einsum("ij,ij->i", upper.conj(), q_low)
-        else:
-            vals = np.einsum("ij,ij->i", lower.conj(), q_low)
-            vals = vals + np.einsum("ij,ij->i", upper.conj(), q_up)
-        return vals.real
-
+# Sampled estimators: compiler draws evolved on a Kernel, read with shots.
 
 def _shot_means(vals: np.ndarray, n_shot: int, rng) -> np.ndarray:
-    """Binomial readout: per-row mean of n_shot simulated +/-1 outcomes."""
+    """Per-row mean of n_shot +/-1 outcomes with P(+1) = (1 + <O>)/2."""
     p_plus = np.clip(0.5 * (1.0 + vals), 0.0, 1.0)
     hits = rng.binomial(n_shot, p_plus)
     return 2.0 * hits / n_shot - 1.0
 
 
 def _chunk_sizes(total: int):
-    start = 0
-    idx = 0
-    while start < total:
-        size = min(_BATCH_CHUNK, total - start)
-        yield idx, size
-        start += size
-        idx += 1
+    """(chunk index, first row, rows) covering range(total) in _BATCH_CHUNK steps."""
+    for idx, start in enumerate(range(0, total, _BATCH_CHUNK)):
+        yield idx, start, min(_BATCH_CHUNK, total - start)
 
 
-def _qdrift_chunk(ctx: _BatchContext, tau_angle, n_segments, m, n_shot, rng):
-    model = ctx.model
-    states = ctx.fresh(m)
-    ells = rng.choice(model.n_terms, size=(m, n_segments), p=model.probs)
-    for seg in range(n_segments):
-        col = ells[:, seg]
-        for ell0 in range(model.n_terms):
-            rows = np.flatnonzero(col == ell0)
-            if rows.size:
-                ctx.rotate_rows(states, rows, ell0, tau_angle)
-    return _shot_means(ctx.expectations(states, ancilla_x=False), n_shot, rng)
-
-
-def _variant_chunk(
-    ctx: _BatchContext, tau_angle, n_segments, term, s_vec, b_vecs, m, n_shot, rng
-):
-    """One chunk of sampled correction circuits for a fixed (s, b) variant.
-
-    Draw order is fixed: block positions, filler indices per segment, then
-    per-part indices, then shots. Positions are uniform sorted k-subsets;
-    part j draws iid indices when s_j = 0 and one shared index when s_j = 1.
-    """
-    model = ctx.model
-    k = term.k
-    states = ctx.fresh(m)
-    sigma = np.sort(np.argsort(rng.random((m, n_segments)), axis=1)[:, :k], axis=1)
-    seg_ells = rng.choice(model.n_terms, size=(m, n_segments), p=model.probs)
-    part_ells = []
-    for s, n_j in zip(s_vec, term.n_vec):
-        if s == 0:
-            part_ells.append(rng.choice(model.n_terms, size=(m, n_j), p=model.probs))
-        else:
-            one = rng.choice(model.n_terms, size=(m, 1), p=model.probs)
-            part_ells.append(np.repeat(one, n_j, axis=1))
-    for seg in range(n_segments):
-        is_block = np.zeros(m, dtype=bool)
-        for j in range(k):
-            rows_j = np.flatnonzero(sigma[:, j] == seg)
-            if not rows_j.size:
-                continue
-            is_block[rows_j] = True
-            for step, b in enumerate(b_vecs[j]):
-                draws = part_ells[j][rows_j, step]
-                for ell0 in range(model.n_terms):
-                    rows = rows_j[draws == ell0]
-                    if rows.size:
-                        ctx.swift_rows(states, rows, ell0, b)
-        filler_rows = np.flatnonzero(~is_block)
-        if filler_rows.size:
-            col = seg_ells[filler_rows, seg]
-            for ell0 in range(model.n_terms):
-                rows = filler_rows[col == ell0]
-                if rows.size:
-                    ctx.rotate_rows(states, rows, ell0, tau_angle)
-    return _shot_means(ctx.expectations(states, ancilla_x=True), n_shot, rng)
+def _signed_angles(model: HamiltonianModel, angle: float) -> list[float]:
+    """Bare rotation angle sign_ell * angle of every term."""
+    return (np.array([term.sign for term in model.terms]) * angle).tolist()
 
 
 def _pooled_stats(chunks) -> tuple[float, float, int]:
@@ -312,14 +191,16 @@ def estimate_qdrift(model: HamiltonianModel, t: float, config: EstimatorConfig) 
     The ancilla stays idle; the system observable is read with n_shot_0
     simulated shots per sampled plan.
     """
-    ctx = _BatchContext(model, config.observable_axes(model), config.system_zero)
-    tau_angle = tau(model, t, config.n_segments)
+    kernel = Kernel(model, config.observable_axes(model), config.system_zero)
+    thetas = _signed_angles(model, tau(model, t, config.n_segments))
     n = config.n_sample_0
 
     def one_chunk(args):
-        idx, size = args
+        idx, _, size = args
         rng = derived_rng(config.seed, _STREAM_BASELINE, idx)
-        return _qdrift_chunk(ctx, tau_angle, config.n_segments, size, config.n_shot_0, rng)
+        states = kernel.fresh(size)
+        kernel.time_ops(states, draw_qdrift(model, config.n_segments, size, rng), thetas)
+        return _shot_means(kernel.read(states, ancilla_x=False), config.n_shot_0, rng)
 
     baseline, var, count = _pooled_stats(map(one_chunk, _chunk_sizes(n)))
     return EstimateReport(
@@ -340,9 +221,11 @@ def _eval_correction_stats(
 ):
     """(value, variance, plan_count, shot_count) for one correction bucket.
 
-    Every (s, b) variant is evaluated with its own derived stream; variants
-    may run on worker threads, and the signed reduction follows variant
-    order regardless of thread count.
+    The bucket value is coeff times the signed sum over all (s, b)
+    combinations of averaged ancilla-dressed expectations. Every variant is
+    evaluated with its own derived stream; variants may run on worker
+    threads, and the signed reduction follows variant order regardless of
+    thread count.
     """
     n_sample = config.n_sample(term.n_vec)
     n_shot = config.n_shot(term.n_vec)
@@ -351,8 +234,8 @@ def _eval_correction_stats(
         raise BudgetOverflow(
             f"bucket {term.n_vec} needs {total_circuits} circuits, cap {config.circuit_cap}"
         )
-    ctx = _BatchContext(model, config.observable_axes(model), config.system_zero)
-    tau_angle = tau(model, t, config.n_segments)
+    kernel = Kernel(model, config.observable_axes(model), config.system_zero)
+    thetas = _signed_angles(model, tau(model, t, config.n_segments))
     variants = [
         (s_vec, b_vecs)
         for s_vec in term.sign_vectors()
@@ -363,13 +246,14 @@ def _eval_correction_stats(
         s_vec, b_vecs = variants[vid]
 
         def one_chunk(args):
-            idx, size = args
+            idx, _, size = args
             rng = derived_rng(
                 config.seed, _STREAM_BUCKET, term.k, term.xi, *term.n_vec, vid, idx
             )
-            return _variant_chunk(
-                ctx, tau_angle, config.n_segments, term, s_vec, b_vecs, size, n_shot, rng
-            )
+            draw = draw_swift_variant(model, config.n_segments, term, s_vec, size, rng)
+            states = kernel.fresh(size)
+            kernel.swift_variant(states, draw, b_vecs, thetas)
+            return _shot_means(kernel.read(states, ancilla_x=True), n_shot, rng)
 
         return _pooled_stats(map(one_chunk, _chunk_sizes(n_sample)))
 
@@ -383,16 +267,6 @@ def _eval_correction_stats(
     value = term.coeff * signed_sum
     variance = term.coeff**2 * var_sum
     return value, variance, total_circuits, total_circuits * n_shot
-
-
-def eval_correction(
-    model: HamiltonianModel, t: float, term: CorrectionTerm, config: EstimatorConfig
-) -> float:
-    """Sampled bucket estimate: coeff times the signed sum over all (s, b)
-    combinations of averaged ancilla-dressed expectations; unbiased for the
-    bucket's contribution to the order-K correction."""
-    value, _, _, _ = _eval_correction_stats(model, t, term, config)
-    return value
 
 
 def estimate_qswift(model: HamiltonianModel, t: float, config: EstimatorConfig) -> EstimateReport:
@@ -434,57 +308,64 @@ def estimate_trotter(
     order: int,
     randomized: bool,
     config: EstimatorConfig,
-) -> float:
-    """Product-formula estimate; deterministic plans pool all shots on one plan."""
-    axes = config.observable_axes(model)
-    obs = Observable(axes=axes, with_ancilla_x=False)
+) -> EstimateReport:
+    """Product-formula estimate.
 
-    def run_value(plan, n_shots, shot_rng) -> float:
-        state = prepare_plus_input(model.n_qubits, system_zero=config.system_zero)
-        state = run_plan(state, plan, model)
-        val = expectation(state, obs)
-        return float(_shot_means(np.array([val]), n_shots, shot_rng)[0])
-
-    if not randomized:
+    Randomized: n_sample_0 plans evolve as rows, plan i with its own plan
+    and shot streams; stderr is that of the per-plan shot means.
+    Deterministic: one plan, a batch of one, pools n_sample_0 * n_shot_0
+    shots; stderr is the binomial sqrt((1 - v^2) / shots).
+    """
+    kernel = Kernel(model, config.observable_axes(model), config.system_zero)
+    seed = config.seed
+    if randomized:
+        coefficients = np.array([term.coefficient for term in model.terms])
+        thetas = (coefficients * trotter_step(t, r, order)).tolist()
+        chunks = []
+        for _, first, size in _chunk_sizes(config.n_sample_0):
+            plan_ids = range(first, first + size)
+            terms = np.stack([
+                draw_trotter_terms(model, r, order, derived_rng(seed, _STREAM_TROTTER, i, _SUB_PLAN))
+                for i in plan_ids
+            ])
+            states = kernel.fresh(size)
+            kernel.time_ops(states, terms, thetas)
+            vals = kernel.read(states, ancilla_x=False)
+            chunks.extend(
+                _shot_means(vals[row : row + 1], config.n_shot_0,
+                            derived_rng(seed, _STREAM_TROTTER, i, _SUB_SHOT))
+                for row, i in enumerate(plan_ids)
+            )
+        value, var, plans = _pooled_stats([np.concatenate(chunks)])
+        method, stderr, shots = f"RTS{order}", sqrt(var), config.n_shot_0
+    else:
         plan = trotter_plan(model, t, r, order)
-        return run_value(
-            plan,
-            config.n_shot_0 * config.n_sample_0,
-            derived_rng(config.seed, _STREAM_TROTTER, 0, _SUB_SHOT),
-        )
-
-    def one(i: int) -> float:
-        plan = randomized_trotter_plan(
-            model, t, r, order, derived_rng(config.seed, _STREAM_TROTTER, i, _SUB_PLAN)
-        )
-        return run_value(
-            plan, config.n_shot_0, derived_rng(config.seed, _STREAM_TROTTER, i, _SUB_SHOT)
-        )
-
-    vals = _map_indexed(one, config.n_sample_0, _worker_count(config.threads))
-    return float(np.mean(vals))
+        states = kernel.fresh(1)
+        kernel.run(states, plan.ops)
+        plans, shots = 1, config.n_shot_0 * config.n_sample_0
+        rng = derived_rng(seed, _STREAM_TROTTER, 0, _SUB_SHOT)
+        value = float(_shot_means(kernel.read(states, ancilla_x=False), shots, rng)[0])
+        stderr = sqrt(max(1.0 - value**2, 0.0) / shots)
+        method = plan.method_tag
+    return EstimateReport(
+        method=method,
+        value=value,
+        baseline=value,
+        bucket_values={},
+        stderr=stderr,
+        plan_count=plans,
+        shot_count=plans * shots,
+        seed=seed,
+        budgets={"baseline": {"n_sample": plans, "n_shot": shots}},
+    )
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive enumeration: every random draw replaced by its weighted sum.
+# Exhaustive enumeration: every random draw replaced by its weighted support.
 
-def _index_products(model: HamiltonianModel, count: int):
-    """(indices, weight) over all length-`count` iid importance draws."""
-    probs = model.probs
-    for ells in product(range(1, model.n_terms + 1), repeat=count):
-        weight = float(np.prod([probs[e - 1] for e in ells])) if count else 1.0
-        yield ells, weight
-
-
-def _block_index_draws(model: HamiltonianModel, s: int, n_j: int):
-    """(ell_vec, weight) over the support of P_s^(n): iid products for s=0,
-    one shared index for s=1."""
-    probs = model.probs
-    if s == 0:
-        yield from _index_products(model, n_j)
-    else:
-        for ell in range(1, model.n_terms + 1):
-            yield (ell,) * n_j, float(probs[ell - 1])
+def _digits(sizes, start: int, size: int) -> np.ndarray:
+    """Enumeration rows start.. as digits in itertools.product order."""
+    return np.stack(np.unravel_index(np.arange(start, start + size), sizes), axis=1)
 
 
 def exact_qdrift_value(
@@ -495,20 +376,20 @@ def exact_qdrift_value(
     system_zero: bool = False,
 ) -> float:
     """Baseline value with all plans enumerated by their probabilities."""
-    if model.n_terms**n_segments > ENUMERATION_CAP:
+    n_plans = model.n_terms**n_segments
+    if n_plans > ENUMERATION_CAP:
         raise CombinatorialCap(
             f"{model.n_terms}^{n_segments} plans exceed {ENUMERATION_CAP}"
         )
-    axes = observable_axes or ("Z" + "I" * (model.n_qubits - 1))
-    obs = Observable(axes=axes, with_ancilla_x=False)
-    tau_angle = tau(model, t, n_segments)
+    kernel = Kernel(model, observable_axes, system_zero)
+    thetas = _signed_angles(model, tau(model, t, n_segments))
+    probs = model.probs
     total = 0.0
-    for ells, weight in _index_products(model, n_segments):
-        ops = tuple(TimeOp(e, model.term(e).sign * tau_angle) for e in ells)
-        plan = GatePlan(ops=ops, n_segments=n_segments, method_tag="QDRIFT")
-        state = prepare_plus_input(model.n_qubits, system_zero=system_zero)
-        state = run_plan(state, plan, model)
-        total += weight * expectation(state, obs)
+    for _, start, size in _chunk_sizes(n_plans):
+        terms = _digits([model.n_terms] * n_segments, start, size)
+        states = kernel.fresh(size)
+        kernel.time_ops(states, terms, thetas)
+        total += float(probs[terms].prod(axis=1) @ kernel.read(states, ancilla_x=False))
     return total
 
 
@@ -525,43 +406,43 @@ def eval_correction_exact(
     Expectations are exact (no shot simulation), so this equals the bucket's
     dense-oracle value up to floating-point error.
     """
-    from .compiler import build_swift_plan
-
-    axes = observable_axes or ("Z" + "I" * (model.n_qubits - 1))
-    obs = Observable(axes=axes, with_ancilla_x=True)
     k = term.k
+    n_terms = model.n_terms
+    slots = np.array(list(combinations(range(n_segments), k)))
     n_slots = comb(n_segments, k)
     size_est = (
         term.n_variants
         * n_slots
-        * model.n_terms ** (n_segments - k)
-        * model.n_terms ** sum(term.n_vec)
+        * n_terms ** (n_segments - k)
+        * n_terms ** sum(term.n_vec)
     )
     if size_est > ENUMERATION_CAP:
         raise CombinatorialCap(f"exhaustive bucket would enumerate ~{size_est} circuits")
+    kernel = Kernel(model, observable_axes, system_zero)
+    thetas = _signed_angles(model, tau(model, t, n_segments))
+    probs = model.probs
     total = 0.0
     for s_vec in term.sign_vectors():
         sign = -1.0 if sum(s_vec) % 2 else 1.0
-        block_draws = [list(_block_index_draws(model, s, n_j))
-                       for s, n_j in zip(s_vec, term.n_vec)]
-        for b_vecs in term.b_vector_sets():
-            acc = 0.0
-            for sigma in combinations(range(n_segments), k):
-                for choice in product(*block_draws):
-                    ell_vecs = tuple(c[0] for c in choice)
-                    w_blocks = float(np.prod([c[1] for c in choice]))
-                    for fillers, w_fill in _index_products(model, n_segments - k):
-                        plan = build_swift_plan(
-                            model, t, n_segments, term,
-                            s_vec, b_vecs, sigma, ell_vecs, fillers,
-                        )
-                        state = prepare_plus_input(
-                            model.n_qubits, system_zero=system_zero
-                        )
-                        state = run_plan(state, plan, model)
-                        acc += w_blocks * w_fill * expectation(state, obs)
-            total += sign * acc / n_slots
-    return term.coeff * total
+        # digits: block slots, then each part's indices (one shared index
+        # when s_j = 1), then the N - k fillers in slot order
+        widths = [n_j if s == 0 else 1 for s, n_j in zip(s_vec, term.n_vec)]
+        sizes = [n_slots] + [n_terms] * (sum(widths) + n_segments - k)
+        for _, start, size in _chunk_sizes(prod(sizes)):
+            digits = _digits(sizes, start, size)
+            weights = probs[digits[:, 1:]].prod(axis=1)
+            sigma = slots[digits[:, 0]]
+            parts, col = [], 1
+            for width, n_j in zip(widths, term.n_vec):
+                parts.append(np.repeat(digits[:, col : col + width], n_j // width, axis=1))
+                col += width
+            draw = SwiftDraw(sigma, np.zeros((size, n_segments), dtype=np.int64), tuple(parts))
+            draw.fillers[draw.filler_slots()] = digits[:, col:].ravel()
+            for b_vecs in term.b_vector_sets():
+                states = kernel.fresh(size)
+                kernel.swift_variant(states, draw, b_vecs, thetas)
+                total += sign * float(weights @ kernel.read(states, ancilla_x=True))
+    return term.coeff * total / n_slots
 
 
 def exact_qswift_value(
@@ -612,59 +493,26 @@ def all_order_stats(
         raise ValueError("need n_sample >= 1 and N >= 1")
     if not isinstance(rng_seed, (int, np.integer)):
         raise TypeError("all-order sampling derives per-chunk streams, pass an int seed")
-    n = model.n_qubits
-    axes = observable_axes or ("Z" + "I" * (n - 1))
-    ctx = _BatchContext(model, axes, system_zero)
+    kernel = Kernel(model, observable_axes, system_zero)
     tau_angle = tau(model, t, n_segments)
-    b_norm, block_ns, block_weights = _beta_weights(tau_angle)
-    cat_probs = np.array([1.0 / b_norm] + list(block_weights))
-    cat_probs[0] += 1.0 - cat_probs.sum()
-    probs = model.probs
+    thetas = _signed_angles(model, tau_angle)
+    b_norm, block_sizes, cat_probs = all_order_categories(tau_angle)
 
-    acc = 0.0
-    acc_sq = 0.0
-    for chunk_idx, m in _chunk_sizes(n_sample):
+
+    def one_chunk(args):
+        chunk_idx, _, m = args
         rng = derived_rng(int(rng_seed), _STREAM_ALL_ORDER, chunk_idx)
-        states = ctx.fresh(m)
+        states = kernel.fresh(m)
         signs = np.ones(m)
         for _seg in range(n_segments):
-            cats = rng.choice(len(cat_probs), size=m, p=cat_probs)
-            time_rows = np.flatnonzero(cats == 0)
-            if time_rows.size:
-                ells = rng.choice(model.n_terms, size=time_rows.size, p=probs)
-                for ell0 in range(model.n_terms):
-                    rows = time_rows[ells == ell0]
-                    if rows.size:
-                        ctx.rotate_rows(states, rows, ell0, tau_angle)
-            for cat_id, block_n in enumerate(block_ns, start=1):
-                rows_blk = np.flatnonzero(cats == cat_id)
-                if not rows_blk.size:
-                    continue
-                s_draw = rng.integers(0, 2, size=rows_blk.size)
-                b_draw = rng.integers(0, 2, size=(rows_blk.size, block_n))
-                ell_iid = rng.choice(model.n_terms, size=(rows_blk.size, block_n), p=probs)
-                ell_one = rng.choice(model.n_terms, size=rows_blk.size, p=probs)
-                ell_draw = np.where(s_draw[:, None] == 1, ell_one[:, None], ell_iid)
-                signs[rows_blk] *= 1.0 - 2.0 * s_draw
-                for step in range(block_n):
-                    for ell0 in range(model.n_terms):
-                        for b in (0, 1):
-                            mask = (ell_draw[:, step] == ell0) & (b_draw[:, step] == b)
-                            if mask.any():
-                                ctx.swift_rows(states, rows_blk[mask], ell0, b)
-        weighted = signs * ctx.expectations(states, ancilla_x=True)
-        acc += float(weighted.sum())
-        acc_sq += float((weighted**2).sum())
+            draw = draw_all_order_segment(model, block_sizes, cat_probs, m, rng)
+            kernel.all_order_segment(states, signs, draw, thetas)
+        return signs * kernel.read(states, ancilla_x=True)
 
+    mean, var, _ = _pooled_stats(map(one_chunk, _chunk_sizes(n_sample)))
     b_power = b_norm**n_segments
-    mean = acc / n_sample
-    if n_sample > 1:
-        var = max(acc_sq - n_sample * mean**2, 0.0) / (n_sample - 1)
-        stderr = b_power * sqrt(var / n_sample)
-    else:
-        stderr = 0.0
     return AllOrderResult(
-        value=b_power * mean, stderr=stderr, b_power=b_power, n_sample=n_sample
+        value=b_power * mean, stderr=b_power * sqrt(var), b_power=b_power, n_sample=n_sample
     )
 
 

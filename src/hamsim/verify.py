@@ -35,7 +35,7 @@ from .exact_channels import (
     term_unitary,
 )
 from .hamiltonian import HamiltonianModel, PauliTerm, parse_hamiltonian, tau, to_text
-from .statevector import Observable, State, apply_swift_op, expectation, run_plan
+from .statevector import State, apply_swift_op, run_plan
 
 REFERENCE_TEXT = "0.5 X\n0.3 Z\n"
 

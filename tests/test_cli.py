@@ -179,6 +179,8 @@ def test_simulate_trotter_variants(model_file, capsys):
     report = json.loads(out)
     assert report["method"] == "TS2"
     assert report["plan_count"] == 1
+    assert report["shot_count"] == 400
+    assert report["stderr"] > 0.0
     rc, out, _ = run_cli(
         [
             "simulate", "--hamiltonian", model_file, "--method", "rtrotter",
@@ -190,6 +192,8 @@ def test_simulate_trotter_variants(model_file, capsys):
     report = json.loads(out)
     assert report["method"] == "RTS1"
     assert report["plan_count"] == 20
+    assert report["value"] == report["baseline"]
+    assert report["stderr"] > 0.0
 
 
 def test_simulate_all_order(model_file, capsys):

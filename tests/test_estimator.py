@@ -1,12 +1,14 @@
 """Sampled estimators against exhaustive enumeration and the dense oracle."""
 
+from importlib import resources
+
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
 from hamsim import (
     BudgetOverflow,
     EstimatorConfig,
+    GatePlan,
     Observable,
     all_order_b,
     all_order_stats,
@@ -20,17 +22,32 @@ from hamsim import (
     exact_qswift_value,
     expectation,
     ideal_channel,
+    load_hamiltonian,
     mixture,
     parse_hamiltonian,
     plan_budget,
     prepare_plus_input,
     qdrift_channel,
+    qdrift_plan,
     qswift_channel,
     run_plan,
+    sample_all_order_segment,
+    sample_swift_plan,
     script_l_n,
     tau,
     trotter_plan,
 )
+from hamsim.compiler import (
+    all_order_categories,
+    all_order_segment_from_draw,
+    draw_all_order_segment,
+    draw_qdrift,
+    draw_swift_variant,
+    qdrift_plan_from_draw,
+    swift_plan_from_draw,
+)
+from hamsim.estimator import _shot_means, _signed_angles
+from hamsim.statevector import Kernel
 
 REF = parse_hamiltonian("0.5 X\n0.3 Z")
 PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
@@ -209,11 +226,10 @@ def test_config_bucket_budget_overrides():
         n_shot_0=7,
         bucket_samples={(2,): 55},
         bucket_shots={(2,): 9},
-        bucket_sample_multiplier={(3,): 2.5},
     )
     assert config.n_sample((2,)) == 55
     assert config.n_shot((2,)) == 9
-    assert config.n_sample((3,)) == 250
+    assert config.n_sample((3,)) == 100
     assert config.n_shot((3,)) == 7
     assert config.n_sample((2, 2)) == 100
 
@@ -234,29 +250,53 @@ def test_report_json_shape():
 def test_estimate_trotter_deterministic_path():
     t, r = 1.0, 4
     config = EstimatorConfig(n_segments=r, n_sample_0=100, n_shot_0=10_000, seed=2)
-    got = estimate_trotter(REF, t, r, 2, randomized=False, config=config)
-    assert got == estimate_trotter(REF, t, r, 2, randomized=False, config=config)
+    report = estimate_trotter(REF, t, r, 2, randomized=False, config=config)
+    got = report.value
+    assert got == estimate_trotter(REF, t, r, 2, randomized=False, config=config).value
     plan = trotter_plan(REF, t, r, 2)
     state = run_plan(prepare_plus_input(1), plan, REF)
     exact_plan_value = expectation(state, Observable("Z"))
     # one million pooled shots: 5 sigma is well under 0.005
     assert abs(got - exact_plan_value) <= 0.01
+    assert (report.method, report.plan_count, report.shot_count) == ("TS2", 1, 10**6)
+    assert report.stderr == np.sqrt((1 - got**2) / 10**6)
 
 
 def test_estimate_trotter_zero_time():
     config = EstimatorConfig(n_segments=1, n_sample_0=10, n_shot_0=10, system_zero=True)
-    assert estimate_trotter(REF, 0.0, 1, 1, randomized=False, config=config) == 1.0
-    assert estimate_trotter(REF, 0.0, 1, 1, randomized=True, config=config) == 1.0
+    assert estimate_trotter(REF, 0.0, 1, 1, randomized=False, config=config).value == 1.0
+    assert estimate_trotter(REF, 0.0, 1, 1, randomized=True, config=config).value == 1.0
 
 
 def test_estimate_trotter_randomized_path():
     t, r = 1.0, 3
     config = EstimatorConfig(n_segments=r, n_sample_0=200, n_shot_0=100, seed=6)
-    got = estimate_trotter(REF, t, r, 1, randomized=True, config=config)
-    assert got == estimate_trotter(REF, t, r, 1, randomized=True, config=config)
+    report = estimate_trotter(REF, t, r, 1, randomized=True, config=config)
+    got = report.value
+    assert got == estimate_trotter(REF, t, r, 1, randomized=True, config=config).value
     ideal = oracle_value(ideal_channel(REF, t), plus_density(1), PAULI_Z)
     # randomized first-order stays within coarse bias plus noise of the target
     assert abs(got - ideal) < 0.2
+    assert (report.method, report.plan_count, report.shot_count) == ("RTS1", 200, 20_000)
+    assert report.value == report.baseline and report.bucket_values == {}
+    assert 0.0 < report.stderr < 0.05
+
+
+def test_shot_readout_determinism_and_eigenstates():
+    kernel = Kernel(parse_hamiltonian("1.0 XI"), "ZI", system_zero=True)
+    states = kernel.fresh(3)
+    # row 1 flipped to |1>: e^{i pi/2 X}; row 2 rotated off the eigenbasis
+    kernel.rotate(states, np.array([1, 2]), np.array([0, 0]), [np.pi / 2])
+    kernel.rotate(states, np.array([2]), np.array([0]), [-np.pi / 3])
+    vals = kernel.read(states, ancilla_x=False)
+    assert vals[:2] == pytest.approx([1.0, -1.0], abs=1e-15)
+    # eigenstates: every shot agrees regardless of seed
+    got = _shot_means(vals, 1000, np.random.default_rng(123))
+    assert got[0] == 1.0 and got[1] == -1.0
+    a = _shot_means(vals, 100, np.random.default_rng(5))
+    assert np.array_equal(a, _shot_means(vals, 100, np.random.default_rng(5)))
+    with pytest.raises(ValueError):
+        EstimatorConfig(n_segments=2, n_shot_0=0)
 
 
 def test_all_order_unbiased_and_rescaled():
@@ -321,3 +361,78 @@ def test_budget_table_formats():
     text = table.to_text()
     assert "baseline" in text
     assert f"total circuits: {table.n_total}" in text
+
+
+CHAIN = load_hamiltonian(str(resources.files("hamsim").joinpath("data/chain_4q.txt")))
+
+
+def test_golden_values_on_bundled_chain():
+    # reports on chain_4q, t = 1, N = 16, seed 7, 100 shots, pinned with ==
+    base = dict(n_segments=16, n_shot_0=100, seed=7)
+    qdrift = estimate_qdrift(CHAIN, 1.0, EstimatorConfig(n_sample_0=2000, **base))
+    assert qdrift.value == 0.18713000000000002
+    buckets = {(2,): 300, (3,): 60, (4,): 20, (2, 2): 60}
+    config = EstimatorConfig(order=3, n_sample_0=2000, bucket_samples=buckets, **base)
+    qswift = estimate_qswift(CHAIN, 1.0, config)
+    assert (qswift.value, qswift.stderr) == (0.24857953997344973, 0.014305067434369935)
+    stats = all_order_stats(CHAIN, 1.0, 16, 2000, 7)
+    assert (stats.value, stats.stderr) == (0.35063913360850707, 0.04791938702929044)
+    config = EstimatorConfig(n_sample_0=200, **base)
+    assert estimate_trotter(CHAIN, 1.0, 16, 2, True, config).value == 0.27290000000000003
+    assert estimate_trotter(CHAIN, 1.0, 16, 2, False, config).value == 0.2667999999999999
+
+
+def _replayed(model, ops, axes, ancilla_x) -> float:
+    plan = GatePlan(ops=tuple(ops), n_segments=1, method_tag="REPLAY")
+    state = run_plan(prepare_plus_input(model.n_qubits), plan, model)
+    return expectation(state, Observable(axes, with_ancilla_x=ancilla_x))
+
+
+@pytest.mark.parametrize("m", [1, 6])
+def test_batched_rows_replay_as_plans(m):
+    # every batched row materialises as a plan that run_plan reproduces, and
+    # the public samplers are the m = 1 draws of the same generator
+    t, n_seg, axes = 1.0, 5, "ZIII"
+    tau_angle = tau(CHAIN, t, n_seg)
+    thetas = _signed_angles(CHAIN, tau_angle)
+    kernel = Kernel(CHAIN, axes)
+
+    terms = draw_qdrift(CHAIN, n_seg, m, np.random.default_rng(5))
+    states = kernel.fresh(m)
+    kernel.time_ops(states, terms, thetas)
+    vals = kernel.read(states, ancilla_x=False)
+    # one draw call, so row 0 of any batch is the sampler's plan
+    assert qdrift_plan(CHAIN, t, n_seg, np.random.default_rng(5)) == (
+        qdrift_plan_from_draw(CHAIN, t, terms, 0)
+    )
+    for row in range(m):
+        plan = qdrift_plan_from_draw(CHAIN, t, terms, row)
+        assert abs(_replayed(CHAIN, plan.ops, axes, False) - vals[row]) <= 1e-12
+
+    term = next(b for b in correction_terms(CHAIN, t, n_seg, 3) if b.n_vec == (2, 2))
+    s_vec, b_vecs = (0, 1), ((0, 1), (1, 0))
+    draw = draw_swift_variant(CHAIN, n_seg, term, s_vec, m, np.random.default_rng(9))
+    states = kernel.fresh(m)
+    kernel.swift_variant(states, draw, b_vecs, thetas)
+    vals = kernel.read(states, ancilla_x=True)
+    for row in range(m):
+        plan = swift_plan_from_draw(CHAIN, t, term, s_vec, b_vecs, draw, row)
+        assert abs(_replayed(CHAIN, plan.ops, axes, True) - vals[row]) <= 1e-12
+    if m == 1:
+        sampled = sample_swift_plan(
+            CHAIN, t, n_seg, term, s_vec, b_vecs, np.random.default_rng(9)
+        )
+        assert sampled == swift_plan_from_draw(CHAIN, t, term, s_vec, b_vecs, draw, 0)
+
+    big_tau = 0.6  # blocks are drawn often enough to appear in a few rows
+    _, sizes, cat_probs = all_order_categories(big_tau)
+    draw = draw_all_order_segment(CHAIN, sizes, cat_probs, m, np.random.default_rng(4))
+    states, signs = kernel.fresh(m), np.ones(m)
+    kernel.all_order_segment(states, signs, draw, _signed_angles(CHAIN, big_tau))
+    vals = signs * kernel.read(states, ancilla_x=True)
+    for row in range(m):
+        seg = all_order_segment_from_draw(CHAIN, big_tau, draw, row)
+        assert abs(seg.sign * _replayed(CHAIN, seg.ops, axes, True) - vals[row]) <= 1e-12
+    if m == 1:
+        sampled = sample_all_order_segment(CHAIN, big_tau, np.random.default_rng(4))
+        assert sampled == all_order_segment_from_draw(CHAIN, big_tau, draw, 0)

@@ -14,12 +14,10 @@ from hamsim import (
     WidthOverflow,
     apply_pauli_rotation,
     apply_swift_op,
-    apply_time_op,
     expectation,
     parse_hamiltonian,
     prepare_plus_input,
     run_plan,
-    sample_shots,
 )
 
 PAULI_1Q = {
@@ -86,14 +84,6 @@ def test_pauli_rotation_matches_expm(axes):
     assert np.allclose(got.amplitudes, u_full @ state.amplitudes, atol=1e-12)
 
 
-def test_time_op_folds_term_sign():
-    term = PauliTerm(axes="XZ", strength=0.5, sign=-1)
-    state = random_state(2, seed=3)
-    got = apply_time_op(state, term, 0.21)
-    ref = apply_pauli_rotation(state, "XZ", -0.21)
-    assert np.allclose(got.amplitudes, ref.amplitudes, atol=1e-15)
-
-
 @pytest.mark.parametrize("axes", ["X", "ZY"])
 @pytest.mark.parametrize("sign", [1, -1])
 @pytest.mark.parametrize("b", [0, 1])
@@ -137,28 +127,6 @@ def test_expectation_ancilla_x_on_product_input_reads_system_value():
     state = prepare_plus_input(2, system_zero=True)
     assert expectation(state, Observable("ZZ", with_ancilla_x=True)) == pytest.approx(1.0)
     assert expectation(state, Observable("XZ", with_ancilla_x=True)) == pytest.approx(0.0)
-
-
-def test_sample_shots_determinism_and_eigenstates():
-    state = prepare_plus_input(2, system_zero=True)
-    obs = Observable("ZI")
-    a = sample_shots(state, obs, 100, rng_seed=5)
-    b = sample_shots(state, obs, 100, rng_seed=5)
-    assert a == b
-    # eigenstate: every shot is +1 regardless of seed
-    assert sample_shots(state, obs, 1000, rng_seed=123) == 1.0
-    flipped = apply_pauli_rotation(state, "XI", np.pi / 2)
-    assert sample_shots(flipped, obs, 1000, rng_seed=123) == -1.0
-    with pytest.raises(ValueError):
-        sample_shots(state, obs, 0, rng_seed=1)
-
-
-def test_sample_shots_accepts_generator():
-    state = prepare_plus_input(1)
-    obs = Observable("Z")
-    rng = np.random.default_rng(77)
-    got = sample_shots(state, obs, 50, rng_seed=rng)
-    assert -1.0 <= got <= 1.0
 
 
 def test_run_plan_matches_dense_product():

@@ -72,6 +72,16 @@ class PauliAction:
             return phased
         return phased[..., _xor_perm(self.flip, self.dim)]
 
+    def factors(self) -> tuple:
+        """(perm, unit, signs) with (P vec)[x] = unit * signs[x] * vec[perm[x]];
+        perm is None when P flips no bit. signs[perm] = (-1)^|flip & sign_mask|
+        * signs folds into the unit scalar, so no permuted phase is stored."""
+        signs = _parity_signs(self.sign_mask, self.dim)
+        if self.flip == 0:
+            return None, self.scalar, signs
+        odd = bin(self.flip & self.sign_mask).count("1") % 2
+        return _xor_perm(self.flip, self.dim), -self.scalar if odd else self.scalar, signs
+
 
 def pauli_action(axes: str, width: int, start: int = 0) -> PauliAction:
     """PauliAction for `axes` occupying qubits start .. start+len(axes)-1."""

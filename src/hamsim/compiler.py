@@ -8,9 +8,14 @@ branch b; the sign folds into the controlled part at execution time.
 
 This module is the package's one sampler: the draw_* functions return
 0-based term-index arrays for m rows, consuming their generator in a fixed
-order, and `statevector.Kernel` executes them. The public samplers are
-m = 1 draws materialised by the *_from_draw functions, which replay any
-row of a batch as a plan.
+order. `statevector.Kernel.evolve` executes rows of op codes (CODE_DTYPE):
+with T terms, ell < T is a time operator on term ell, T + b T + ell the
+branch-b swift operator of term ell, and PAD (-1) nothing. qDRIFT and
+Trotter term arrays are already codes; `SwiftDraw.codes` and
+`SegmentDraw.codes` expand the correction and all-order draws, and
+`concat_codes` joins segments. The public samplers are m = 1 draws
+materialised by the *_from_draw functions, which replay any row of a batch
+as a plan.
 """
 
 from __future__ import annotations
@@ -27,6 +32,13 @@ from .errors import OrderExceedsSegments
 from .hamiltonian import HamiltonianModel, tau
 
 B_SERIES_RTOL = 1e-15
+CODE_DTYPE = np.int16
+PAD = -1
+
+
+def swift_codes(n_terms: int, b, terms) -> np.ndarray:
+    """Op codes T + b T + ell of branch-b swift operators on 0-based terms."""
+    return n_terms * (1 + np.asarray(b)) + terms
 
 
 @dataclass(frozen=True)
@@ -316,6 +328,21 @@ class SwiftDraw:
         free[np.arange(len(free))[:, None], self.sigma] = False
         return free
 
+    def codes(self, b_vecs, n_terms: int) -> np.ndarray:
+        """(m, N - k + xi) op codes of the variant with branch vectors b_vecs:
+        every row's slots in order, block j's slot expanded into its part's
+        swift operators."""
+        m = self.fillers.shape[0]
+        widths = np.ones(self.fillers.shape, dtype=np.int64)
+        widths[np.arange(m)[:, None], self.sigma] = [part.shape[1] for part in self.parts]
+        widths = widths.ravel()
+        codes = np.repeat(self.fillers.astype(CODE_DTYPE).ravel(), widths)
+        branches = np.concatenate([np.asarray(b_vec) for b_vec in b_vecs])
+        swift = swift_codes(n_terms, branches, np.concatenate(self.parts, axis=1))
+        # block slots are the ones wider than one op (every n_j >= 2)
+        codes[np.repeat(widths > 1, widths)] = swift.ravel()
+        return codes.reshape(m, -1)
+
 
 def draw_swift_variant(
     model: HamiltonianModel, n_segments: int, term: CorrectionTerm, s_vec, m: int, rng
@@ -423,6 +450,16 @@ class SegmentDraw:
     time_terms: np.ndarray
     blocks: tuple
 
+    def codes(self, n_terms: int) -> np.ndarray:
+        """(m, largest block) op codes, PAD after each row's last op."""
+        m = self.time_rows.size + sum(block.rows.size for block in self.blocks)
+        width = max([1] + [block.terms.shape[1] for block in self.blocks])
+        codes = np.full((m, width), PAD, dtype=CODE_DTYPE)
+        codes[self.time_rows, 0] = self.time_terms
+        for block in self.blocks:
+            codes[block.rows, : block.terms.shape[1]] = swift_codes(n_terms, block.b, block.terms)
+        return codes
+
 
 def draw_all_order_segment(
     model: HamiltonianModel, block_sizes, cat_probs, m: int, rng
@@ -447,6 +484,20 @@ def draw_all_order_segment(
         terms = np.where(s[:, None] == 1, one[:, None], iid)
         blocks.append(SwiftBlock(rows=rows, s=s, b=b, terms=terms))
     return SegmentDraw(time_rows=time_rows, time_terms=time_terms, blocks=tuple(blocks))
+
+
+def concat_codes(blocks) -> np.ndarray:
+    """Op codes of consecutive code blocks (m, *) as one (m, L) array: each
+    row's ops in order, shifted left over PAD entries, L the longest row."""
+    m = blocks[0].shape[0]
+    codes = np.full((m, sum(block.shape[1] for block in blocks)), PAD, dtype=CODE_DTYPE)
+    fill = np.zeros(m, dtype=np.intp)
+    for block in blocks:
+        for col in block.T:
+            live = np.flatnonzero(col != PAD)
+            codes[live, fill[live]] = col[live]
+            fill[live] += 1
+    return codes[:, : fill.max()]
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,15 @@
 """Monte Carlo observable estimation for compiled randomized plans.
 
-Estimators own streams, budgets, shot readout and reduction: the `compiler`
-draw layer fills batches of rows from streams derived as (seed, stream
-labels, variant, chunk), a `statevector.Kernel` evolves and reads them, and
-shots are simulated binomially from the exact expectations. Reduction order
-is fixed by variant and chunk index, so reports are bit-identical for any
+Estimators own streams, budgets, shot readout and reduction. The `compiler`
+draw layer fills rows from streams derived as (seed, stream labels, variant,
+chunk of 32,768 rows) and turns them into op codes; `Kernel.evolve` runs the
+codes in execution tiles of at most 8,192 rows and 32 MiB of amplitudes, and
+shots are simulated binomially from the exact expectations, each unit's
+shots from its own stream after its draws. Tiles only schedule rows: every
+row's arithmetic is the same in any tile, and reduction order is fixed by
+variant and chunk index, so reports are bit-identical for any tile size and
 worker count. The exhaustive *_exact oracles evolve every draw of the
-support as a weighted row through the same Kernel calls.
+support as a weighted row through the same `Kernel.evolve`.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .compiler import (
     CorrectionTerm,
     SwiftDraw,
     all_order_categories,
+    concat_codes,
     correction_terms,
     draw_all_order_segment,
     draw_qdrift,
@@ -45,7 +49,11 @@ _SUB_PLAN = 0
 _SUB_SHOT = 1
 
 ENUMERATION_CAP = 10**6
-_BATCH_CHUNK = 1 << 15
+# Rows per derived stream; tiles bound the rows evolved at once. A row's
+# arithmetic is the same in any tile, so reports do not depend on tiling.
+_STREAM_CHUNK = 1 << 15
+_TILE_ROWS = 1 << 13
+_TILE_BYTES = 32 << 20
 
 
 def _worker_count(explicit: int | None) -> int:
@@ -58,12 +66,12 @@ def _worker_count(explicit: int | None) -> int:
         return 1
 
 
-def _map_indexed(fn, count: int, threads: int) -> list:
-    """fn(i) for i in range(count), order-preserving, optionally threaded."""
-    if threads <= 1 or count <= 1:
-        return [fn(i) for i in range(count)]
+def _map_ordered(fn, items: list, threads: int) -> list:
+    """[fn(item) for item in items], optionally on worker threads."""
+    if threads <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(count)))
+        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True)
@@ -159,9 +167,28 @@ def _shot_means(vals: np.ndarray, n_shot: int, rng) -> np.ndarray:
 
 
 def _chunk_sizes(total: int):
-    """(chunk index, first row, rows) covering range(total) in _BATCH_CHUNK steps."""
-    for idx, start in enumerate(range(0, total, _BATCH_CHUNK)):
-        yield idx, start, min(_BATCH_CHUNK, total - start)
+    """(chunk index, first row, rows) covering range(total) in _STREAM_CHUNK steps."""
+    for idx, start in enumerate(range(0, total, _STREAM_CHUNK)):
+        yield idx, start, min(_STREAM_CHUNK, total - start)
+
+
+def _tile_rows(amps: int) -> int:
+    """Rows of `amps` amplitudes evolved at once: at most _TILE_ROWS and
+    _TILE_BYTES, and at least one."""
+    return max(1, min(_TILE_ROWS, _TILE_BYTES // (16 * amps)))
+
+
+def _evolve_read(kernel: Kernel, codes: np.ndarray, thetas, ancilla_x: bool) -> np.ndarray:
+    """Exact readout of every row of op codes, evolved tile by tile. Rows read
+    as I (x) Q leave the ancilla idle and evolve on 2^n amplitudes."""
+    m = codes.shape[0]
+    step = _tile_rows((2 if ancilla_x else 1) << kernel.n_qubits)
+    vals = np.empty(m)
+    for lo in range(0, m, step):
+        states = kernel.fresh(min(step, m - lo), ancilla=ancilla_x)
+        kernel.evolve(states, codes[lo : lo + step], thetas)
+        vals[lo : lo + step] = kernel.read(states, ancilla_x)
+    return vals
 
 
 def _signed_angles(model: HamiltonianModel, angle: float) -> list[float]:
@@ -198,9 +225,9 @@ def estimate_qdrift(model: HamiltonianModel, t: float, config: EstimatorConfig) 
     def one_chunk(args):
         idx, _, size = args
         rng = derived_rng(config.seed, _STREAM_BASELINE, idx)
-        states = kernel.fresh(size)
-        kernel.time_ops(states, draw_qdrift(model, config.n_segments, size, rng), thetas)
-        return _shot_means(kernel.read(states, ancilla_x=False), config.n_shot_0, rng)
+        codes = draw_qdrift(model, config.n_segments, size, rng)
+        vals = _evolve_read(kernel, codes, thetas, ancilla_x=False)
+        return _shot_means(vals, config.n_shot_0, rng)
 
     baseline, var, count = _pooled_stats(map(one_chunk, _chunk_sizes(n)))
     return EstimateReport(
@@ -222,10 +249,11 @@ def _eval_correction_stats(
     """(value, variance, plan_count, shot_count) for one correction bucket.
 
     The bucket value is coeff times the signed sum over all (s, b)
-    combinations of averaged ancilla-dressed expectations. Every variant is
-    evaluated with its own derived stream; variants may run on worker
-    threads, and the signed reduction follows variant order regardless of
-    thread count.
+    combinations of averaged ancilla-dressed expectations. Each (variant,
+    stream chunk) unit draws its rows and then its shots from its own
+    derived stream; consecutive units pack into batches of a few tiles,
+    which may run on worker threads. The reduction follows unit order, so
+    reports do not depend on tiling or thread count.
     """
     n_sample = config.n_sample(term.n_vec)
     n_shot = config.n_shot(term.n_vec)
@@ -242,25 +270,43 @@ def _eval_correction_stats(
         for b_vecs in term.b_vector_sets()
     ]
 
-    def one_variant(vid: int):
-        s_vec, b_vecs = variants[vid]
+    units = [
+        (vid, idx, size)
+        for vid in range(len(variants))
+        for idx, _, size in _chunk_sizes(n_sample)
+    ]
 
-        def one_chunk(args):
-            idx, _, size = args
+    def one_batch(batch) -> list:
+        rngs, codes = [], []
+        for vid, idx, size in batch:
+            s_vec, b_vecs = variants[vid]
             rng = derived_rng(
                 config.seed, _STREAM_BUCKET, term.k, term.xi, *term.n_vec, vid, idx
             )
             draw = draw_swift_variant(model, config.n_segments, term, s_vec, size, rng)
-            states = kernel.fresh(size)
-            kernel.swift_variant(states, draw, b_vecs, thetas)
-            return _shot_means(kernel.read(states, ancilla_x=True), n_shot, rng)
+            codes.append(draw.codes(b_vecs, model.n_terms))
+            rngs.append(rng)
+        vals = _evolve_read(kernel, np.concatenate(codes), thetas, ancilla_x=True)
+        ends = np.cumsum([size for _, _, size in batch])[:-1]
+        return [_shot_means(v, n_shot, rng) for v, rng in zip(np.split(vals, ends), rngs)]
 
-        return _pooled_stats(map(one_chunk, _chunk_sizes(n_sample)))
-
-    results = _map_indexed(one_variant, len(variants), _worker_count(config.threads))
+    # about four tiles per batch: few partial tiles, yet several batches
+    # for the pool and small code arrays
+    batch_rows = 4 * _tile_rows(2 << model.n_qubits)
+    batches, rows = [[]], 0
+    for unit in units:
+        if rows >= batch_rows:
+            batches.append([])
+            rows = 0
+        batches[-1].append(unit)
+        rows += unit[2]
+    results = _map_ordered(one_batch, batches, _worker_count(config.threads))
+    shot_means = [arr for out in results for arr in out]
+    per_variant = len(units) // len(variants)
     signed_sum = 0.0
     var_sum = 0.0
-    for (s_vec, _), (mean, var, _) in zip(variants, results):
+    for vid, (s_vec, _) in enumerate(variants):
+        mean, var, _ = _pooled_stats(shot_means[vid * per_variant : (vid + 1) * per_variant])
         sign = -1.0 if sum(s_vec) % 2 else 1.0
         signed_sum += sign * mean
         var_sum += var
@@ -328,9 +374,7 @@ def estimate_trotter(
                 draw_trotter_terms(model, r, order, derived_rng(seed, _STREAM_TROTTER, i, _SUB_PLAN))
                 for i in plan_ids
             ])
-            states = kernel.fresh(size)
-            kernel.time_ops(states, terms, thetas)
-            vals = kernel.read(states, ancilla_x=False)
+            vals = _evolve_read(kernel, terms, thetas, ancilla_x=False)
             chunks.extend(
                 _shot_means(vals[row : row + 1], config.n_shot_0,
                             derived_rng(seed, _STREAM_TROTTER, i, _SUB_SHOT))
@@ -340,7 +384,7 @@ def estimate_trotter(
         method, stderr, shots = f"RTS{order}", sqrt(var), config.n_shot_0
     else:
         plan = trotter_plan(model, t, r, order)
-        states = kernel.fresh(1)
+        states = kernel.fresh(1, ancilla=False)
         kernel.run(states, plan.ops)
         plans, shots = 1, config.n_shot_0 * config.n_sample_0
         rng = derived_rng(seed, _STREAM_TROTTER, 0, _SUB_SHOT)
@@ -387,9 +431,8 @@ def exact_qdrift_value(
     total = 0.0
     for _, start, size in _chunk_sizes(n_plans):
         terms = _digits([model.n_terms] * n_segments, start, size)
-        states = kernel.fresh(size)
-        kernel.time_ops(states, terms, thetas)
-        total += float(probs[terms].prod(axis=1) @ kernel.read(states, ancilla_x=False))
+        vals = _evolve_read(kernel, terms, thetas, ancilla_x=False)
+        total += float(probs[terms].prod(axis=1) @ vals)
     return total
 
 
@@ -439,9 +482,9 @@ def eval_correction_exact(
             draw = SwiftDraw(sigma, np.zeros((size, n_segments), dtype=np.int64), tuple(parts))
             draw.fillers[draw.filler_slots()] = digits[:, col:].ravel()
             for b_vecs in term.b_vector_sets():
-                states = kernel.fresh(size)
-                kernel.swift_variant(states, draw, b_vecs, thetas)
-                total += sign * float(weights @ kernel.read(states, ancilla_x=True))
+                codes = draw.codes(b_vecs, n_terms)
+                vals = _evolve_read(kernel, codes, thetas, ancilla_x=True)
+                total += sign * float(weights @ vals)
     return term.coeff * total / n_slots
 
 
@@ -502,12 +545,14 @@ def all_order_stats(
     def one_chunk(args):
         chunk_idx, _, m = args
         rng = derived_rng(int(rng_seed), _STREAM_ALL_ORDER, chunk_idx)
-        states = kernel.fresh(m)
         signs = np.ones(m)
+        codes = []
         for _seg in range(n_segments):
             draw = draw_all_order_segment(model, block_sizes, cat_probs, m, rng)
-            kernel.all_order_segment(states, signs, draw, thetas)
-        return signs * kernel.read(states, ancilla_x=True)
+            codes.append(draw.codes(model.n_terms))
+            for block in draw.blocks:
+                signs[block.rows] *= 1.0 - 2.0 * block.s
+        return signs * _evolve_read(kernel, concat_codes(codes), thetas, ancilla_x=True)
 
     mean, var, _ = _pooled_stats(map(one_chunk, _chunk_sizes(n_sample)))
     b_power = b_norm**n_segments
@@ -573,20 +618,24 @@ class BudgetTable:
 def plan_budget(
     model: HamiltonianModel, t: float, n_segments: int, order: int, epsilon_total: float
 ) -> BudgetTable:
-    """Variance-balanced budgets: the statistical error target splits evenly
-    across the baseline and every bucket, each bucket pays for its 2^(xi+k)
-    sign/branch combinations, and sample counts scale with coeff^2."""
+    """Variance-balanced budgets: the target variance epsilon_total^2 splits
+    evenly over the table's rows (the baseline and every bucket), so each row
+    gets stderr epsilon_total / sqrt(rows); each bucket pays for its
+    2^(xi+k) sign/branch combinations, and sample counts scale with coeff^2."""
     if epsilon_total <= 0:
         raise ValueError("epsilon must be positive")
     terms = correction_terms(model, t, n_segments, order)
-    eps = epsilon_total / sqrt(order + 1)
-    n_sample_0 = ceil(1.0 / eps**2)
+    n_rows = 1 + len(terms)
+    eps = epsilon_total / sqrt(n_rows)
+    # counts from n_rows / epsilon_total^2, not 1 / eps^2: the latter can
+    # land an ulp above an integer, and ceil then adds a circuit
+    n_sample_0 = ceil(n_rows / epsilon_total**2)
     rows = [BudgetRow(label="baseline", k=0, coeff=1.0,
                       n_sample=n_sample_0, circuits=n_sample_0)]
     total = n_sample_0
     for term in terms:
         variants = term.n_variants
-        n_samp = max(1, ceil(term.coeff**2 * variants / eps**2))
+        n_samp = max(1, ceil(term.coeff**2 * variants * n_rows / epsilon_total**2))
         circuits = variants * n_samp
         rows.append(
             BudgetRow(

@@ -5,10 +5,17 @@ The register always holds n_qubits + 1 qubits with the ancilla at qubit 0
 vector are contiguous halves. Time operators act on the system register
 only; swift operators act on both. Total width is capped at 22 qubits.
 
-All execution lives here: `Kernel` evolves batches of rows (one amplitude
-vector each) from the index arrays that `compiler` draws, one
-`PauliAction.apply` per group of rows sharing a term, and `read_rows` is
-the one exact readout. The single-state functions are batches of one.
+All execution lives here. `Kernel.evolve` runs batches of rows (one
+amplitude vector each) from the op codes that `compiler` builds out of its
+draws: a small integer per instruction naming a time operator, a swift
+operator with its branch, or a pad. Each column of codes groups the rows
+that share an op, and each group is one call of the row functions
+`rotate_rows` / `swift_rows`, which update amplitudes in place from a
+precomputed permutation and phase. Rows whose ancilla stays idle (qDRIFT
+baselines, Trotter) evolve on 2^n amplitudes instead of 2^(n+1).
+`read_rows` is the one exact readout. `Kernel.run` executes arbitrary-angle
+plans one instruction at a time; the single-state functions are batches of
+one over it or the row functions.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._pauli import AXES, PauliAction, pauli_action
-from .compiler import SegmentDraw, SwiftDraw, SwiftOp, TimeOp, validate_plan
+from .compiler import CODE_DTYPE, SwiftOp, TimeOp, validate_plan
 from .errors import WidthOverflow
 from .hamiltonian import HamiltonianModel, PauliTerm
 
@@ -82,17 +89,30 @@ def prepare_plus_input(n_qubits: int, system_zero: bool = False) -> State:
 
 
 # ---------------------------------------------------------------------------
-# Row functions: every amplitude update and readout in the package.
+# Row functions: every amplitude update and readout in the package. A row is
+# either the full 2^(n+1) register or, when the ancilla stays idle in |+>,
+# one 2^n half: both halves of such a row are equal, so either stands for it.
 
-def rotate_rows(states: np.ndarray, rows, action: PauliAction, theta: float) -> None:
-    """e^{i theta P} = cos(theta) + i sin(theta) P on the given rows, with
-    `action` P on the system qubits of the extended register."""
+def rotate_rows(states: np.ndarray, rows, perm, coef: np.ndarray, cos: float) -> None:
+    """psi <- cos * psi + coef * psi[perm] on every 2^n half of the given
+    rows (a slice or an index array), in place. With P psi = unit * signs *
+    psi[perm] and coef = i sin(theta) * unit * signs this is e^{i theta P}."""
     sub = states[rows]
-    states[rows] = np.cos(theta) * sub + 1j * np.sin(theta) * action.apply(sub)
+    halves = sub.reshape(-1, coef.shape[0])
+    if perm is None:
+        gathered = halves * coef
+    else:
+        gathered = np.take(halves, perm, axis=1)
+        gathered *= coef
+    sub *= cos
+    sub += gathered.reshape(sub.shape)
+    if not isinstance(rows, slice):
+        states[rows] = sub
 
 
-def swift_rows(states: np.ndarray, rows, action: PauliAction, sign: int, b: int) -> None:
-    """Swift operator S^(b) for H_ell = sign * P, `action` P on the system.
+def swift_rows(states: np.ndarray, rows, perm, coef: np.ndarray, b: int) -> None:
+    """Swift operator S^(b) of H_ell = sign * P on full-register rows, in
+    place, with coef * psi[perm] = i H_ell psi (b = 0) or H_ell psi (b = 1).
 
     Net unitaries (ancilla block form): S^(0) = diag(I, i H_ell) and
     S^(1) = diag(H_ell, -i I). Their channel actions on the ancilla
@@ -101,37 +121,56 @@ def swift_rows(states: np.ndarray, rows, action: PauliAction, sign: int, b: int)
     """
     half = states.shape[1] // 2
     sub = states[rows]
-    if b == 0:
-        sub[:, half:] = 1j * sign * action.apply(sub[:, half:])
-    else:
-        sub[:, :half] = sign * action.apply(sub[:, :half])
-        sub[:, half:] = -1j * sub[:, half:]
-    states[rows] = sub
+    part = sub[:, half:] if b == 0 else sub[:, :half]
+    if b:
+        sub[:, half:] *= -1j
+    gathered = part if perm is None else np.take(part, perm, axis=1)
+    np.multiply(gathered, coef, out=part)
+    if not isinstance(rows, slice):
+        states[rows] = sub
 
 
 def read_rows(states: np.ndarray, action: PauliAction, ancilla_x: bool) -> np.ndarray:
     """Exact <X (x) Q> (ancilla_x) or <I (x) Q> per row, Q the system `action`;
-    raises ValueError on a non-real value, which means a broken evolution."""
+    raises ValueError on a non-real value, which means a broken evolution.
+    A 2^n row (idle ancilla) reads 2 <psi|Q|psi>, the sum of its two equal
+    halves under either operator."""
     half = action.dim
-    lower, upper = states[:, :half], states[:, half:]
-    q_low = action.apply(lower)
-    q_up = action.apply(upper)
-    if ancilla_x:
-        vals = np.einsum("ij,ij->i", lower.conj(), q_up)
-        vals = vals + np.einsum("ij,ij->i", upper.conj(), q_low)
+    if states.shape[1] == half:
+        vals = 2 * np.einsum("ij,ij->i", states.conj(), action.apply(states))
     else:
-        vals = np.einsum("ij,ij->i", lower.conj(), q_low)
-        vals = vals + np.einsum("ij,ij->i", upper.conj(), q_up)
+        lower, upper = states[:, :half], states[:, half:]
+        q_low = action.apply(lower)
+        q_up = action.apply(upper)
+        if ancilla_x:
+            vals = np.einsum("ij,ij->i", lower.conj(), q_up)
+            vals = vals + np.einsum("ij,ij->i", upper.conj(), q_low)
+        else:
+            vals = np.einsum("ij,ij->i", lower.conj(), q_low)
+            vals = vals + np.einsum("ij,ij->i", upper.conj(), q_up)
     worst = float(np.abs(vals.imag).max(initial=0.0))
     if worst > 1e-10:
         raise ValueError(f"non-real Pauli expectation (imag {worst:.3e})")
     return vals.real
 
 
+def _time_coef(unit: complex, signs: np.ndarray, theta: float) -> np.ndarray:
+    """rotate_rows coefficient of e^{i theta P}, P = unit * signs * [perm]."""
+    return (1j * np.sin(theta) * unit) * signs
+
+
+def _swift_coef(sign: int, unit: complex, signs: np.ndarray, b: int) -> np.ndarray:
+    """swift_rows coefficient of branch b for H_ell = sign * P."""
+    return ((1j * sign if b == 0 else sign) * unit) * signs
+
+
 class Kernel:
     """Batched executor for one model, observable and input state.
 
-    Term indices in the arrays are 0-based; plan instructions are 1-based.
+    Rows evolve from op codes: with T terms, code ell < T is the time
+    operator e^{i thetas[ell] P_ell}, code T + b T + ell the branch-b swift
+    operator of term ell, and -1 a no-op pad. Term indices are 0-based;
+    plan instructions are 1-based.
     """
 
     def __init__(
@@ -139,78 +178,73 @@ class Kernel:
         system_zero: bool = False,
     ):
         n = model.n_qubits
+        if 3 * model.n_terms > np.iinfo(CODE_DTYPE).max:
+            raise ValueError(f"{model.n_terms} terms overflow the op codes")
         self.n_qubits = n
         self.n_terms = model.n_terms
         self.system_zero = system_zero
         self.signs = [term.sign for term in model.terms]
-        self.sys_actions = [pauli_action(term.axes, width=n) for term in model.terms]
-        self.full_actions = [
-            pauli_action(term.axes, width=n + 1, start=1) for term in model.terms
-        ]
+        self.factors = [pauli_action(term.axes, width=n).factors() for term in model.terms]
         self.obs_action = pauli_action(observable_axes or "Z" + "I" * (n - 1), width=n)
 
-    def fresh(self, m: int) -> np.ndarray:
-        """m rows of the input state."""
-        init = prepare_plus_input(self.n_qubits, system_zero=self.system_zero)
-        return np.tile(init.amplitudes, (m, 1))
+    def fresh(self, m: int, ancilla: bool = True) -> np.ndarray:
+        """m rows of the input state, without the idle ancilla unless `ancilla`."""
+        init = prepare_plus_input(self.n_qubits, system_zero=self.system_zero).amplitudes
+        return np.tile(init if ancilla else init[: init.size // 2], (m, 1))
 
     def read(self, states: np.ndarray, ancilla_x: bool) -> np.ndarray:
         return read_rows(states, self.obs_action, ancilla_x)
 
-    def rotate(self, states, rows, terms, thetas) -> None:
-        """Row rows[i] gets e^{i thetas[terms[i]] P_terms[i]}."""
-        for ell0 in range(self.n_terms):
-            sel = rows[terms == ell0]
-            if sel.size:
-                rotate_rows(states, sel, self.full_actions[ell0], thetas[ell0])
+    def _coef(self, code: int, thetas) -> tuple:
+        """(perm, coefficient, cosine or branch) of one op code."""
+        kind, ell = divmod(code, self.n_terms)
+        perm, unit, signs = self.factors[ell]
+        if kind == 0:
+            return perm, _time_coef(unit, signs, thetas[ell]), np.cos(thetas[ell])
+        return perm, _swift_coef(self.signs[ell], unit, signs, kind - 1), kind - 1
 
-    def swift(self, states, rows, terms, b: int) -> None:
-        """Row rows[i] gets the branch-b swift operator of term terms[i]."""
-        for ell0 in range(self.n_terms):
-            sel = rows[terms == ell0]
-            if sel.size:
-                swift_rows(states, sel, self.sys_actions[ell0], self.signs[ell0], b)
+    def evolve(self, states: np.ndarray, codes: np.ndarray, thetas) -> None:
+        """Row i gets the ops codes[i, 0], codes[i, 1], ... in order.
 
-    def time_ops(self, states, terms: np.ndarray, thetas) -> None:
-        """Column c of terms (m, C) is every row's c-th time operator."""
-        rows = np.arange(terms.shape[0])
-        for col in range(terms.shape[1]):
-            self.rotate(states, rows, terms[:, col], thetas)
-
-    def swift_variant(self, states, draw: SwiftDraw, b_vecs, thetas) -> None:
-        """One correction variant: per segment, block rows apply their parts'
-        swift operators with branches b_vecs[j], all other rows a filler."""
-        free = draw.filler_slots()
-        for seg in range(free.shape[1]):
-            for j, b_vec in enumerate(b_vecs):
-                rows_j = np.flatnonzero(draw.sigma[:, j] == seg)
-                if not rows_j.size:
+        Column by column, a stable radix argsort of the int16 codes groups
+        the rows that share an op, and each group gets one row-function
+        call; coefficients are built once per code per call.
+        """
+        m = states.shape[0]
+        full = states.shape[1] == 2 << self.n_qubits
+        n_terms = self.n_terms
+        coefs = {}
+        for col in np.asarray(codes, dtype=CODE_DTYPE).T.copy():
+            order = np.argsort(col, kind="stable")
+            ranked = col[order]
+            cuts = (np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist()
+            for lo, hi in zip([0, *cuts], [*cuts, m]):
+                code = int(ranked[lo])
+                if code < 0:
                     continue
-                for step, b in enumerate(b_vec):
-                    self.swift(states, rows_j, draw.parts[j][rows_j, step], b)
-            filler_rows = np.flatnonzero(free[:, seg])
-            if filler_rows.size:
-                self.rotate(states, filler_rows, draw.fillers[filler_rows, seg], thetas)
-
-    def all_order_segment(self, states, signs, draw: SegmentDraw, thetas) -> None:
-        """One all-order segment; block rows also fold (-1)^s into signs."""
-        self.rotate(states, draw.time_rows, draw.time_terms, thetas)
-        for block in draw.blocks:
-            signs[block.rows] *= 1.0 - 2.0 * block.s
-            for step in range(block.terms.shape[1]):
-                for b in (0, 1):
-                    hit = block.b[:, step] == b
-                    self.swift(states, block.rows[hit], block.terms[hit, step], b)
+                rows = slice(None) if hi - lo == m else order[lo:hi]
+                if code not in coefs:
+                    coefs[code] = self._coef(code, thetas)
+                perm, coef, extra = coefs[code]
+                if code < n_terms:
+                    rotate_rows(states, rows, perm, coef, extra)
+                elif full:
+                    swift_rows(states, rows, perm, coef, extra)
+                else:
+                    raise ValueError("swift operators need the ancilla")
 
     def run(self, states: np.ndarray, ops) -> None:
-        """Apply one validated instruction list to every row, in order."""
+        """Apply one validated instruction list to every row, in order:
+        arbitrary-angle plans, one row-function call per instruction."""
         rows = slice(None)
         for op in ops:
-            ell0 = op.ell - 1
+            perm, unit, signs = self.factors[op.ell - 1]
             if isinstance(op, TimeOp):
-                rotate_rows(states, rows, self.full_actions[ell0], op.angle)
+                coef = _time_coef(unit, signs, op.angle)
+                rotate_rows(states, rows, perm, coef, np.cos(op.angle))
             elif isinstance(op, SwiftOp):
-                swift_rows(states, rows, self.sys_actions[ell0], self.signs[ell0], op.b)
+                coef = _swift_coef(self.signs[op.ell - 1], unit, signs, op.b)
+                swift_rows(states, rows, perm, coef, op.b)
             else:
                 raise TypeError(f"unknown instruction {op!r}")
 
@@ -225,8 +259,8 @@ def apply_pauli_rotation(state: State, axes: str, theta: float) -> State:
     execute through this bare rotation.
     """
     rows = state.amplitudes[None, :].copy()
-    action = pauli_action(axes, width=state.n_qubits + 1, start=1)
-    rotate_rows(rows, slice(None), action, theta)
+    perm, unit, signs = pauli_action(axes, width=state.n_qubits).factors()
+    rotate_rows(rows, slice(None), perm, _time_coef(unit, signs, theta), np.cos(theta))
     return State(amplitudes=rows[0], n_qubits=state.n_qubits)
 
 
@@ -235,7 +269,8 @@ def apply_swift_op(state: State, term: PauliTerm, b: int) -> State:
     if b not in (0, 1):
         raise ValueError("swift branch b must be 0 or 1")
     rows = state.amplitudes[None, :].copy()
-    swift_rows(rows, slice(None), pauli_action(term.axes, width=state.n_qubits), term.sign, b)
+    perm, unit, signs = pauli_action(term.axes, width=state.n_qubits).factors()
+    swift_rows(rows, slice(None), perm, _swift_coef(term.sign, unit, signs, b), b)
     return State(amplitudes=rows[0], n_qubits=state.n_qubits)
 
 

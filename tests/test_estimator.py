@@ -1,6 +1,10 @@
 """Sampled estimators against exhaustive enumeration and the dense oracle."""
 
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,6 +50,7 @@ from hamsim.compiler import (
     qdrift_plan_from_draw,
     swift_plan_from_draw,
 )
+from hamsim import estimator
 from hamsim.estimator import _shot_means, _signed_angles
 from hamsim.statevector import Kernel
 
@@ -286,8 +291,8 @@ def test_shot_readout_determinism_and_eigenstates():
     kernel = Kernel(parse_hamiltonian("1.0 XI"), "ZI", system_zero=True)
     states = kernel.fresh(3)
     # row 1 flipped to |1>: e^{i pi/2 X}; row 2 rotated off the eigenbasis
-    kernel.rotate(states, np.array([1, 2]), np.array([0, 0]), [np.pi / 2])
-    kernel.rotate(states, np.array([2]), np.array([0]), [-np.pi / 3])
+    kernel.evolve(states, np.array([[-1], [0], [0]]), [np.pi / 2])
+    kernel.evolve(states, np.array([[-1], [-1], [0]]), [-np.pi / 3])
     vals = kernel.read(states, ancilla_x=False)
     assert vals[:2] == pytest.approx([1.0, -1.0], abs=1e-15)
     # eigenstates: every shot agrees regardless of seed
@@ -334,7 +339,7 @@ def test_plan_budget_rows():
 
     table3 = plan_budget(REF, 1.25, 16, 3, 0.1)
     assert [row.label for row in table3.rows] == ["baseline", "2", "3", "4", "2,2"]
-    eps = 0.1 / np.sqrt(4)
+    eps = 0.1 / np.sqrt(5)  # an even split over the 5 rows
     assert table3.epsilon_per_term == pytest.approx(eps)
     for row, term in zip(table3.rows[1:], correction_terms(REF, 1.25, 16, 3)):
         variants = term.n_variants
@@ -398,8 +403,8 @@ def test_batched_rows_replay_as_plans(m):
     kernel = Kernel(CHAIN, axes)
 
     terms = draw_qdrift(CHAIN, n_seg, m, np.random.default_rng(5))
-    states = kernel.fresh(m)
-    kernel.time_ops(states, terms, thetas)
+    states = kernel.fresh(m, ancilla=False)  # replayed below on the full register
+    kernel.evolve(states, terms, thetas)
     vals = kernel.read(states, ancilla_x=False)
     # one draw call, so row 0 of any batch is the sampler's plan
     assert qdrift_plan(CHAIN, t, n_seg, np.random.default_rng(5)) == (
@@ -413,7 +418,7 @@ def test_batched_rows_replay_as_plans(m):
     s_vec, b_vecs = (0, 1), ((0, 1), (1, 0))
     draw = draw_swift_variant(CHAIN, n_seg, term, s_vec, m, np.random.default_rng(9))
     states = kernel.fresh(m)
-    kernel.swift_variant(states, draw, b_vecs, thetas)
+    kernel.evolve(states, draw.codes(b_vecs, CHAIN.n_terms), thetas)
     vals = kernel.read(states, ancilla_x=True)
     for row in range(m):
         plan = swift_plan_from_draw(CHAIN, t, term, s_vec, b_vecs, draw, row)
@@ -428,7 +433,9 @@ def test_batched_rows_replay_as_plans(m):
     _, sizes, cat_probs = all_order_categories(big_tau)
     draw = draw_all_order_segment(CHAIN, sizes, cat_probs, m, np.random.default_rng(4))
     states, signs = kernel.fresh(m), np.ones(m)
-    kernel.all_order_segment(states, signs, draw, _signed_angles(CHAIN, big_tau))
+    kernel.evolve(states, draw.codes(CHAIN.n_terms), _signed_angles(CHAIN, big_tau))
+    for block in draw.blocks:
+        signs[block.rows] *= 1.0 - 2.0 * block.s
     vals = signs * kernel.read(states, ancilla_x=True)
     for row in range(m):
         seg = all_order_segment_from_draw(CHAIN, big_tau, draw, row)
@@ -436,3 +443,49 @@ def test_batched_rows_replay_as_plans(m):
     if m == 1:
         sampled = sample_all_order_segment(CHAIN, big_tau, np.random.default_rng(4))
         assert sampled == all_order_segment_from_draw(CHAIN, big_tau, draw, 0)
+
+
+def _tiled_reports(threads: int) -> tuple:
+    """Every batched estimator and both oracles on chain_4q at small sizes."""
+    base = dict(n_segments=4, n_sample_0=40, n_shot_0=10, seed=11, threads=threads)
+    buckets = {(2,): 5, (3,): 3, (4,): 2, (2, 2): 2}
+    return (
+        estimate_qdrift(CHAIN, 1.0, EstimatorConfig(**base)),
+        estimate_qswift(CHAIN, 1.0, EstimatorConfig(order=3, bucket_samples=buckets, **base)),
+        all_order_stats(CHAIN, 1.0, 4, 50, 11),
+        exact_qswift_value(CHAIN, 0.5, 2, 2, "ZIII"),
+    )
+
+
+def test_reports_independent_of_tiles_and_threads(monkeypatch):
+    # tiles and tile batches only schedule rows: any tile bound and worker
+    # count gives == reports, the exhaustive oracles included
+    want = _tiled_reports(threads=1)
+    for tile_rows in (1, 3, estimator._TILE_ROWS):
+        monkeypatch.setattr(estimator, "_TILE_ROWS", tile_rows)
+        for threads in (1, 2):
+            assert _tiled_reports(threads) == want, (tile_rows, threads)
+
+
+def test_wide_register_memory_stays_tiled():
+    # qDRIFT on a 16-qubit chain: an untiled 256-row block of the extended
+    # register alone would take 256 * 2^17 * 16 B = 512 MiB
+    script = """
+import resource, sys
+from hamsim import EstimatorConfig, estimate_qdrift, parse_hamiltonian
+n = 16
+xx = [f"0.45 {'I' * i}XX{'I' * (n - i - 2)}" for i in range(n - 1)]
+z = [f"0.375 {'I' * i}Z{'I' * (n - i - 1)}" for i in range(n)]
+model = parse_hamiltonian("\\n".join(xx + z))
+report = estimate_qdrift(model, 0.3, EstimatorConfig(n_segments=2, n_sample_0=256, seed=1))
+assert report.plan_count == 256
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+    src = str(Path(estimator.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    # ru_maxrss is in KiB on Linux and in bytes on macOS
+    peak_mib = int(out.stdout.split()[-1]) / (2**20 if sys.platform == "darwin" else 2**10)
+    assert peak_mib < 400

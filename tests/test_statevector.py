@@ -19,6 +19,7 @@ from hamsim import (
     prepare_plus_input,
     run_plan,
 )
+from hamsim.statevector import Kernel
 
 PAULI_1Q = {
     "I": np.eye(2, dtype=complex),
@@ -172,3 +173,10 @@ def test_run_plan_time_op_angle_is_bare():
     got = run_plan(state, plan, model)
     want = apply_pauli_rotation(state, "X", 0.3)
     assert np.allclose(got.amplitudes, want.amplitudes, atol=1e-15)
+
+
+def test_kernel_swift_codes_need_the_ancilla():
+    # codes 0 and 1 are time operators, 2 the branch-0 swift operator of term 0
+    kernel = Kernel(parse_hamiltonian("1.0 XI\n0.5 ZZ"))
+    with pytest.raises(ValueError, match="ancilla"):
+        kernel.evolve(kernel.fresh(2, ancilla=False), np.array([[0], [2]]), [0.1, 0.2])

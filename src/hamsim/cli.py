@@ -21,7 +21,6 @@ from .errors import HamsimError, WidthOverflow
 from .estimator import (
     EstimatorConfig,
     all_order_stats,
-    estimate_qdrift,
     estimate_qswift,
     estimate_trotter,
     plan_budget,
@@ -121,16 +120,14 @@ def cmd_simulate(args) -> int:
     try:
         config = EstimatorConfig(
             n_segments=args.segments,
-            # only the qswift path reads the correction order
+            # qdrift is the order-1 estimate: the baseline without buckets
             order=max(1, args.order) if args.method == "qswift" else 1,
             n_sample_0=args.samples,
             n_shot_0=args.shots,
             seed=args.seed,
             observable=axes,
         )
-        if args.method == "qdrift":
-            report = estimate_qdrift(model, args.t, config).to_json_dict()
-        elif args.method == "qswift":
+        if args.method in ("qdrift", "qswift"):
             report = estimate_qswift(model, args.t, config).to_json_dict()
         elif args.method in ("trotter", "rtrotter"):
             report = estimate_trotter(

@@ -10,12 +10,13 @@ This module is the package's one sampler: the draw_* functions return
 0-based term-index arrays for m rows, consuming their generator in a fixed
 order. `statevector.Kernel.evolve` executes rows of op codes (CODE_DTYPE):
 with T terms, ell < T is a time operator on term ell, T + b T + ell the
-branch-b swift operator of term ell, and PAD (-1) nothing. qDRIFT and
-Trotter term arrays are already codes; `SwiftDraw.codes` and
-`SegmentDraw.codes` expand the correction and all-order draws, and
-`concat_codes` joins segments. The public samplers are m = 1 draws
-materialised by the *_from_draw functions, which replay any row of a batch
-as a plan.
+branch-b swift operator of term ell, and PAD (-1) nothing. The qDRIFT
+baseline is the correction bucket BASELINE (k = 0: no blocks, one variant,
+coefficient 1), drawn by the same `draw_swift_variant`. qDRIFT and Trotter
+term arrays are already codes; `SwiftDraw.codes` and `SegmentDraw.codes`
+expand the correction and all-order draws, and `concat_codes` joins
+segments. The public samplers are m = 1 draws, and `plan_from_codes`, the
+one decoder, replays any row of codes as a plan.
 """
 
 from __future__ import annotations
@@ -108,6 +109,25 @@ def plan_from_text(text: str, n_segments: int, method_tag: str = "REPLAY") -> Ga
     return GatePlan(ops=tuple(ops), n_segments=n_segments, method_tag=method_tag)
 
 
+def plan_from_codes(
+    model: HamiltonianModel, codes_row, thetas, n_segments: int, method_tag: str
+) -> GatePlan:
+    """One row of op codes as a plan: code ell < T is TimeOp(ell + 1,
+    thetas[ell]), code T + b T + ell is SwiftOp(ell + 1, b), PAD is skipped."""
+    ops = []
+    for code in np.asarray(codes_row).tolist():
+        if code == PAD:
+            continue
+        kind, ell = divmod(code, model.n_terms)
+        ops.append(TimeOp(ell + 1, float(thetas[ell])) if kind == 0 else SwiftOp(ell + 1, kind - 1))
+    return GatePlan(ops=tuple(ops), n_segments=n_segments, method_tag=method_tag)
+
+
+def signed_angles(model: HamiltonianModel, angle: float) -> list[float]:
+    """Bare rotation angle sign_ell * angle of every term."""
+    return (np.array([term.sign for term in model.terms]) * angle).tolist()
+
+
 def _suzuki_fractions(order: int) -> list[float]:
     """Time fractions of the order-2 base segments composing one order-2k segment."""
     if order == 2:
@@ -165,10 +185,10 @@ def draw_trotter_terms(model: HamiltonianModel, r: int, order: int, rng) -> np.n
     return np.concatenate(perms)
 
 
-def trotter_step(t: float, r: int, order: int) -> float:
-    """Evolution time of every instruction in a randomized plan."""
-    step = t / r
-    return step if order == 1 else 0.5 * step
+def trotter_thetas(model: HamiltonianModel, t: float, r: int, order: int) -> list[float]:
+    """Rotation angle of each term in every instruction of a randomized plan."""
+    step = t / r if order == 1 else 0.5 * (t / r)
+    return (np.array([term.coefficient for term in model.terms]) * step).tolist()
 
 
 def randomized_trotter_plan(
@@ -176,11 +196,7 @@ def randomized_trotter_plan(
 ) -> GatePlan:
     """Product-formula plan with an independent term permutation per segment."""
     terms = draw_trotter_terms(model, r, order, as_rng(rng_seed))
-    step = trotter_step(t, r, order)
-    ops = tuple(
-        TimeOp(int(e) + 1, model.terms[e].coefficient * step) for e in terms
-    )
-    return GatePlan(ops=ops, n_segments=r, method_tag=f"RTS{order}")
+    return plan_from_codes(model, terms, trotter_thetas(model, t, r, order), r, f"RTS{order}")
 
 
 def draw_qdrift(model: HamiltonianModel, n_segments: int, m: int, rng) -> np.ndarray:
@@ -188,22 +204,10 @@ def draw_qdrift(model: HamiltonianModel, n_segments: int, m: int, rng) -> np.nda
     return rng.choice(model.n_terms, size=(m, n_segments), p=model.probs)
 
 
-def qdrift_plan_from_draw(
-    model: HamiltonianModel, t: float, terms: np.ndarray, row: int
-) -> GatePlan:
-    """Row `row` of a draw_qdrift batch as a plan."""
-    n_segments = terms.shape[1]
-    tau_angle = tau(model, t, n_segments)
-    ops = tuple(
-        TimeOp(int(e) + 1, model.terms[e].sign * tau_angle) for e in terms[row]
-    )
-    return GatePlan(ops=ops, n_segments=n_segments, method_tag="QDRIFT")
-
-
 def qdrift_plan(model: HamiltonianModel, t: float, n_segments: int, rng_seed) -> GatePlan:
-    """N time operators with ell drawn iid from the importance weights."""
-    terms = draw_qdrift(model, n_segments, 1, as_rng(rng_seed))
-    return qdrift_plan_from_draw(model, t, terms, 0)
+    """N time operators with ell drawn iid from the importance weights: the
+    plan of the baseline bucket."""
+    return sample_swift_plan(model, t, n_segments, BASELINE, (), (), rng_seed)
 
 
 @lru_cache(maxsize=4096)
@@ -249,6 +253,15 @@ class CorrectionTerm:
         """Count of (s, b) combinations: 2^(xi + k)."""
         return 2 ** (self.xi + self.k)
 
+    @property
+    def label(self) -> str:
+        """Report and budget key: the n_vec parts joined by commas."""
+        return ",".join(map(str, self.n_vec)) or "baseline"
+
+
+# The qDRIFT product channel as the bucket without swift blocks.
+BASELINE = CorrectionTerm(k=0, n_vec=(), xi=0, coeff=1.0)
+
 
 def correction_terms(
     model: HamiltonianModel, t: float, n_segments: int, order: int
@@ -271,52 +284,12 @@ def correction_terms(
     return out
 
 
-def build_swift_plan(
-    model: HamiltonianModel,
-    t: float,
-    n_segments: int,
-    term: CorrectionTerm,
-    s_vec,
-    b_vecs,
-    sigma,
-    ell_vecs,
-    fillers,
-) -> GatePlan:
-    """Assemble the interleaved plan for fully specified draws.
-
-    sigma is the sorted tuple of block slots (application order); block j sits
-    at the j-th smallest slot and applies its operators ell_1 first.
-    """
-    k = term.k
-    if len(s_vec) != k or len(b_vecs) != k or len(sigma) != k or len(ell_vecs) != k:
-        raise ValueError("draw shapes do not match the bucket")
-    if len(fillers) != n_segments - k:
-        raise ValueError("filler count must be N - k")
-    if list(sigma) != sorted(set(sigma)) or sigma[0] < 0 or sigma[-1] >= n_segments:
-        raise ValueError("sigma must be a sorted subset of segment slots")
-    tau_angle = tau(model, t, n_segments)
-    slot_to_block = {slot: j for j, slot in enumerate(sigma)}
-    ops = []
-    filler_iter = iter(fillers)
-    for slot in range(n_segments):
-        j = slot_to_block.get(slot)
-        if j is None:
-            ell = next(filler_iter)
-            ops.append(TimeOp(ell, model.term(ell).sign * tau_angle))
-        else:
-            n_j = term.n_vec[j]
-            if len(ell_vecs[j]) != n_j or len(b_vecs[j]) != n_j:
-                raise ValueError("block draw length does not match n_vec")
-            for ell, b in zip(ell_vecs[j], b_vecs[j]):
-                ops.append(SwiftOp(int(ell), int(b)))
-    return GatePlan(ops=tuple(ops), n_segments=n_segments, method_tag="QSWIFT")
-
-
 @dataclass(frozen=True)
 class SwiftDraw:
     """m rows of one correction variant: sorted block slots sigma (m, k), a
     time-operator term per slot (m, N) used outside sigma, and block j's
-    swift-operator terms parts[j] (m, n_j)."""
+    swift-operator terms parts[j] (m, n_j). The baseline has k = 0 and no
+    parts."""
 
     sigma: np.ndarray
     fillers: np.ndarray
@@ -331,7 +304,9 @@ class SwiftDraw:
     def codes(self, b_vecs, n_terms: int) -> np.ndarray:
         """(m, N - k + xi) op codes of the variant with branch vectors b_vecs:
         every row's slots in order, block j's slot expanded into its part's
-        swift operators."""
+        swift operators; the fillers alone when there are no parts."""
+        if not self.parts:
+            return self.fillers.astype(CODE_DTYPE)
         m = self.fillers.shape[0]
         widths = np.ones(self.fillers.shape, dtype=np.int64)
         widths[np.arange(m)[:, None], self.sigma] = [part.shape[1] for part in self.parts]
@@ -347,12 +322,15 @@ class SwiftDraw:
 def draw_swift_variant(
     model: HamiltonianModel, n_segments: int, term: CorrectionTerm, s_vec, m: int, rng
 ) -> SwiftDraw:
-    """Uniform sorted k-subsets of slots, then iid fillers, then per part iid
+    """Uniform sorted k-subsets of slots (no draw when k = 0, so the baseline
+    consumes rng as draw_qdrift does), then iid fillers, then per part iid
     indices (s_j = 0) or one shared index (s_j = 1)."""
     k = term.k
     if k > n_segments:
         raise OrderExceedsSegments(f"bucket k={k} exceeds {n_segments} segments")
-    sigma = np.sort(np.argsort(rng.random((m, n_segments)), axis=1)[:, :k], axis=1)
+    sigma = np.zeros((m, 0), dtype=np.intp)
+    if k:
+        sigma = np.sort(np.argsort(rng.random((m, n_segments)), axis=1)[:, :k], axis=1)
     fillers = draw_qdrift(model, n_segments, m, rng)
     parts = []
     for s, n_j in zip(s_vec, term.n_vec):
@@ -364,20 +342,6 @@ def draw_swift_variant(
     return SwiftDraw(sigma=sigma, fillers=fillers, parts=tuple(parts))
 
 
-def swift_plan_from_draw(
-    model: HamiltonianModel, t: float, term: CorrectionTerm, s_vec, b_vecs,
-    draw: SwiftDraw, row: int,
-) -> GatePlan:
-    """Row `row` of a draw_swift_variant batch as the bucket circuit."""
-    sigma = tuple(int(x) for x in draw.sigma[row])
-    n_segments = draw.fillers.shape[1]
-    fillers = tuple(int(e) + 1 for e in draw.fillers[row][draw.filler_slots()[row]])
-    ell_vecs = tuple(tuple(int(e) + 1 for e in part[row]) for part in draw.parts)
-    return build_swift_plan(
-        model, t, n_segments, term, s_vec, b_vecs, sigma, ell_vecs, fillers
-    )
-
-
 def sample_swift_plan(
     model: HamiltonianModel,
     t: float,
@@ -387,9 +351,11 @@ def sample_swift_plan(
     b_vecs,
     rng_seed,
 ) -> GatePlan:
-    """Draw (sigma, ell-vectors, fillers) and assemble the bucket circuit."""
+    """Draw (sigma, ell-vectors, fillers) and decode the bucket circuit."""
     draw = draw_swift_variant(model, n_segments, term, s_vec, 1, as_rng(rng_seed))
-    return swift_plan_from_draw(model, t, term, s_vec, b_vecs, draw, 0)
+    thetas = signed_angles(model, tau(model, t, n_segments))
+    codes = draw.codes(b_vecs, model.n_terms)
+    return plan_from_codes(model, codes[0], thetas, n_segments, "QSWIFT" if term.k else "QDRIFT")
 
 
 def all_order_b(tau_angle: float) -> float:
@@ -508,23 +474,6 @@ class AllOrderSegment:
     ops: tuple
 
 
-def all_order_segment_from_draw(
-    model: HamiltonianModel, tau_angle: float, draw: SegmentDraw, row: int
-) -> AllOrderSegment:
-    """Row `row` of a draw_all_order_segment batch as instructions."""
-    hit = np.flatnonzero(draw.time_rows == row)
-    if hit.size:
-        ell = int(draw.time_terms[hit[0]]) + 1
-        return AllOrderSegment(sign=1, ops=(TimeOp(ell, model.term(ell).sign * tau_angle),))
-    for block in draw.blocks:
-        hit = np.flatnonzero(block.rows == row)
-        if hit.size:
-            i = hit[0]
-            ops = tuple(SwiftOp(int(e) + 1, int(b)) for e, b in zip(block.terms[i], block.b[i]))
-            return AllOrderSegment(sign=1 - 2 * int(block.s[i]), ops=ops)
-    raise IndexError(f"row {row} is not in the draw")
-
-
 def sample_all_order_segment(
     model: HamiltonianModel, tau_angle: float, rng_seed
 ) -> AllOrderSegment:
@@ -532,4 +481,7 @@ def sample_all_order_segment(
     with sign (-1)^s, uniform s and branch bits (see draw_all_order_segment)."""
     _, block_sizes, cat_probs = all_order_categories(tau_angle)
     draw = draw_all_order_segment(model, block_sizes, cat_probs, 1, as_rng(rng_seed))
-    return all_order_segment_from_draw(model, tau_angle, draw, 0)
+    codes = draw.codes(model.n_terms)
+    plan = plan_from_codes(model, codes[0], signed_angles(model, tau_angle), 1, "ALLORDER")
+    sign = 1 - 2 * int(draw.blocks[0].s[0]) if draw.blocks else 1
+    return AllOrderSegment(sign=sign, ops=plan.ops)

@@ -8,8 +8,11 @@ shots are simulated binomially from the exact expectations, each unit's
 shots from its own stream after its draws. Tiles only schedule rows: every
 row's arithmetic is the same in any tile, and reduction order is fixed by
 variant and chunk index, so reports are bit-identical for any tile size and
-worker count. The exhaustive *_exact oracles evolve every draw of the
-support as a weighted row through the same `Kernel.evolve`.
+worker count. The qDRIFT baseline is the k = 0 bucket `BASELINE`: one
+loop estimates it and every correction bucket, the baseline on its own
+streams and on 2^n amplitudes (its ancilla stays idle). The exhaustive
+*_exact oracles evolve every draw of a bucket's support, the baseline's
+included, as a weighted row through the same `Kernel.evolve`.
 """
 
 from __future__ import annotations
@@ -24,17 +27,18 @@ import numpy as np
 
 from ._rng import derived_rng
 from .compiler import (
+    BASELINE,
     CorrectionTerm,
     SwiftDraw,
     all_order_categories,
     concat_codes,
     correction_terms,
     draw_all_order_segment,
-    draw_qdrift,
     draw_swift_variant,
     draw_trotter_terms,
+    signed_angles,
     trotter_plan,
-    trotter_step,
+    trotter_thetas,
 )
 from .errors import BudgetOverflow, CombinatorialCap
 from .hamiltonian import HamiltonianModel, tau
@@ -81,7 +85,8 @@ class EstimatorConfig:
     observable may be an axes string or an Observable; only its axes are
     used, the ancilla-X flag is chosen by context (corrections measure the
     ancilla-dressed operator, baselines measure the system operator).
-    bucket_samples/bucket_shots override counts per n_vec.
+    bucket_samples/bucket_shots override counts per correction n_vec; the
+    baseline (n_vec = ()) always takes n_sample_0 and n_shot_0.
     """
 
     n_segments: int
@@ -116,10 +121,12 @@ class EstimatorConfig:
         return axes.upper()
 
     def n_sample(self, n_vec: tuple) -> int:
-        return max(1, int(self.bucket_samples.get(n_vec, self.n_sample_0)))
+        counts = self.bucket_samples if n_vec else {}
+        return max(1, int(counts.get(n_vec, self.n_sample_0)))
 
     def n_shot(self, n_vec: tuple) -> int:
-        return max(1, int(self.bucket_shots.get(n_vec, self.n_shot_0)))
+        counts = self.bucket_shots if n_vec else {}
+        return max(1, int(counts.get(n_vec, self.n_shot_0)))
 
 
 @dataclass
@@ -191,11 +198,6 @@ def _evolve_read(kernel: Kernel, codes: np.ndarray, thetas, ancilla_x: bool) -> 
     return vals
 
 
-def _signed_angles(model: HamiltonianModel, angle: float) -> list[float]:
-    """Bare rotation angle sign_ell * angle of every term."""
-    return (np.array([term.sign for term in model.terms]) * angle).tolist()
-
-
 def _pooled_stats(chunks) -> tuple[float, float, int]:
     """(mean, variance of the mean, count) over per-chunk value arrays."""
     total = 0.0
@@ -212,44 +214,14 @@ def _pooled_stats(chunks) -> tuple[float, float, int]:
     return mean, 0.0, count
 
 
-def estimate_qdrift(model: HamiltonianModel, t: float, config: EstimatorConfig) -> EstimateReport:
-    """Sampled product-of-segments baseline estimate of Tr(Q U(rho)).
-
-    The ancilla stays idle; the system observable is read with n_shot_0
-    simulated shots per sampled plan.
-    """
-    kernel = Kernel(model, config.observable_axes(model), config.system_zero)
-    thetas = _signed_angles(model, tau(model, t, config.n_segments))
-    n = config.n_sample_0
-
-    def one_chunk(args):
-        idx, _, size = args
-        rng = derived_rng(config.seed, _STREAM_BASELINE, idx)
-        codes = draw_qdrift(model, config.n_segments, size, rng)
-        vals = _evolve_read(kernel, codes, thetas, ancilla_x=False)
-        return _shot_means(vals, config.n_shot_0, rng)
-
-    baseline, var, count = _pooled_stats(map(one_chunk, _chunk_sizes(n)))
-    return EstimateReport(
-        method="QDRIFT",
-        value=baseline,
-        baseline=baseline,
-        bucket_values={},
-        stderr=sqrt(var),
-        plan_count=count,
-        shot_count=count * config.n_shot_0,
-        seed=config.seed,
-        budgets={"baseline": {"n_sample": n, "n_shot": config.n_shot_0}},
-    )
-
-
 def _eval_correction_stats(
     model: HamiltonianModel, t: float, term: CorrectionTerm, config: EstimatorConfig
 ):
-    """(value, variance, plan_count, shot_count) for one correction bucket.
+    """(value, variance, plan_count, shot_count) for one bucket.
 
     The bucket value is coeff times the signed sum over all (s, b)
-    combinations of averaged ancilla-dressed expectations. Each (variant,
+    combinations of averaged expectations: ancilla-dressed for correction
+    buckets, the system observable for the baseline (k = 0). Each (variant,
     stream chunk) unit draws its rows and then its shots from its own
     derived stream; consecutive units pack into batches of a few tiles,
     which may run on worker threads. The reduction follows unit order, so
@@ -258,17 +230,22 @@ def _eval_correction_stats(
     n_sample = config.n_sample(term.n_vec)
     n_shot = config.n_shot(term.n_vec)
     total_circuits = term.n_variants * n_sample
-    if total_circuits > config.circuit_cap:
+    if term.k and total_circuits > config.circuit_cap:
         raise BudgetOverflow(
             f"bucket {term.n_vec} needs {total_circuits} circuits, cap {config.circuit_cap}"
         )
     kernel = Kernel(model, config.observable_axes(model), config.system_zero)
-    thetas = _signed_angles(model, tau(model, t, config.n_segments))
+    thetas = signed_angles(model, tau(model, t, config.n_segments))
     variants = [
         (s_vec, b_vecs)
         for s_vec in term.sign_vectors()
         for b_vecs in term.b_vector_sets()
     ]
+    if term.k:
+        streams = [(_STREAM_BUCKET, term.k, term.xi, *term.n_vec, vid)
+                   for vid in range(len(variants))]
+    else:
+        streams = [(_STREAM_BASELINE,)]
 
     units = [
         (vid, idx, size)
@@ -280,13 +257,11 @@ def _eval_correction_stats(
         rngs, codes = [], []
         for vid, idx, size in batch:
             s_vec, b_vecs = variants[vid]
-            rng = derived_rng(
-                config.seed, _STREAM_BUCKET, term.k, term.xi, *term.n_vec, vid, idx
-            )
+            rng = derived_rng(config.seed, *streams[vid], idx)
             draw = draw_swift_variant(model, config.n_segments, term, s_vec, size, rng)
             codes.append(draw.codes(b_vecs, model.n_terms))
             rngs.append(rng)
-        vals = _evolve_read(kernel, np.concatenate(codes), thetas, ancilla_x=True)
+        vals = _evolve_read(kernel, np.concatenate(codes), thetas, ancilla_x=term.k > 0)
         ends = np.cumsum([size for _, _, size in batch])[:-1]
         return [_shot_means(v, n_shot, rng) for v, rng in zip(np.split(vals, ends), rngs)]
 
@@ -315,36 +290,47 @@ def _eval_correction_stats(
     return value, variance, total_circuits, total_circuits * n_shot
 
 
-def estimate_qswift(model: HamiltonianModel, t: float, config: EstimatorConfig) -> EstimateReport:
-    """Order-K estimate: sampled baseline plus every correction bucket."""
-    base = estimate_qdrift(model, t, config)
-    buckets = {}
-    budgets = dict(base.budgets)
-    var_total = base.stderr**2
-    plan_count = base.plan_count
-    shot_count = base.shot_count
-    for term in correction_terms(model, t, config.n_segments, config.order):
+def _estimate(
+    model: HamiltonianModel, t: float, config: EstimatorConfig, terms: list
+) -> EstimateReport:
+    """The baseline plus every bucket in terms, each from its own streams."""
+    values, budgets = {}, {}
+    var_total = 0.0
+    plan_count = shot_count = 0
+    for term in [BASELINE, *terms]:
         value, variance, plans, shots = _eval_correction_stats(model, t, term, config)
-        buckets[term.n_vec] = value
+        values[term.n_vec] = value
         var_total += variance
         plan_count += plans
         shot_count += shots
-        budgets[",".join(map(str, term.n_vec))] = {
-            "n_sample": config.n_sample(term.n_vec),
-            "n_shot": config.n_shot(term.n_vec),
-            "coeff": term.coeff,
-        }
+        budget = {"n_sample": config.n_sample(term.n_vec), "n_shot": config.n_shot(term.n_vec)}
+        budgets[term.label] = {**budget, "coeff": term.coeff} if term.k else budget
+    baseline = values.pop(BASELINE.n_vec)
     return EstimateReport(
-        method=f"QSWIFT{config.order}" if config.order > 1 else "QDRIFT",
-        value=base.baseline + sum(buckets.values()),
-        baseline=base.baseline,
-        bucket_values=buckets,
+        method=f"QSWIFT{config.order}" if terms else "QDRIFT",
+        value=baseline + sum(values.values()),
+        baseline=baseline,
+        bucket_values=values,
         stderr=sqrt(var_total),
         plan_count=plan_count,
         shot_count=shot_count,
         seed=config.seed,
         budgets=budgets,
     )
+
+
+def estimate_qdrift(model: HamiltonianModel, t: float, config: EstimatorConfig) -> EstimateReport:
+    """Sampled product-of-segments baseline estimate of Tr(Q U(rho)).
+
+    The ancilla stays idle; the system observable is read with n_shot_0
+    simulated shots per sampled plan.
+    """
+    return _estimate(model, t, config, [])
+
+
+def estimate_qswift(model: HamiltonianModel, t: float, config: EstimatorConfig) -> EstimateReport:
+    """Order-K estimate: sampled baseline plus every correction bucket."""
+    return _estimate(model, t, config, correction_terms(model, t, config.n_segments, config.order))
 
 
 def estimate_trotter(
@@ -365,8 +351,7 @@ def estimate_trotter(
     kernel = Kernel(model, config.observable_axes(model), config.system_zero)
     seed = config.seed
     if randomized:
-        coefficients = np.array([term.coefficient for term in model.terms])
-        thetas = (coefficients * trotter_step(t, r, order)).tolist()
+        thetas = trotter_thetas(model, t, r, order)
         chunks = []
         for _, first, size in _chunk_sizes(config.n_sample_0):
             plan_ids = range(first, first + size)
@@ -412,30 +397,6 @@ def _digits(sizes, start: int, size: int) -> np.ndarray:
     return np.stack(np.unravel_index(np.arange(start, start + size), sizes), axis=1)
 
 
-def exact_qdrift_value(
-    model: HamiltonianModel,
-    t: float,
-    n_segments: int,
-    observable_axes: str | None = None,
-    system_zero: bool = False,
-) -> float:
-    """Baseline value with all plans enumerated by their probabilities."""
-    n_plans = model.n_terms**n_segments
-    if n_plans > ENUMERATION_CAP:
-        raise CombinatorialCap(
-            f"{model.n_terms}^{n_segments} plans exceed {ENUMERATION_CAP}"
-        )
-    kernel = Kernel(model, observable_axes, system_zero)
-    thetas = _signed_angles(model, tau(model, t, n_segments))
-    probs = model.probs
-    total = 0.0
-    for _, start, size in _chunk_sizes(n_plans):
-        terms = _digits([model.n_terms] * n_segments, start, size)
-        vals = _evolve_read(kernel, terms, thetas, ancilla_x=False)
-        total += float(probs[terms].prod(axis=1) @ vals)
-    return total
-
-
 def eval_correction_exact(
     model: HamiltonianModel,
     t: float,
@@ -447,11 +408,12 @@ def eval_correction_exact(
     """Bucket value with sigma, index, and filler draws fully enumerated.
 
     Expectations are exact (no shot simulation), so this equals the bucket's
-    dense-oracle value up to floating-point error.
+    dense-oracle value up to floating-point error; BASELINE enumerates the
+    qDRIFT plans on 2^n amplitudes.
     """
     k = term.k
     n_terms = model.n_terms
-    slots = np.array(list(combinations(range(n_segments), k)))
+    slots = np.array(list(combinations(range(n_segments), k)), dtype=np.intp)
     n_slots = comb(n_segments, k)
     size_est = (
         term.n_variants
@@ -462,7 +424,7 @@ def eval_correction_exact(
     if size_est > ENUMERATION_CAP:
         raise CombinatorialCap(f"exhaustive bucket would enumerate ~{size_est} circuits")
     kernel = Kernel(model, observable_axes, system_zero)
-    thetas = _signed_angles(model, tau(model, t, n_segments))
+    thetas = signed_angles(model, tau(model, t, n_segments))
     probs = model.probs
     total = 0.0
     for s_vec in term.sign_vectors():
@@ -483,9 +445,20 @@ def eval_correction_exact(
             draw.fillers[draw.filler_slots()] = digits[:, col:].ravel()
             for b_vecs in term.b_vector_sets():
                 codes = draw.codes(b_vecs, n_terms)
-                vals = _evolve_read(kernel, codes, thetas, ancilla_x=True)
+                vals = _evolve_read(kernel, codes, thetas, ancilla_x=k > 0)
                 total += sign * float(weights @ vals)
     return term.coeff * total / n_slots
+
+
+def exact_qdrift_value(
+    model: HamiltonianModel,
+    t: float,
+    n_segments: int,
+    observable_axes: str | None = None,
+    system_zero: bool = False,
+) -> float:
+    """Baseline value with all plans enumerated by their probabilities."""
+    return eval_correction_exact(model, t, n_segments, BASELINE, observable_axes, system_zero)
 
 
 def exact_qswift_value(
@@ -497,12 +470,10 @@ def exact_qswift_value(
     system_zero: bool = False,
 ) -> float:
     """Exhaustive order-K value: enumerated baseline plus enumerated buckets."""
-    total = exact_qdrift_value(model, t, n_segments, observable_axes, system_zero)
-    for term in correction_terms(model, t, n_segments, order):
-        total += eval_correction_exact(
-            model, t, n_segments, term, observable_axes, system_zero
-        )
-    return total
+    return sum(
+        eval_correction_exact(model, t, n_segments, term, observable_axes, system_zero)
+        for term in [BASELINE, *correction_terms(model, t, n_segments, order)]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +509,7 @@ def all_order_stats(
         raise TypeError("all-order sampling derives per-chunk streams, pass an int seed")
     kernel = Kernel(model, observable_axes, system_zero)
     tau_angle = tau(model, t, n_segments)
-    thetas = _signed_angles(model, tau_angle)
+    thetas = signed_angles(model, tau_angle)
     b_norm, block_sizes, cat_probs = all_order_categories(tau_angle)
 
 
@@ -619,37 +590,32 @@ def plan_budget(
     model: HamiltonianModel, t: float, n_segments: int, order: int, epsilon_total: float
 ) -> BudgetTable:
     """Variance-balanced budgets: the target variance epsilon_total^2 splits
-    evenly over the table's rows (the baseline and every bucket), so each row
-    gets stderr epsilon_total / sqrt(rows); each bucket pays for its
-    2^(xi+k) sign/branch combinations, and sample counts scale with coeff^2."""
+    evenly over the table's rows (the baseline bucket k = 0 and every other),
+    so each row gets stderr epsilon_total / sqrt(rows); each bucket pays for
+    its 2^(xi+k) sign/branch combinations, and sample counts scale with coeff^2."""
     if epsilon_total <= 0:
         raise ValueError("epsilon must be positive")
-    terms = correction_terms(model, t, n_segments, order)
-    n_rows = 1 + len(terms)
+    terms = [BASELINE, *correction_terms(model, t, n_segments, order)]
+    n_rows = len(terms)
     eps = epsilon_total / sqrt(n_rows)
-    # counts from n_rows / epsilon_total^2, not 1 / eps^2: the latter can
-    # land an ulp above an integer, and ceil then adds a circuit
-    n_sample_0 = ceil(n_rows / epsilon_total**2)
-    rows = [BudgetRow(label="baseline", k=0, coeff=1.0,
-                      n_sample=n_sample_0, circuits=n_sample_0)]
-    total = n_sample_0
+    rows = []
     for term in terms:
         variants = term.n_variants
+        # counts from n_rows / epsilon_total^2, not 1 / eps^2: the latter can
+        # land an ulp above an integer, and ceil then adds a circuit
         n_samp = max(1, ceil(term.coeff**2 * variants * n_rows / epsilon_total**2))
-        circuits = variants * n_samp
         rows.append(
             BudgetRow(
-                label=",".join(map(str, term.n_vec)),
+                label=term.label,
                 k=term.k,
                 coeff=term.coeff,
                 n_sample=n_samp,
-                circuits=circuits,
+                circuits=variants * n_samp,
             )
         )
-        total += circuits
     return BudgetTable(
         rows=tuple(rows),
-        n_total=total,
+        n_total=sum(row.circuits for row in rows),
         epsilon_total=epsilon_total,
         epsilon_per_term=eps,
     )

@@ -13,7 +13,6 @@ from itertools import combinations
 from math import comb, factorial
 
 import numpy as np
-import scipy.linalg
 
 from ._pauli import pauli_matrix
 from .errors import CombinatorialCap, DimensionCap, OrderExceedsSegments
@@ -95,9 +94,10 @@ def swift_unitary(term: PauliTerm, b: int) -> np.ndarray:
         raise ValueError("swift branch b must be 0 or 1")
     h = term.sign * pauli_matrix(term.axes)
     eye = np.eye(h.shape[0])
+    zero = np.zeros_like(h)
     if b == 0:
-        return scipy.linalg.block_diag(eye, 1j * h)
-    return scipy.linalg.block_diag(h, -1j * eye)
+        return np.block([[eye, zero], [zero, 1j * h]])
+    return np.block([[h, zero], [zero, -1j * eye]])
 
 
 def conjugation(u: np.ndarray, n_qubits: int) -> Superoperator:
@@ -138,10 +138,13 @@ def qdrift_channel(model: HamiltonianModel, tau_angle: float) -> Superoperator:
 
 def ideal_channel(model: HamiltonianModel, t: float, n_segments: int = 1) -> Superoperator:
     """Conjugation by e^{iHt/N}; N = 1 is the full target evolution."""
+    # imported here so that importing the package does not load SciPy
+    from scipy.linalg import expm
+
     _check_width(model.n_qubits)
     if n_segments < 1:
         raise ValueError("segment count must be positive")
-    u = scipy.linalg.expm(1j * dense_hamiltonian(model) * (t / n_segments))
+    u = expm(1j * dense_hamiltonian(model) * (t / n_segments))
     return conjugation(u, model.n_qubits)
 
 

@@ -1,10 +1,15 @@
 """End-to-end command-line behavior: formats, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import hamsim
 from hamsim import load_hamiltonian
 from hamsim.cli import main
 
@@ -20,6 +25,20 @@ def run_cli(argv, capsys):
     rc = main(argv)
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def test_import_leaves_scipy_unloaded():
+    # only the dense oracle needs SciPy; the package and its CLI load without it
+    script = (
+        "import sys, hamsim, hamsim.cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    src = str(Path(hamsim.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_bundled_models_parse():

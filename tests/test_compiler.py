@@ -15,7 +15,6 @@ from hamsim import (
     SwiftOp,
     TimeOp,
     all_order_b,
-    build_swift_plan,
     correction_terms,
     enumerate_g2,
     parse_hamiltonian,
@@ -29,6 +28,7 @@ from hamsim import (
     trotter_plan,
     validate_plan,
 )
+from hamsim.compiler import SwiftDraw, plan_from_codes, signed_angles
 
 PAULI_1Q = {
     "I": np.eye(2, dtype=complex),
@@ -251,23 +251,22 @@ def test_correction_terms_guards():
         correction_terms(MODEL, 1.0, 2, 0)
 
 
-def test_build_swift_plan_layout():
+def test_swift_draw_decodes_to_layout():
+    # a (2, 2) row with block slots sigma = (1, 3): the 0-based fillers at
+    # slots 0 and 2 are used, the ones under sigma are not
     n_seg = 4
     term = next(
         b for b in correction_terms(MODEL, 1.0, n_seg, 3) if b.n_vec == (2, 2)
     )
-    plan = build_swift_plan(
-        MODEL,
-        1.0,
-        n_seg,
-        term,
-        s_vec=(0, 1),
-        b_vecs=((0, 1), (1, 0)),
-        sigma=(1, 3),
-        ell_vecs=((1, 2), (2, 2)),
-        fillers=(3, 1),
+    draw = SwiftDraw(
+        sigma=np.array([[1, 3]]),
+        fillers=np.array([[2, 1, 0, 1]]),
+        parts=(np.array([[0, 1]]), np.array([[1, 1]])),
     )
     tau_angle = tau(MODEL, 1.0, n_seg)
+    codes = draw.codes(((0, 1), (1, 0)), MODEL.n_terms)
+    assert codes.shape == (1, n_seg - term.k + term.xi)
+    plan = plan_from_codes(MODEL, codes[0], signed_angles(MODEL, tau_angle), n_seg, "QSWIFT")
     want = (
         TimeOp(3, MODEL.term(3).sign * tau_angle),
         SwiftOp(1, 0),
@@ -278,24 +277,6 @@ def test_build_swift_plan_layout():
     )
     assert plan.ops == want
     assert plan.method_tag == "QSWIFT"
-
-
-def test_build_swift_plan_validation():
-    n_seg = 4
-    term = correction_terms(MODEL, 1.0, n_seg, 2)[0]
-    good = dict(
-        s_vec=(0,), b_vecs=((0, 1),), sigma=(2,), ell_vecs=((1, 2),), fillers=(1, 2, 3)
-    )
-    build_swift_plan(MODEL, 1.0, n_seg, term, **good)
-    for bad in (
-        dict(good, sigma=(5,)),
-        dict(good, sigma=(2, 3), s_vec=(0, 0)),
-        dict(good, fillers=(1, 2)),
-        dict(good, ell_vecs=((1,),)),
-        dict(good, b_vecs=((0,),)),
-    ):
-        with pytest.raises(ValueError):
-            build_swift_plan(MODEL, 1.0, n_seg, term, **bad)
 
 
 def test_sample_swift_plan_structure():

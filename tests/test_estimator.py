@@ -11,6 +11,7 @@ import pytest
 
 from hamsim import (
     BudgetOverflow,
+    CombinatorialCap,
     EstimatorConfig,
     GatePlan,
     Observable,
@@ -34,6 +35,7 @@ from hamsim import (
     qdrift_channel,
     qdrift_plan,
     qswift_channel,
+    randomized_trotter_plan,
     run_plan,
     sample_all_order_segment,
     sample_swift_plan,
@@ -42,16 +44,19 @@ from hamsim import (
     trotter_plan,
 )
 from hamsim.compiler import (
+    BASELINE,
+    AllOrderSegment,
     all_order_categories,
-    all_order_segment_from_draw,
     draw_all_order_segment,
     draw_qdrift,
     draw_swift_variant,
-    qdrift_plan_from_draw,
-    swift_plan_from_draw,
+    draw_trotter_terms,
+    plan_from_codes,
+    signed_angles,
+    trotter_thetas,
 )
 from hamsim import estimator
-from hamsim.estimator import _shot_means, _signed_angles
+from hamsim.estimator import _shot_means
 from hamsim.statevector import Kernel
 
 REF = parse_hamiltonian("0.5 X\n0.3 Z")
@@ -97,6 +102,25 @@ def test_exact_qswift_matches_channel_oracle(order):
     want = oracle_value(chan, plus_density(1), PAULI_Z)
     got = exact_qswift_value(REF, t, n_seg, order)
     assert got == pytest.approx(want, abs=1e-9)
+
+
+def test_enumeration_cap_guards_both_oracles(monkeypatch):
+    # a support of exactly ENUMERATION_CAP circuits is enumerated, one more
+    # is refused before any evolution
+    assert estimator.ENUMERATION_CAP == 10**6
+    with pytest.raises(CombinatorialCap):
+        exact_qdrift_value(REF, 1.0, 20)  # 2^20 plans
+    term = correction_terms(REF, 1.0, 3, 2)[0]
+    # (2,) at N = 3: 2^3 variants * 3 slot choices * 2^2 fillers * 2^2 indices
+    monkeypatch.setattr(estimator, "ENUMERATION_CAP", 384)
+    eval_correction_exact(REF, 1.0, 3, term)
+    exact_qdrift_value(REF, 1.0, 8)  # 2^8 plans
+    monkeypatch.setattr(estimator, "ENUMERATION_CAP", 383)
+    with pytest.raises(CombinatorialCap):
+        eval_correction_exact(REF, 1.0, 3, term)
+    monkeypatch.setattr(estimator, "ENUMERATION_CAP", 255)
+    with pytest.raises(CombinatorialCap):
+        exact_qdrift_value(REF, 1.0, 8)
 
 
 def test_exhaustive_bucket_vanishes_for_single_term_model():
@@ -178,7 +202,7 @@ def test_qswift_order_one_reduces_to_qdrift():
     assert report.method == "QDRIFT"
     assert report.bucket_values == {}
     assert report.value == report.baseline
-    assert report.value == estimate_qdrift(REF, 1.0, config).value
+    assert report == estimate_qdrift(REF, 1.0, config)
 
 
 def test_qswift_bucket_coefficient_shrinks_with_segments():
@@ -200,6 +224,8 @@ def test_budget_overflow_guard():
     )
     with pytest.raises(BudgetOverflow):
         estimate_qswift(REF, 1.0, config)
+    # the cap guards correction buckets only, not the baseline
+    assert estimate_qdrift(REF, 1.0, config).plan_count == 100
 
 
 def test_config_validation():
@@ -229,9 +255,12 @@ def test_config_bucket_budget_overrides():
         order=2,
         n_sample_0=100,
         n_shot_0=7,
-        bucket_samples={(2,): 55},
-        bucket_shots={(2,): 9},
+        bucket_samples={(2,): 55, (): 3},
+        bucket_shots={(2,): 9, (): 3},
     )
+    # the baseline's counts come only from n_sample_0 and n_shot_0
+    assert config.n_sample(()) == 100
+    assert config.n_shot(()) == 7
     assert config.n_sample((2,)) == 55
     assert config.n_shot((2,)) == 9
     assert config.n_sample((3,)) == 100
@@ -395,54 +424,66 @@ def _replayed(model, ops, axes, ancilla_x) -> float:
 
 @pytest.mark.parametrize("m", [1, 6])
 def test_batched_rows_replay_as_plans(m):
-    # every batched row materialises as a plan that run_plan reproduces, and
-    # the public samplers are the m = 1 draws of the same generator
+    # plan_from_codes turns every batched row into a plan that run_plan
+    # reproduces, and the public samplers are the m = 1 draws of the same
+    # generator, decoded the same way
     t, n_seg, axes = 1.0, 5, "ZIII"
     tau_angle = tau(CHAIN, t, n_seg)
-    thetas = _signed_angles(CHAIN, tau_angle)
+    thetas = signed_angles(CHAIN, tau_angle)
     kernel = Kernel(CHAIN, axes)
 
-    terms = draw_qdrift(CHAIN, n_seg, m, np.random.default_rng(5))
+    # the baseline bucket draws no slots: its codes are the qDRIFT draw
+    draw = draw_swift_variant(CHAIN, n_seg, BASELINE, (), m, np.random.default_rng(5))
+    codes = draw.codes((), CHAIN.n_terms)
+    assert np.array_equal(codes, draw_qdrift(CHAIN, n_seg, m, np.random.default_rng(5)))
     states = kernel.fresh(m, ancilla=False)  # replayed below on the full register
-    kernel.evolve(states, terms, thetas)
+    kernel.evolve(states, codes, thetas)
     vals = kernel.read(states, ancilla_x=False)
     # one draw call, so row 0 of any batch is the sampler's plan
     assert qdrift_plan(CHAIN, t, n_seg, np.random.default_rng(5)) == (
-        qdrift_plan_from_draw(CHAIN, t, terms, 0)
+        plan_from_codes(CHAIN, codes[0], thetas, n_seg, "QDRIFT")
     )
     for row in range(m):
-        plan = qdrift_plan_from_draw(CHAIN, t, terms, row)
+        plan = plan_from_codes(CHAIN, codes[row], thetas, n_seg, "QDRIFT")
         assert abs(_replayed(CHAIN, plan.ops, axes, False) - vals[row]) <= 1e-12
 
     term = next(b for b in correction_terms(CHAIN, t, n_seg, 3) if b.n_vec == (2, 2))
     s_vec, b_vecs = (0, 1), ((0, 1), (1, 0))
     draw = draw_swift_variant(CHAIN, n_seg, term, s_vec, m, np.random.default_rng(9))
+    codes = draw.codes(b_vecs, CHAIN.n_terms)
     states = kernel.fresh(m)
-    kernel.evolve(states, draw.codes(b_vecs, CHAIN.n_terms), thetas)
+    kernel.evolve(states, codes, thetas)
     vals = kernel.read(states, ancilla_x=True)
     for row in range(m):
-        plan = swift_plan_from_draw(CHAIN, t, term, s_vec, b_vecs, draw, row)
+        plan = plan_from_codes(CHAIN, codes[row], thetas, n_seg, "QSWIFT")
         assert abs(_replayed(CHAIN, plan.ops, axes, True) - vals[row]) <= 1e-12
     if m == 1:
         sampled = sample_swift_plan(
             CHAIN, t, n_seg, term, s_vec, b_vecs, np.random.default_rng(9)
         )
-        assert sampled == swift_plan_from_draw(CHAIN, t, term, s_vec, b_vecs, draw, 0)
+        assert sampled == plan_from_codes(CHAIN, codes[0], thetas, n_seg, "QSWIFT")
 
     big_tau = 0.6  # blocks are drawn often enough to appear in a few rows
+    big_thetas = signed_angles(CHAIN, big_tau)
     _, sizes, cat_probs = all_order_categories(big_tau)
     draw = draw_all_order_segment(CHAIN, sizes, cat_probs, m, np.random.default_rng(4))
+    codes = draw.codes(CHAIN.n_terms)  # PAD after each row's last op
     states, signs = kernel.fresh(m), np.ones(m)
-    kernel.evolve(states, draw.codes(CHAIN.n_terms), _signed_angles(CHAIN, big_tau))
+    kernel.evolve(states, codes, big_thetas)
     for block in draw.blocks:
         signs[block.rows] *= 1.0 - 2.0 * block.s
     vals = signs * kernel.read(states, ancilla_x=True)
     for row in range(m):
-        seg = all_order_segment_from_draw(CHAIN, big_tau, draw, row)
-        assert abs(seg.sign * _replayed(CHAIN, seg.ops, axes, True) - vals[row]) <= 1e-12
+        plan = plan_from_codes(CHAIN, codes[row], big_thetas, 1, "ALLORDER")
+        assert abs(signs[row] * _replayed(CHAIN, plan.ops, axes, True) - vals[row]) <= 1e-12
     if m == 1:
         sampled = sample_all_order_segment(CHAIN, big_tau, np.random.default_rng(4))
-        assert sampled == all_order_segment_from_draw(CHAIN, big_tau, draw, 0)
+        assert sampled == AllOrderSegment(sign=int(signs[0]), ops=plan.ops)
+
+    terms = draw_trotter_terms(CHAIN, 3, 2, np.random.default_rng(m))
+    assert randomized_trotter_plan(CHAIN, t, 3, 2, np.random.default_rng(m)) == (
+        plan_from_codes(CHAIN, terms, trotter_thetas(CHAIN, t, 3, 2), 3, "RTS2")
+    )
 
 
 def _tiled_reports(threads: int) -> tuple:

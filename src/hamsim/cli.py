@@ -25,9 +25,8 @@ from .estimator import (
     estimate_trotter,
     plan_budget,
 )
-from .exact_channels import MAX_ORACLE_QUBITS, ideal_channel
+from .exact_channels import MAX_ORACLE_QUBITS, ideal_channel, plus_input_expectation
 from .hamiltonian import load_hamiltonian
-from ._pauli import pauli_matrix
 
 DEFAULT_SEED = 42
 DEFAULT_METHODS = "qdrift,qswift2,qswift3"
@@ -104,16 +103,6 @@ def cmd_analyze(args) -> int:
     return 3 if table.has_gaps else 0
 
 
-def _exact_reference(model, t: float, observable_axes: str) -> float | None:
-    if model.n_qubits > MAX_ORACLE_QUBITS:
-        return None
-    dim = 1 << model.n_qubits
-    rho = np.full((dim, dim), 1.0 / dim, dtype=complex)
-    q_mat = pauli_matrix(observable_axes)
-    out = ideal_channel(model, t).apply(rho)
-    return float(np.trace(q_mat @ out).real)
-
-
 def cmd_simulate(args) -> int:
     model = _load_model(args.hamiltonian)
     axes = args.observable or ("Z" + "I" * (model.n_qubits - 1))
@@ -145,7 +134,8 @@ def cmd_simulate(args) -> int:
                 "stderr": stats.stderr,
                 "b_power": stats.b_power,
                 "plan_count": stats.n_sample,
-                "shot_count": stats.n_sample,
+                # exact expectations per circuit: no shots are simulated
+                "shot_count": 0,
                 "seeds": {"master": args.seed},
             }
         else:
@@ -157,9 +147,8 @@ def cmd_simulate(args) -> int:
     except (HamsimError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    exact = _exact_reference(model, args.t, axes)
-    if exact is not None:
-        report["exact_reference"] = exact
+    if model.n_qubits <= MAX_ORACLE_QUBITS:
+        report["exact_reference"] = plus_input_expectation(ideal_channel(model, args.t), axes)
     _write_output(json.dumps(report, indent=2), args.out)
     return 0
 

@@ -38,7 +38,7 @@ class DimensionCap(HamsimError):
 
 
 class CombinatorialCap(HamsimError):
-    """An exact mixture would enumerate too many interleavings."""
+    """An exhaustive enumeration oracle would run too many circuits."""
 
 
 class OrderExceedsSegments(HamsimError):

@@ -3,23 +3,24 @@
 Vectorization is column-stacking throughout: vec(A rho B) = kron(B.T, A) vec(rho),
 so the conjugation channel rho -> U rho U* has matrix kron(conj(U), U). This is
 the reference implementation every randomized path is validated against; it is
-deliberately dense and capped, not a performance path.
+deliberately dense and capped at 3 qubits, not a performance path. Ordered
+sums over N segments (`mixture`, `qswift_channel`) are one block of the N-th
+power of a block lower-triangular matrix (Van Loan's construction), so they
+take any N and never enumerate interleavings or compositions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from math import comb, factorial
+from math import factorial
 
 import numpy as np
 
 from ._pauli import pauli_matrix
-from .errors import CombinatorialCap, DimensionCap, OrderExceedsSegments
+from .errors import DimensionCap, OrderExceedsSegments
 from .hamiltonian import HamiltonianModel, PauliTerm, tau
 
 MAX_ORACLE_QUBITS = 3
-MIXTURE_TERM_CAP = 10**5
 
 
 def _check_width(n_qubits: int):
@@ -148,33 +149,44 @@ def ideal_channel(model: HamiltonianModel, t: float, n_segments: int = 1) -> Sup
     return conjugation(u, model.n_qubits)
 
 
+def _block_power_column(diag: np.ndarray, below: dict, n_levels: int, power: int) -> np.ndarray:
+    """Blocks (0..n_levels-1, 0) of M^power, stacked, where M is block
+    lower-triangular with `diag` on every diagonal block and below[(i, j)]
+    at block (i, j).
+
+    Block (i, 0) sums, over every path of `power` steps from level 0 to
+    level i, the ordered product of the blocks along it (first step rightmost).
+    """
+    d = diag.shape[0]
+    m = np.kron(np.eye(n_levels), diag)
+    for (i, j), block in below.items():
+        m[i * d : (i + 1) * d, j * d : (j + 1) * d] = block
+    return np.linalg.matrix_power(m, power)[:, :d].reshape(n_levels, d, d)
+
+
 def mixture(parts, filler: Superoperator, n_copies: int) -> Superoperator:
     """Sum over the C(N,k) order-preserving interleavings of parts into fillers.
 
     Slots 0..N-1 are in application order; part j sits at the j-th smallest
     chosen slot, so part 1 acts first (rightmost factor of each product).
+    Computed as block (k, 0) of M^N with the filler on the diagonal of M and
+    part j at block (j, j-1): O(log N) products, for any N.
     """
     k = len(parts)
     if k > n_copies:
         raise ValueError(f"{k} parts cannot interleave into {n_copies} slots")
-    n_terms = comb(n_copies, k)
-    if n_terms > MIXTURE_TERM_CAP:
-        raise CombinatorialCap(
-            f"C({n_copies},{k}) = {n_terms} interleavings exceed {MIXTURE_TERM_CAP}"
-        )
-    n = filler.n_qubits
-    powers = [np.eye(4**n, dtype=complex)]
-    for _ in range(n_copies):
-        powers.append(filler.matrix @ powers[-1])
-    total = np.zeros((4**n,) * 2, dtype=complex)
-    for slots in combinations(range(n_copies), k):
-        prod = powers[slots[0]]
-        for j in range(k):
-            prod = parts[j].matrix @ prod
-            gap = (slots[j + 1] - slots[j] - 1) if j + 1 < k else (n_copies - 1 - slots[j])
-            prod = powers[gap] @ prod
-        total += prod
-    return Superoperator(total, n)
+    below = {(j + 1, j): part.matrix for j, part in enumerate(parts)}
+    column = _block_power_column(filler.matrix, below, k + 1, n_copies)
+    return Superoperator(column[k], filler.n_qubits)
+
+
+def plus_input_expectation(channel: Superoperator, observable_axes: str | None = None) -> float:
+    """Tr(Q channel(|+><+|^n)), Q the Pauli string `observable_axes` (default
+    Z on qubit 0): the dense readout of the circuits' default input."""
+    dim = channel.dim
+    rho = np.full((dim, dim), 1.0 / dim, dtype=complex)
+    q_mat = pauli_matrix(observable_axes or "Z" + "I" * (channel.n_qubits - 1))
+    return float(np.trace(q_mat @ channel.apply(rho)).real)
 
 
 def script_l_n(model: HamiltonianModel, n: int) -> Superoperator:
@@ -192,32 +204,28 @@ def script_l_n(model: HamiltonianModel, n: int) -> Superoperator:
 
 
 def qswift_channel(model: HamiltonianModel, t: float, n_segments: int, order: int) -> Superoperator:
-    """Order-K corrected channel: qDRIFT product plus mixture correction buckets.
+    """Order-K corrected channel: the qDRIFT product plus every correction.
 
-    order = 1 returns the plain qDRIFT product channel. The correction part
-    sums tau^xi / prod(n_j!) weighted mixtures over all compositions of
-    xi into k parts >= 2, for xi = 2 .. 2K-2 and k = 1 .. K.
+    Sums the qDRIFT segment channel E^N with tau^n / n! L^(n) moment
+    corrections placed into ordered slots, over total moment order
+    xi = n_1 + ... + n_k <= 2K - 2 (every n_j >= 2). That is the sum of the
+    first block column of M^N, M with E on its 2K - 1 diagonal blocks (one
+    per xi) and tau^n / n! L^(n) at every block (xi + n, xi). order = 1 is
+    the plain qDRIFT product channel.
     """
-    from .compiler import enumerate_g2
-
     if order < 1:
         raise ValueError("order must be >= 1")
     if order > n_segments:
         raise OrderExceedsSegments(f"order {order} exceeds {n_segments} segments")
     tau_angle = tau(model, t, n_segments)
     base = qdrift_channel(model, tau_angle)
-    total = base.power(n_segments).matrix
-    moments = {}
-    for xi in range(2, 2 * order - 1):
-        for k in range(1, order + 1):
-            for n_vec in enumerate_g2(k, xi):
-                for n in n_vec:
-                    if n not in moments:
-                        moments[n] = script_l_n(model, n)
-                weight = tau_angle**xi / np.prod([factorial(n) for n in n_vec])
-                parts = [moments[n] for n in n_vec]
-                total = total + weight * mixture(parts, base, n_segments).matrix
-    return Superoperator(total, model.n_qubits)
+    n_levels = 2 * order - 1
+    below = {}
+    for n in range(2, n_levels):
+        moment = tau_angle**n / factorial(n) * script_l_n(model, n).matrix
+        below.update({(j + n, j): moment for j in range(n_levels - n)})
+    column = _block_power_column(base.matrix, below, n_levels, n_segments)
+    return Superoperator(column.sum(axis=0), model.n_qubits)
 
 
 def choi_matrix(channel: Superoperator) -> np.ndarray:

@@ -30,6 +30,7 @@ from .errors import WidthOverflow
 from .hamiltonian import HamiltonianModel, PauliTerm
 
 MAX_TOTAL_QUBITS = 22
+READ_BLOCK_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -134,20 +135,24 @@ def read_rows(states: np.ndarray, action: PauliAction, ancilla_x: bool) -> np.nd
     """Exact <X (x) Q> (ancilla_x) or <I (x) Q> per row, Q the system `action`;
     raises ValueError on a non-real value, which means a broken evolution.
     A 2^n row (idle ancilla) reads 2 <psi|Q|psi>, the sum of its two equal
-    halves under either operator."""
+    halves under either operator. Rows are read in blocks of at most
+    READ_BLOCK_BYTES, which bounds the conjugated and Pauli-applied copies."""
     half = action.dim
-    if states.shape[1] == half:
-        vals = 2 * np.einsum("ij,ij->i", states.conj(), action.apply(states))
-    else:
-        lower, upper = states[:, :half], states[:, half:]
-        q_low = action.apply(lower)
-        q_up = action.apply(upper)
+    step = max(1, READ_BLOCK_BYTES // (states.shape[1] * states.itemsize))
+    vals = np.empty(states.shape[0], dtype=complex)
+    for lo in range(0, states.shape[0], step):
+        rows = states[lo : lo + step]
+        if states.shape[1] == half:
+            vals[lo : lo + step] = 2 * np.einsum("ij,ij->i", rows.conj(), action.apply(rows))
+            continue
+        lower, upper = rows[:, :half], rows[:, half:]
+        q_low, q_up = action.apply(lower), action.apply(upper)
         if ancilla_x:
-            vals = np.einsum("ij,ij->i", lower.conj(), q_up)
-            vals = vals + np.einsum("ij,ij->i", upper.conj(), q_low)
-        else:
-            vals = np.einsum("ij,ij->i", lower.conj(), q_low)
-            vals = vals + np.einsum("ij,ij->i", upper.conj(), q_up)
+            q_low, q_up = q_up, q_low
+        vals[lo : lo + step] = (
+            np.einsum("ij,ij->i", lower.conj(), q_low)
+            + np.einsum("ij,ij->i", upper.conj(), q_up)
+        )
     worst = float(np.abs(vals.imag).max(initial=0.0))
     if worst > 1e-10:
         raise ValueError(f"non-real Pauli expectation (imag {worst:.3e})")

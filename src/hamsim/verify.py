@@ -24,10 +24,9 @@ from .estimator import (
     plan_budget,
 )
 from .exact_channels import (
-    Superoperator,
-    dense_hamiltonian,
     ideal_channel,
     mixture,
+    plus_input_expectation,
     qdrift_channel,
     qswift_channel,
     random_pure_density,
@@ -49,21 +48,6 @@ class CheckResult:
 
 def _reference_model() -> HamiltonianModel:
     return parse_hamiltonian(REFERENCE_TEXT)
-
-
-def _observable_matrix(model: HamiltonianModel) -> np.ndarray:
-    return pauli_matrix("Z" + "I" * (model.n_qubits - 1))
-
-
-def _plus_density(n_qubits: int) -> np.ndarray:
-    dim = 1 << n_qubits
-    return np.full((dim, dim), 1.0 / dim, dtype=complex)
-
-
-def _oracle_value(model: HamiltonianModel, channel: Superoperator) -> float:
-    rho = _plus_density(model.n_qubits)
-    q_mat = _observable_matrix(model)
-    return float(np.trace(q_mat @ channel.apply(rho)).real)
 
 
 def check_parse_roundtrip() -> CheckResult:
@@ -173,7 +157,7 @@ def check_exhaustive_baseline() -> CheckResult:
     model = _reference_model()
     t, n_seg = 1.25, 3
     sampled = exact_qdrift_value(model, t, n_seg)
-    oracle = _oracle_value(model, qdrift_channel(model, tau(model, t, n_seg)).power(n_seg))
+    oracle = plus_input_expectation(qdrift_channel(model, tau(model, t, n_seg)).power(n_seg))
     err = abs(sampled - oracle)
     return CheckResult("exhaustive-baseline", err < 1e-10, f"|diff| = {err:.2e}")
 
@@ -186,7 +170,7 @@ def check_exhaustive_bucket() -> CheckResult:
     tau_angle = tau(model, t, n_seg)
     seg = qdrift_channel(model, tau_angle)
     chan = mixture([script_l_n(model, 2)], seg, n_seg)
-    oracle = 0.5 * tau_angle**2 * _oracle_value(model, chan)
+    oracle = 0.5 * tau_angle**2 * plus_input_expectation(chan)
     err = abs(enumerated - oracle)
     return CheckResult("exhaustive-bucket", err < 1e-9, f"|diff| = {err:.2e}")
 
@@ -203,7 +187,7 @@ def check_all_order_small() -> CheckResult:
     model = _reference_model()
     t, n_seg, n_sample = 1.25, 4, 40000
     stats = all_order_stats(model, t, n_seg, n_sample, rng_seed=902)
-    oracle = _oracle_value(model, ideal_channel(model, t))
+    oracle = plus_input_expectation(ideal_channel(model, t))
     gap = abs(stats.value - oracle)
     limit = 5.0 * stats.stderr
     return CheckResult(
@@ -219,10 +203,10 @@ def check_qdrift_bias() -> CheckResult:
     ok = True
     details = []
     for n_seg in (16, 64):
-        approx = _oracle_value(
-            model, qdrift_channel(model, tau(model, t, n_seg)).power(n_seg)
+        approx = plus_input_expectation(
+            qdrift_channel(model, tau(model, t, n_seg)).power(n_seg)
         )
-        exact = _oracle_value(model, ideal_channel(model, t))
+        exact = plus_input_expectation(ideal_channel(model, t))
         bias = abs(approx - exact)
         limit = 2.0 * qdrift_bound(lambda_t, n_seg)
         ok = ok and bias <= limit
@@ -312,12 +296,12 @@ def fitted_slopes(max_order: int = 3) -> dict[int, float]:
     model = _reference_model()
     t = 1.25
     grid = np.array([8, 16, 32, 64])
-    exact = _oracle_value(model, ideal_channel(model, t))
+    exact = plus_input_expectation(ideal_channel(model, t))
     slopes = {}
     for order in range(1, max_order + 1):
         errs = []
         for n_seg in grid:
-            approx = _oracle_value(model, qswift_channel(model, t, int(n_seg), order))
+            approx = plus_input_expectation(qswift_channel(model, t, int(n_seg), order))
             errs.append(abs(approx - exact))
         slope = float(np.polyfit(np.log(grid), np.log(errs), 1)[0])
         slopes[order] = slope

@@ -226,6 +226,9 @@ def test_simulate_all_order(model_file, capsys):
     assert rc == 0
     report = json.loads(out)
     assert report["method"] == "ALLORDER"
+    assert report["plan_count"] == 2000
+    # every trajectory is read exactly: no measurement shots are simulated
+    assert report["shot_count"] == 0
     assert report["b_power"] > 1.0
     assert report["stderr"] > 0.0
     assert abs(report["value"] - report["exact_reference"]) <= 5 * report["stderr"]
@@ -327,8 +330,9 @@ def test_budget_bad_epsilon_exits_two(model_file, capsys):
     assert "error" in err
 
 
-def test_verify_core_suite_passes(capsys):
-    rc, out, _ = run_cli(["verify", "--suite", "core"], capsys)
+@pytest.mark.parametrize("suite", ["core", "slopes", "all"])
+def test_verify_core_suite_passes(suite, capsys):
+    rc, out, _ = run_cli(["verify", "--suite", suite], capsys)
     assert rc == 0
     lines = out.strip().splitlines()
     assert all(line.startswith("PASS") for line in lines[:-1])

@@ -510,23 +510,28 @@ def test_reports_independent_of_tiles_and_threads(monkeypatch):
 
 def test_wide_register_memory_stays_tiled():
     # qDRIFT on a 16-qubit chain: an untiled 256-row block of the extended
-    # register alone would take 256 * 2^17 * 16 B = 512 MiB
+    # register alone would take 256 * 2^17 * 16 B = 512 MiB. The traced peak
+    # covers NumPy buffers only: one 32 MiB tile plus the readout's copies,
+    # which read_rows bounds by reading in blocks
     script = """
-import resource, sys
+import resource, sys, tracemalloc
 from hamsim import EstimatorConfig, estimate_qdrift, parse_hamiltonian
 n = 16
 xx = [f"0.45 {'I' * i}XX{'I' * (n - i - 2)}" for i in range(n - 1)]
 z = [f"0.375 {'I' * i}Z{'I' * (n - i - 1)}" for i in range(n)]
 model = parse_hamiltonian("\\n".join(xx + z))
+tracemalloc.start()
 report = estimate_qdrift(model, 0.3, EstimatorConfig(n_segments=2, n_sample_0=256, seed=1))
 assert report.plan_count == 256
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+print(tracemalloc.get_traced_memory()[1], resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
     src = str(Path(estimator.__file__).resolve().parents[1])
     out = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src},
     )
+    traced, maxrss = (int(v) for v in out.stdout.split()[-2:])
+    assert traced / 2**20 < 100
     # ru_maxrss is in KiB on Linux and in bytes on macOS
-    peak_mib = int(out.stdout.split()[-1]) / (2**20 if sys.platform == "darwin" else 2**10)
+    peak_mib = maxrss / (2**20 if sys.platform == "darwin" else 2**10)
     assert peak_mib < 400

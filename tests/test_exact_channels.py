@@ -1,11 +1,13 @@
 """Dense superoperator oracle against hand-built linear algebra."""
 
+from itertools import combinations
+from math import comb, factorial
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from hamsim import (
-    CombinatorialCap,
     DimensionCap,
     OrderExceedsSegments,
     PauliTerm,
@@ -14,12 +16,14 @@ from hamsim import (
     choi_matrix,
     conjugation,
     dense_hamiltonian,
+    enumerate_g2,
     ideal_channel,
     liouvillian_term,
     mean_liouvillian,
     mixture,
     parse_hamiltonian,
     qdrift_channel,
+    qswift_bound,
     qswift_channel,
     random_pure_density,
     script_l_n,
@@ -58,7 +62,39 @@ def random_super(n_qubits: int, seed: int) -> Superoperator:
     return Superoperator(rng.normal(size=(d2, d2)) + 1j * rng.normal(size=(d2, d2)), n_qubits)
 
 
+REF = parse_hamiltonian("0.5 X\n0.3 Z")
 TWO_QUBIT = parse_hamiltonian("0.5 XZ\n0.3 ZI\n-0.2 YY")
+THREE_QUBIT = parse_hamiltonian("0.5 XZI\n0.3 ZIY\n-0.2 YYX\n0.4 IZZ")
+
+
+def interleaving_sum(parts, filler: Superoperator, n_copies: int) -> np.ndarray:
+    """Reference mixture: every order-preserving placement of the parts into
+    n_copies slots, one product per placement (part 1 acts first)."""
+    k = len(parts)
+    total = np.zeros_like(filler.matrix)
+    for slots in combinations(range(n_copies), k):
+        prod = np.eye(filler.matrix.shape[0], dtype=complex)
+        for slot in range(n_copies):
+            op = parts[slots.index(slot)] if slot in slots else filler
+            prod = op.matrix @ prod
+        total += prod
+    return total
+
+
+def composition_sum(model, t: float, n_seg: int, order: int) -> np.ndarray:
+    """Reference order-K channel: E^N plus, for every composition n_vec of
+    xi = 2 .. 2K-2 into parts >= 2, tau^xi / prod(n_j!) times the mixture of
+    the L^(n_j) into the segment channels E."""
+    tau_angle = tau(model, t, n_seg)
+    base = qdrift_channel(model, tau_angle)
+    total = base.power(n_seg).matrix.copy()
+    for xi in range(2, 2 * order - 1):
+        for k in range(1, order + 1):
+            for n_vec in enumerate_g2(k, xi):
+                weight = tau_angle**xi / np.prod([factorial(n) for n in n_vec])
+                parts = [script_l_n(model, n) for n in n_vec]
+                total += weight * interleaving_sum(parts, base, n_seg)
+    return total
 
 
 def test_conjugation_applies_sandwich():
@@ -207,12 +243,26 @@ def test_mixture_two_parts_three_slots_orders_parts():
     assert np.allclose(got.matrix, want, atol=1e-10)
 
 
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_mixture_matches_interleaving_sum(k):
+    # random, mutually non-commuting parts and filler on one qubit
+    filler = random_super(1, 60)
+    parts = [random_super(1, 61 + j) for j in range(k)]
+    for n_copies in range(max(k, 1), 9):
+        want = interleaving_sum(parts, filler, n_copies)
+        got = mixture(parts, filler, n_copies).matrix
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), n_copies
+
+
 def test_mixture_guards():
     f = random_super(1, 40)
     with pytest.raises(ValueError):
         mixture([f, f, f], f, 2)
-    with pytest.raises(CombinatorialCap):
-        mixture([f] * 30, f, 80)
+    # far beyond any enumeration: C(80, 30) ~ 8.9e21 interleavings, each a^30
+    a = conjugation(expm(1j * np.array([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, -0.4]])), 1)
+    got = mixture([a] * 30, Superoperator.identity(1), 80).matrix
+    want = comb(80, 30) * a.power(30).matrix
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
 def test_script_l_n_matches_definition():
@@ -233,7 +283,7 @@ def test_qswift_channel_order_one_is_qdrift_product():
     t, n_seg = 0.9, 5
     base = qdrift_channel(TWO_QUBIT, tau(TWO_QUBIT, t, n_seg))
     got = qswift_channel(TWO_QUBIT, t, n_seg, 1)
-    assert np.allclose(got.matrix, base.power(n_seg).matrix, atol=1e-12)
+    assert np.array_equal(got.matrix, base.power(n_seg).matrix)
 
 
 def test_qswift_channel_order_two_unrolls():
@@ -250,6 +300,24 @@ def test_qswift_channel_order_two_unrolls():
         )
     got = qswift_channel(TWO_QUBIT, t, n_seg, 2)
     assert np.allclose(got.matrix, want, atol=1e-12)
+
+
+@pytest.mark.parametrize("model", [REF, TWO_QUBIT, THREE_QUBIT], ids=["1q", "2q", "3q"])
+def test_qswift_channel_matches_composition_sum(model):
+    for n_seg in (3, 4, 8, 16):
+        for order in range(1, min(4, n_seg) + 1):
+            want = composition_sum(model, 0.9, n_seg, order)
+            got = qswift_channel(model, 0.9, n_seg, order).matrix
+            assert np.abs(got - want).max() <= 1e-12, (n_seg, order)
+
+
+def test_qswift_channel_large_n_within_bound():
+    # N = 2^10 puts C(N, k) interleavings far past any enumeration
+    t, n_seg = 0.75, 2**10
+    ideal = ideal_channel(REF, t)
+    for order in range(1, 5):
+        dist = channel_distance_surrogate(ideal, qswift_channel(REF, t, n_seg, order))
+        assert dist <= qswift_bound(REF.lam * t, n_seg, order), order
 
 
 def test_qswift_channel_guards():

@@ -330,10 +330,18 @@ def test_budget_bad_epsilon_exits_two(model_file, capsys):
     assert "error" in err
 
 
-@pytest.mark.parametrize("suite", ["core", "slopes", "all"])
-def test_verify_core_suite_passes(suite, capsys):
+def assert_verify_suite_passes(suite, capsys):
     rc, out, _ = run_cli(["verify", "--suite", suite], capsys)
     assert rc == 0
     lines = out.strip().splitlines()
     assert all(line.startswith("PASS") for line in lines[:-1])
     assert lines[-1].endswith("checks passed")
+
+
+def test_verify_core_suite_passes(capsys):
+    assert_verify_suite_passes("core", capsys)
+
+
+@pytest.mark.parametrize("suite", ["slopes", "all"])
+def test_verify_suite_passes(suite, capsys):
+    assert_verify_suite_passes(suite, capsys)

@@ -8,14 +8,16 @@ branch b; the sign folds into the controlled part at execution time.
 
 This module is the package's one sampler: the draw_* functions return
 0-based term-index arrays for m rows, consuming their generator in a fixed
-order. `statevector.Kernel.evolve` executes rows of op codes (CODE_DTYPE):
-with T terms, ell < T is a time operator on term ell, T + b T + ell the
-branch-b swift operator of term ell, and PAD (-1) nothing. The qDRIFT
-baseline is the correction bucket BASELINE (k = 0: no blocks, one variant,
-coefficient 1), drawn by the same `draw_swift_variant`. qDRIFT and Trotter
-term arrays are already codes; `SwiftDraw.codes` and `SegmentDraw.codes`
-expand the correction and all-order draws, and `concat_codes` joins
-segments. The public samplers are m = 1 draws, and `plan_from_codes`, the
+order; every weighted draw is `draw_categorical`, `Generator.choice(p=)`
+replayed from the same uniforms. `statevector.Kernel.evolve` executes rows
+of op codes (CODE_DTYPE): with T terms, ell < T is a time operator on term
+ell, T + b T + ell the branch-b swift operator of term ell, and PAD (-1)
+nothing. The qDRIFT baseline is the correction bucket BASELINE (k = 0: no
+blocks, one variant, coefficient 1), drawn by the same
+`draw_swift_variant`. qDRIFT and Trotter term arrays are already codes;
+`SwiftDraw.codes` and `SegmentDraw.codes` expand the correction and
+all-order draws, and `draw_all_order_codes` packs whole trajectories in
+place. The public samplers are m = 1 draws, and `plan_from_codes`, the
 one decoder, replays any row of codes as a plan.
 """
 
@@ -35,6 +37,8 @@ from .hamiltonian import HamiltonianModel, tau
 B_SERIES_RTOL = 1e-15
 CODE_DTYPE = np.int16
 PAD = -1
+# Up to this many categories, counting cdf edges beats a binary search.
+COUNT_MAX_CATEGORIES = 32
 
 
 def swift_codes(n_terms: int, b, terms) -> np.ndarray:
@@ -199,9 +203,25 @@ def randomized_trotter_plan(
     return plan_from_codes(model, terms, trotter_thetas(model, t, r, order), r, f"RTS{order}")
 
 
+def draw_categorical(p, size, rng) -> np.ndarray:
+    """`rng.choice(len(p), size, p=p)` value for value, leaving rng in the
+    same state: one uniform u per draw, index = the count of cdf entries
+    <= u. CODE_DTYPE when the categories fit, else intp."""
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    u = rng.random(size)
+    dtype = CODE_DTYPE if cdf.size <= np.iinfo(CODE_DTYPE).max else np.intp
+    if cdf.size > COUNT_MAX_CATEGORIES:
+        return cdf.searchsorted(u, side="right").astype(dtype)
+    idx = np.zeros(u.shape, dtype=dtype)
+    for edge in cdf[:-1]:  # u < 1 = cdf[-1]
+        idx += u >= edge
+    return idx
+
+
 def draw_qdrift(model: HamiltonianModel, n_segments: int, m: int, rng) -> np.ndarray:
-    """(m, N) term indices drawn iid from the importance weights."""
-    return rng.choice(model.n_terms, size=(m, n_segments), p=model.probs)
+    """(m, N) term indices (CODE_DTYPE) drawn iid from the importance weights."""
+    return draw_categorical(model.probs, (m, n_segments), rng)
 
 
 def qdrift_plan(model: HamiltonianModel, t: float, n_segments: int, rng_seed) -> GatePlan:
@@ -306,12 +326,12 @@ class SwiftDraw:
         every row's slots in order, block j's slot expanded into its part's
         swift operators; the fillers alone when there are no parts."""
         if not self.parts:
-            return self.fillers.astype(CODE_DTYPE)
+            return self.fillers.astype(CODE_DTYPE, copy=False)
         m = self.fillers.shape[0]
         widths = np.ones(self.fillers.shape, dtype=np.int64)
         widths[np.arange(m)[:, None], self.sigma] = [part.shape[1] for part in self.parts]
         widths = widths.ravel()
-        codes = np.repeat(self.fillers.astype(CODE_DTYPE).ravel(), widths)
+        codes = np.repeat(self.fillers.astype(CODE_DTYPE, copy=False).ravel(), widths)
         branches = np.concatenate([np.asarray(b_vec) for b_vec in b_vecs])
         swift = swift_codes(n_terms, branches, np.concatenate(self.parts, axis=1))
         # block slots are the ones wider than one op (every n_j >= 2)
@@ -324,7 +344,10 @@ def draw_swift_variant(
 ) -> SwiftDraw:
     """Uniform sorted k-subsets of slots (no draw when k = 0, so the baseline
     consumes rng as draw_qdrift does), then iid fillers, then per part iid
-    indices (s_j = 0) or one shared index (s_j = 1)."""
+    indices (s_j = 0) or one shared index (s_j = 1).
+
+    All N fillers are drawn although the k under sigma go unused: every
+    later draw, and so every report, depends on that stream position."""
     k = term.k
     if k > n_segments:
         raise OrderExceedsSegments(f"bucket k={k} exceeds {n_segments} segments")
@@ -335,9 +358,9 @@ def draw_swift_variant(
     parts = []
     for s, n_j in zip(s_vec, term.n_vec):
         if s == 0:
-            parts.append(rng.choice(model.n_terms, size=(m, n_j), p=model.probs))
+            parts.append(draw_categorical(model.probs, (m, n_j), rng))
         else:
-            one = rng.choice(model.n_terms, size=(m, 1), p=model.probs)
+            one = draw_categorical(model.probs, (m, 1), rng)
             parts.append(np.repeat(one, n_j, axis=1))
     return SwiftDraw(sigma=sigma, fillers=fillers, parts=tuple(parts))
 
@@ -433,11 +456,9 @@ def draw_all_order_segment(
     """Categories, then time-operator terms, then per block size s, b and
     terms from P_s^(n): iid for s = 0, one shared index for s = 1."""
     probs = model.probs
-    cats = rng.choice(len(cat_probs), size=m, p=cat_probs)
+    cats = draw_categorical(cat_probs, m, rng)
     time_rows = np.flatnonzero(cats == 0)
-    time_terms = np.zeros(0, dtype=np.int64)
-    if time_rows.size:
-        time_terms = rng.choice(model.n_terms, size=time_rows.size, p=probs)
+    time_terms = draw_categorical(probs, time_rows.size, rng)  # size 0 draws no uniform
     blocks = []
     for cat_id, n in enumerate(block_sizes, start=1):
         rows = np.flatnonzero(cats == cat_id)
@@ -445,25 +466,35 @@ def draw_all_order_segment(
             continue
         s = rng.integers(0, 2, size=rows.size)
         b = rng.integers(0, 2, size=(rows.size, n))
-        iid = rng.choice(model.n_terms, size=(rows.size, n), p=probs)
-        one = rng.choice(model.n_terms, size=rows.size, p=probs)
+        iid = draw_categorical(probs, (rows.size, n), rng)
+        one = draw_categorical(probs, rows.size, rng)
         terms = np.where(s[:, None] == 1, one[:, None], iid)
         blocks.append(SwiftBlock(rows=rows, s=s, b=b, terms=terms))
     return SegmentDraw(time_rows=time_rows, time_terms=time_terms, blocks=tuple(blocks))
 
 
-def concat_codes(blocks) -> np.ndarray:
-    """Op codes of consecutive code blocks (m, *) as one (m, L) array: each
-    row's ops in order, shifted left over PAD entries, L the longest row."""
-    m = blocks[0].shape[0]
-    codes = np.full((m, sum(block.shape[1] for block in blocks)), PAD, dtype=CODE_DTYPE)
+def draw_all_order_codes(
+    model: HamiltonianModel, n_segments: int, block_sizes, cat_probs, m: int, rng
+) -> tuple:
+    """(m, L) op codes and trajectory signs of N all-order segments drawn in
+    turn: each segment's ops go into one growing code array right after the
+    row's earlier ops, PAD after its last, L the longest row."""
+    codes = np.full((m, 2 * n_segments), PAD, dtype=CODE_DTYPE)
     fill = np.zeros(m, dtype=np.intp)
-    for block in blocks:
-        for col in block.T:
-            live = np.flatnonzero(col != PAD)
-            codes[live, fill[live]] = col[live]
-            fill[live] += 1
-    return codes[:, : fill.max()]
+    signs = np.ones(m)
+    for _ in range(n_segments):
+        draw = draw_all_order_segment(model, block_sizes, cat_probs, m, rng)
+        width = fill.max(initial=0) + max([1] + [block.terms.shape[1] for block in draw.blocks])
+        if width > codes.shape[1]:
+            codes = np.pad(codes, ((0, 0), (0, width)), constant_values=PAD)
+        codes[draw.time_rows, fill[draw.time_rows]] = draw.time_terms
+        fill[draw.time_rows] += 1
+        for block in draw.blocks:
+            cols = fill[block.rows, None] + np.arange(block.terms.shape[1])
+            codes[block.rows[:, None], cols] = swift_codes(model.n_terms, block.b, block.terms)
+            fill[block.rows] += block.terms.shape[1]
+            signs[block.rows] *= 1.0 - 2.0 * block.s
+    return codes[:, : fill.max(initial=0)], signs
 
 
 @dataclass(frozen=True)

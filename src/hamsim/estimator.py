@@ -3,9 +3,10 @@
 Estimators own streams, budgets, shot readout and reduction. The `compiler`
 draw layer fills rows from streams derived as (seed, stream labels, variant,
 chunk of 32,768 rows) and turns them into op codes; `Kernel.evolve` runs the
-codes in execution tiles of at most 8,192 rows and 32 MiB of amplitudes, and
-shots are simulated binomially from the exact expectations, each unit's
-shots from its own stream after its draws. Tiles only schedule rows: every
+codes in execution tiles of at most 8,192 rows and 32 MiB of amplitudes,
+one reused tile buffer per readout call, and shots are simulated binomially
+from the exact expectations, each unit's shots from its own stream after
+its draws. Tiles only schedule rows: every
 row's arithmetic is the same in any tile, and reduction order is fixed by
 variant and chunk index, so reports are bit-identical for any tile size and
 worker count. The qDRIFT baseline is the k = 0 bucket `BASELINE`: one
@@ -31,9 +32,8 @@ from .compiler import (
     CorrectionTerm,
     SwiftDraw,
     all_order_categories,
-    concat_codes,
     correction_terms,
-    draw_all_order_segment,
+    draw_all_order_codes,
     draw_swift_variant,
     draw_trotter_terms,
     signed_angles,
@@ -186,13 +186,16 @@ def _tile_rows(amps: int) -> int:
 
 
 def _evolve_read(kernel: Kernel, codes: np.ndarray, thetas, ancilla_x: bool) -> np.ndarray:
-    """Exact readout of every row of op codes, evolved tile by tile. Rows read
-    as I (x) Q leave the ancilla idle and evolve on 2^n amplitudes."""
+    """Exact readout of every row of op codes, evolved tile by tile in one
+    reused buffer. Rows read as I (x) Q evolve on 2^n amplitudes."""
     m = codes.shape[0]
     step = _tile_rows((2 if ancilla_x else 1) << kernel.n_qubits)
+    init = kernel.fresh(1, ancilla=ancilla_x)
+    tile = np.empty((min(step, m), init.shape[1]), dtype=init.dtype)
     vals = np.empty(m)
     for lo in range(0, m, step):
-        states = kernel.fresh(min(step, m - lo), ancilla=ancilla_x)
+        states = tile[: min(step, m - lo)]
+        states[:] = init
         kernel.evolve(states, codes[lo : lo + step], thetas)
         vals[lo : lo + step] = kernel.read(states, ancilla_x)
     return vals
@@ -516,14 +519,8 @@ def all_order_stats(
     def one_chunk(args):
         chunk_idx, _, m = args
         rng = derived_rng(int(rng_seed), _STREAM_ALL_ORDER, chunk_idx)
-        signs = np.ones(m)
-        codes = []
-        for _seg in range(n_segments):
-            draw = draw_all_order_segment(model, block_sizes, cat_probs, m, rng)
-            codes.append(draw.codes(model.n_terms))
-            for block in draw.blocks:
-                signs[block.rows] *= 1.0 - 2.0 * block.s
-        return signs * _evolve_read(kernel, concat_codes(codes), thetas, ancilla_x=True)
+        codes, signs = draw_all_order_codes(model, n_segments, block_sizes, cat_probs, m, rng)
+        return signs * _evolve_read(kernel, codes, thetas, ancilla_x=True)
 
     mean, var, _ = _pooled_stats(map(one_chunk, _chunk_sizes(n_sample)))
     b_power = b_norm**n_segments

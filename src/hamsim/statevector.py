@@ -13,9 +13,9 @@ that share an op, and each group is one call of the row functions
 `rotate_rows` / `swift_rows`, which update amplitudes in place from a
 precomputed permutation and phase. Rows whose ancilla stays idle (qDRIFT
 baselines, Trotter) evolve on 2^n amplitudes instead of 2^(n+1).
-`read_rows` is the one exact readout. `Kernel.run` executes arbitrary-angle
-plans one instruction at a time; the single-state functions are batches of
-one over it or the row functions.
+`read_rows` is the one exact readout, in cache-sized blocks. `Kernel.run`
+executes arbitrary-angle plans one instruction at a time; the single-state
+functions are batches of one over it or the row functions.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .errors import WidthOverflow
 from .hamiltonian import HamiltonianModel, PauliTerm
 
 MAX_TOTAL_QUBITS = 22
-READ_BLOCK_BYTES = 8 << 20
+READ_BLOCK_BYTES = 512 << 10
 
 
 @dataclass(frozen=True)
@@ -136,7 +136,8 @@ def read_rows(states: np.ndarray, action: PauliAction, ancilla_x: bool) -> np.nd
     raises ValueError on a non-real value, which means a broken evolution.
     A 2^n row (idle ancilla) reads 2 <psi|Q|psi>, the sum of its two equal
     halves under either operator. Rows are read in blocks of at most
-    READ_BLOCK_BYTES, which bounds the conjugated and Pauli-applied copies."""
+    READ_BLOCK_BYTES (512 KiB), which keeps the conjugated and Pauli-applied
+    copies small enough to stay in cache and be reused between blocks."""
     half = action.dim
     step = max(1, READ_BLOCK_BYTES // (states.shape[1] * states.itemsize))
     vals = np.empty(states.shape[0], dtype=complex)

@@ -291,11 +291,11 @@ def fitted_slopes(max_order: int = 3) -> dict[int, float]:
     """Log-log slope of the exact-channel error |q - q^(K)| against N.
 
     The systematic error of the order-K construction decays as N^(-K), so
-    the fitted slope should sit near -K for each order.
+    the fitted slope should sit near -K for each order (N >= 32 here).
     """
     model = _reference_model()
     t = 1.25
-    grid = np.array([8, 16, 32, 64])
+    grid = np.array([32, 64, 128, 256])
     exact = plus_input_expectation(ideal_channel(model, t))
     slopes = {}
     for order in range(1, max_order + 1):

@@ -1,5 +1,6 @@
 """Plan construction: product formulas, importance sampling, correction buckets."""
 
+from importlib import resources
 from math import comb,exp, factorial
 
 import numpy as np
@@ -28,7 +29,15 @@ from hamsim import (
     trotter_plan,
     validate_plan,
 )
-from hamsim.compiler import SwiftDraw, plan_from_codes, signed_angles
+from hamsim import compiler
+from hamsim.compiler import (
+    CODE_DTYPE,
+    SwiftDraw,
+    all_order_categories,
+    draw_categorical,
+    plan_from_codes,
+    signed_angles,
+)
 
 PAULI_1Q = {
     "I": np.eye(2, dtype=complex),
@@ -344,3 +353,43 @@ def test_sample_all_order_segment_determinism():
     a = sample_all_order_segment(MODEL, 0.3, rng_seed=42)
     b = sample_all_order_segment(MODEL, 0.3, rng_seed=42)
     assert a == b
+
+
+def _chain12_probs() -> np.ndarray:
+    """Importance weights of the 23-term 12-qubit XX+Z chain."""
+    n = 12
+    xx = [f"0.45 {'I' * i}XX{'I' * (n - i - 2)}" for i in range(n - 1)]
+    z = [f"0.375 {'I' * i}Z{'I' * (n - i - 1)}" for i in range(n)]
+    return parse_hamiltonian("\n".join(xx + z)).probs
+
+
+CATEGORICAL_CASES = {
+    "chain_4q": lambda: parse_hamiltonian(
+        resources.files("hamsim").joinpath("data/chain_4q.txt").read_text()
+    ).probs,
+    "chain_12q": _chain12_probs,
+    "all_order_0.178": lambda: all_order_categories(0.178)[2],
+    "all_order_0.25": lambda: all_order_categories(0.25)[2],
+    "zero_entries": lambda: np.array([0.0, 0.25, 0.0, 0.0, 0.5, 0.25, 0.0]),
+}
+
+
+@pytest.mark.parametrize("branch", ["count", "searchsorted"])
+@pytest.mark.parametrize("case", sorted(CATEGORICAL_CASES))
+def test_draw_categorical_replays_generator_choice(monkeypatch, case, branch):
+    # value for value what Generator.choice(p=) draws, leaving the generator
+    # in the same state, on either side of the category-count switch
+    p = CATEGORICAL_CASES[case]()
+    assert p.size <= compiler.COUNT_MAX_CATEGORIES  # the default counts
+    if branch == "searchsorted":
+        monkeypatch.setattr(compiler, "COUNT_MAX_CATEGORIES", 1)
+    for size in (0, 20000, (3000, 7)):
+        ours, theirs = np.random.default_rng(17), np.random.default_rng(17)
+        got = draw_categorical(p, size, ours)
+        want = theirs.choice(p.size, size=size, p=p)
+        assert got.dtype == CODE_DTYPE
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+    if case == "zero_entries":
+        assert set(np.unique(want)) == {1, 4, 5}

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -45,8 +46,10 @@ from hamsim import (
 )
 from hamsim.compiler import (
     BASELINE,
+    PAD,
     AllOrderSegment,
     all_order_categories,
+    draw_all_order_codes,
     draw_all_order_segment,
     draw_qdrift,
     draw_swift_variant,
@@ -535,3 +538,74 @@ print(tracemalloc.get_traced_memory()[1], resource.getrusage(resource.RUSAGE_SEL
     # ru_maxrss is in KiB on Linux and in bytes on macOS
     peak_mib = maxrss / (2**20 if sys.platform == "darwin" else 2**10)
     assert peak_mib < 400
+
+
+def concat_codes(blocks) -> np.ndarray:
+    """The former compiler.concat_codes, kept as the reference for the
+    in-place packing: consecutive (m, *) code blocks as one (m, L) array,
+    each row's ops shifted left over PAD, L the longest row."""
+    m = blocks[0].shape[0]
+    codes = np.full((m, sum(block.shape[1] for block in blocks)), PAD, dtype=blocks[0].dtype)
+    fill = np.zeros(m, dtype=np.intp)
+    for block in blocks:
+        for col in block.T:
+            live = np.flatnonzero(col != PAD)
+            codes[live, fill[live]] = col[live]
+            fill[live] += 1
+    return codes[:, : fill.max()]
+
+
+@pytest.mark.parametrize("model", [CHAIN, REF], ids=["chain_4q", "reference_1q"])
+def test_all_order_codes_pack_like_concat_codes(model):
+    # draw_all_order_codes packs N segment draws in place; the padded
+    # per-segment codes joined by concat_codes are the same array, and the
+    # signs are the product over every drawn block
+    n_seg, m = 6, 400
+    for tau_angle in (0.178, 0.6):
+        _, sizes, cat_probs = all_order_categories(tau_angle)
+        codes, signs = draw_all_order_codes(model, n_seg, sizes, cat_probs, m,
+                                            np.random.default_rng(8))
+        rng = np.random.default_rng(8)
+        draws = [draw_all_order_segment(model, sizes, cat_probs, m, rng) for _ in range(n_seg)]
+        want = concat_codes([draw.codes(model.n_terms) for draw in draws])
+        want_signs = np.ones(m)
+        for block in (block for draw in draws for block in draw.blocks):
+            want_signs[block.rows] *= 1.0 - 2.0 * block.s
+        assert codes.dtype == want.dtype and np.array_equal(codes, want)
+        assert np.array_equal(signs, want_signs)
+        no_block = ((codes >= 0) & (codes < model.n_terms)).sum(axis=1) == n_seg
+        if tau_angle < 0.5:  # rows with no block among rows with blocks
+            assert no_block.any() and not no_block.all()
+        else:  # long rows: the code array grew past its first width
+            assert codes.shape[1] > 2 * n_seg
+
+
+def _traced_peak_mib(fn) -> float:
+    """tracemalloc peak of NumPy and Python allocations while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_bucket_memory_peak():
+    # criterion 10's (2,) bucket: 8 variants x 12,000 rows in batches of
+    # about four 8,192-row tiles. One reused 4 MiB tile buffer, int16 draws
+    # and 512 KiB readout blocks bound the peak (15.7 MiB with a fresh tile
+    # per tile and 8 MiB blocks)
+    term = next(b for b in correction_terms(CHAIN, 1.0, 16, 2) if b.n_vec == (2,))
+    config = EstimatorConfig(n_segments=16, order=2, bucket_samples={(2,): 12000},
+                             seed=3, threads=1)
+    peak = _traced_peak_mib(lambda: estimator._eval_correction_stats(CHAIN, 1.0, term, config))
+    print(f"traced peak {peak:.2f} MiB")
+    assert peak < 11
+
+
+def test_all_order_memory_peak():
+    # 20,000 trajectories of 16 segments, packed in place into one code
+    # array (17.2 MiB with padded per-segment arrays joined afterwards)
+    peak = _traced_peak_mib(lambda: all_order_stats(CHAIN, 1.0, 16, 20000, 3))
+    print(f"traced peak {peak:.2f} MiB")
+    assert peak < 10

@@ -15,10 +15,10 @@ ell, T + b T + ell the branch-b swift operator of term ell, and PAD (-1)
 nothing. The qDRIFT baseline is the correction bucket BASELINE (k = 0: no
 blocks, one variant, coefficient 1), drawn by the same
 `draw_swift_variant`. qDRIFT and Trotter term arrays are already codes;
-`SwiftDraw.codes` and `SegmentDraw.codes` expand the correction and
-all-order draws, and `draw_all_order_codes` packs whole trajectories in
-place. The public samplers are m = 1 draws, and `plan_from_codes`, the
-one decoder, replays any row of codes as a plan.
+`SwiftDraw.codes` expands the correction draws, and `draw_all_order_codes`
+packs all-order trajectories in place. The public samplers are m = 1
+draws, and `plan_from_codes`, the one decoder, replays any row of codes as
+a plan.
 """
 
 from __future__ import annotations
@@ -37,8 +37,6 @@ from .hamiltonian import HamiltonianModel, tau
 B_SERIES_RTOL = 1e-15
 CODE_DTYPE = np.int16
 PAD = -1
-# Up to this many categories, counting cdf edges beats a binary search.
-COUNT_MAX_CATEGORIES = 32
 
 
 def swift_codes(n_terms: int, b, terms) -> np.ndarray:
@@ -206,17 +204,12 @@ def randomized_trotter_plan(
 def draw_categorical(p, size, rng) -> np.ndarray:
     """`rng.choice(len(p), size, p=p)` value for value, leaving rng in the
     same state: one uniform u per draw, index = the count of cdf entries
-    <= u. CODE_DTYPE when the categories fit, else intp."""
+    <= u (the same binary search). CODE_DTYPE when the categories fit,
+    else intp."""
     cdf = np.cumsum(p)
     cdf /= cdf[-1]
-    u = rng.random(size)
     dtype = CODE_DTYPE if cdf.size <= np.iinfo(CODE_DTYPE).max else np.intp
-    if cdf.size > COUNT_MAX_CATEGORIES:
-        return cdf.searchsorted(u, side="right").astype(dtype)
-    idx = np.zeros(u.shape, dtype=dtype)
-    for edge in cdf[:-1]:  # u < 1 = cdf[-1]
-        idx += u >= edge
-    return idx
+    return cdf.searchsorted(rng.random(size), side="right").astype(dtype)
 
 
 def draw_qdrift(model: HamiltonianModel, n_segments: int, m: int, rng) -> np.ndarray:
@@ -439,16 +432,6 @@ class SegmentDraw:
     time_terms: np.ndarray
     blocks: tuple
 
-    def codes(self, n_terms: int) -> np.ndarray:
-        """(m, largest block) op codes, PAD after each row's last op."""
-        m = self.time_rows.size + sum(block.rows.size for block in self.blocks)
-        width = max([1] + [block.terms.shape[1] for block in self.blocks])
-        codes = np.full((m, width), PAD, dtype=CODE_DTYPE)
-        codes[self.time_rows, 0] = self.time_terms
-        for block in self.blocks:
-            codes[block.rows, : block.terms.shape[1]] = swift_codes(n_terms, block.b, block.terms)
-        return codes
-
 
 def draw_all_order_segment(
     model: HamiltonianModel, block_sizes, cat_probs, m: int, rng
@@ -511,8 +494,6 @@ def sample_all_order_segment(
     """Draw a qDRIFT segment with probability 1/B, else an n-swift block
     with sign (-1)^s, uniform s and branch bits (see draw_all_order_segment)."""
     _, block_sizes, cat_probs = all_order_categories(tau_angle)
-    draw = draw_all_order_segment(model, block_sizes, cat_probs, 1, as_rng(rng_seed))
-    codes = draw.codes(model.n_terms)
+    codes, signs = draw_all_order_codes(model, 1, block_sizes, cat_probs, 1, as_rng(rng_seed))
     plan = plan_from_codes(model, codes[0], signed_angles(model, tau_angle), 1, "ALLORDER")
-    sign = 1 - 2 * int(draw.blocks[0].s[0]) if draw.blocks else 1
-    return AllOrderSegment(sign=sign, ops=plan.ops)
+    return AllOrderSegment(sign=int(signs[0]), ops=plan.ops)

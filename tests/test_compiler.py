@@ -29,7 +29,6 @@ from hamsim import (
     trotter_plan,
     validate_plan,
 )
-from hamsim import compiler
 from hamsim.compiler import (
     CODE_DTYPE,
     SwiftDraw,
@@ -374,15 +373,11 @@ CATEGORICAL_CASES = {
 }
 
 
-@pytest.mark.parametrize("branch", ["count", "searchsorted"])
 @pytest.mark.parametrize("case", sorted(CATEGORICAL_CASES))
-def test_draw_categorical_replays_generator_choice(monkeypatch, case, branch):
+def test_draw_categorical_replays_generator_choice(case):
     # value for value what Generator.choice(p=) draws, leaving the generator
-    # in the same state, on either side of the category-count switch
+    # in the same state
     p = CATEGORICAL_CASES[case]()
-    assert p.size <= compiler.COUNT_MAX_CATEGORIES  # the default counts
-    if branch == "searchsorted":
-        monkeypatch.setattr(compiler, "COUNT_MAX_CATEGORIES", 1)
     for size in (0, 20000, (3000, 7)):
         ours, theirs = np.random.default_rng(17), np.random.default_rng(17)
         got = draw_categorical(p, size, ours)

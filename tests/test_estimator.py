@@ -46,6 +46,7 @@ from hamsim import (
 )
 from hamsim.compiler import (
     BASELINE,
+    CODE_DTYPE,
     PAD,
     AllOrderSegment,
     all_order_categories,
@@ -56,6 +57,7 @@ from hamsim.compiler import (
     draw_trotter_terms,
     plan_from_codes,
     signed_angles,
+    swift_codes,
     trotter_thetas,
 )
 from hamsim import estimator
@@ -425,6 +427,33 @@ def _replayed(model, ops, axes, ancilla_x) -> float:
     return expectation(state, Observable(axes, with_ancilla_x=ancilla_x))
 
 
+def segment_codes(draw, n_terms: int) -> np.ndarray:
+    """The former SegmentDraw.codes, kept as a reference: one all-order
+    segment's (m, largest block) op codes, PAD after each row's last op."""
+    m = draw.time_rows.size + sum(block.rows.size for block in draw.blocks)
+    width = max([1] + [block.terms.shape[1] for block in draw.blocks])
+    codes = np.full((m, width), PAD, dtype=CODE_DTYPE)
+    codes[draw.time_rows, 0] = draw.time_terms
+    for block in draw.blocks:
+        codes[block.rows, : block.terms.shape[1]] = swift_codes(n_terms, block.b, block.terms)
+    return codes
+
+
+def concat_codes(blocks) -> np.ndarray:
+    """The former compiler.concat_codes, kept as the reference for the
+    in-place packing: consecutive (m, *) code blocks as one (m, L) array,
+    each row's ops shifted left over PAD, L the longest row."""
+    m = blocks[0].shape[0]
+    codes = np.full((m, sum(block.shape[1] for block in blocks)), PAD, dtype=blocks[0].dtype)
+    fill = np.zeros(m, dtype=np.intp)
+    for block in blocks:
+        for col in block.T:
+            live = np.flatnonzero(col != PAD)
+            codes[live, fill[live]] = col[live]
+            fill[live] += 1
+    return codes[:, : fill.max()]
+
+
 @pytest.mark.parametrize("m", [1, 6])
 def test_batched_rows_replay_as_plans(m):
     # plan_from_codes turns every batched row into a plan that run_plan
@@ -470,7 +499,7 @@ def test_batched_rows_replay_as_plans(m):
     big_thetas = signed_angles(CHAIN, big_tau)
     _, sizes, cat_probs = all_order_categories(big_tau)
     draw = draw_all_order_segment(CHAIN, sizes, cat_probs, m, np.random.default_rng(4))
-    codes = draw.codes(CHAIN.n_terms)  # PAD after each row's last op
+    codes = segment_codes(draw, CHAIN.n_terms)  # PAD after each row's last op
     states, signs = kernel.fresh(m), np.ones(m)
     kernel.evolve(states, codes, big_thetas)
     for block in draw.blocks:
@@ -540,21 +569,6 @@ print(tracemalloc.get_traced_memory()[1], resource.getrusage(resource.RUSAGE_SEL
     assert peak_mib < 400
 
 
-def concat_codes(blocks) -> np.ndarray:
-    """The former compiler.concat_codes, kept as the reference for the
-    in-place packing: consecutive (m, *) code blocks as one (m, L) array,
-    each row's ops shifted left over PAD, L the longest row."""
-    m = blocks[0].shape[0]
-    codes = np.full((m, sum(block.shape[1] for block in blocks)), PAD, dtype=blocks[0].dtype)
-    fill = np.zeros(m, dtype=np.intp)
-    for block in blocks:
-        for col in block.T:
-            live = np.flatnonzero(col != PAD)
-            codes[live, fill[live]] = col[live]
-            fill[live] += 1
-    return codes[:, : fill.max()]
-
-
 @pytest.mark.parametrize("model", [CHAIN, REF], ids=["chain_4q", "reference_1q"])
 def test_all_order_codes_pack_like_concat_codes(model):
     # draw_all_order_codes packs N segment draws in place; the padded
@@ -567,7 +581,7 @@ def test_all_order_codes_pack_like_concat_codes(model):
                                             np.random.default_rng(8))
         rng = np.random.default_rng(8)
         draws = [draw_all_order_segment(model, sizes, cat_probs, m, rng) for _ in range(n_seg)]
-        want = concat_codes([draw.codes(model.n_terms) for draw in draws])
+        want = concat_codes([segment_codes(draw, model.n_terms) for draw in draws])
         want_signs = np.ones(m)
         for block in (block for draw in draws for block in draw.blocks):
             want_signs[block.rows] *= 1.0 - 2.0 * block.s
@@ -598,6 +612,10 @@ def test_bucket_memory_peak():
     term = next(b for b in correction_terms(CHAIN, 1.0, 16, 2) if b.n_vec == (2,))
     config = EstimatorConfig(n_segments=16, order=2, bucket_samples={(2,): 12000},
                              seed=3, threads=1)
+    # one untraced tiny run first, so kernel and model caches built on first
+    # use count in no test order
+    warm = EstimatorConfig(n_segments=16, order=2, bucket_samples={(2,): 8}, seed=3, threads=1)
+    estimator._eval_correction_stats(CHAIN, 1.0, term, warm)
     peak = _traced_peak_mib(lambda: estimator._eval_correction_stats(CHAIN, 1.0, term, config))
     print(f"traced peak {peak:.2f} MiB")
     assert peak < 11
@@ -605,7 +623,9 @@ def test_bucket_memory_peak():
 
 def test_all_order_memory_peak():
     # 20,000 trajectories of 16 segments, packed in place into one code
-    # array (17.2 MiB with padded per-segment arrays joined afterwards)
+    # array (17.2 MiB with padded per-segment arrays joined afterwards);
+    # warmed untraced like the bucket peak
+    all_order_stats(CHAIN, 1.0, 16, 8, 3)
     peak = _traced_peak_mib(lambda: all_order_stats(CHAIN, 1.0, 16, 20000, 3))
     print(f"traced peak {peak:.2f} MiB")
     assert peak < 10

@@ -1,16 +1,19 @@
 """Command-line front end.
 
 Subcommands: `analyze` sweeps the analytic bounds into a CSV table,
-`simulate` runs one estimation experiment and emits a JSON report,
-`budget` prints the sampling-budget planner, and `verify` runs the named
-self-check suites. Exit codes: 0 success, 1 failed verification, 2 input
-or parse errors, 3 table rows hit a vacuous/above-cap bound (rows are
-still written, with gates=NA), 4 width over the simulator cap.
+`simulate` runs one estimation experiment and emits its `EstimateReport`
+as JSON, with the same keys for every method, `budget` prints the
+sampling-budget planner, and `verify` runs the named self-check suites.
+`--observable` is case-insensitive and must match the model width.
+Exit codes: 0 success, 1 failed verification, 2 input or parse errors,
+3 table rows hit a vacuous/above-cap bound (rows are still written, with
+gates=NA), 4 width over the simulator cap.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -87,16 +90,7 @@ def cmd_analyze(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.format == "json":
-        rows = [
-            {
-                "t": row.t,
-                "lambda_t": row.lambda_t,
-                "method": row.method,
-                "epsilon": row.epsilon,
-                "gates": row.gates,
-            }
-            for row in table.rows
-        ]
+        rows = [dataclasses.asdict(row) for row in table.rows]
         _write_output(json.dumps(rows, indent=2), args.out)
     else:
         _write_output(table.to_csv(), args.out)
@@ -105,7 +99,6 @@ def cmd_analyze(args) -> int:
 
 def cmd_simulate(args) -> int:
     model = _load_model(args.hamiltonian)
-    axes = args.observable or ("Z" + "I" * (model.n_qubits - 1))
     try:
         config = EstimatorConfig(
             n_segments=args.segments,
@@ -114,42 +107,29 @@ def cmd_simulate(args) -> int:
             n_sample_0=args.samples,
             n_shot_0=args.shots,
             seed=args.seed,
-            observable=axes,
+            observable=args.observable,
         )
+        axes = config.observable_axes(model)
         if args.method in ("qdrift", "qswift"):
-            report = estimate_qswift(model, args.t, config).to_json_dict()
+            report = estimate_qswift(model, args.t, config)
         elif args.method in ("trotter", "rtrotter"):
             report = estimate_trotter(
                 model, args.t, args.segments, max(1, args.order),
                 randomized=args.method == "rtrotter", config=config,
-            ).to_json_dict()
-        elif args.method == "all-order":
-            stats = all_order_stats(
-                model, args.t, args.segments, args.samples, args.seed,
-                observable_axes=axes,
             )
-            report = {
-                "method": "ALLORDER",
-                "value": stats.value,
-                "stderr": stats.stderr,
-                "b_power": stats.b_power,
-                "plan_count": stats.n_sample,
-                # exact expectations per circuit: no shots are simulated
-                "shot_count": 0,
-                "seeds": {"master": args.seed},
-            }
         else:
-            print(f"error: unknown method {args.method!r}", file=sys.stderr)
-            return 2
+            report = all_order_stats(
+                model, args.t, args.segments, args.samples, args.seed, observable_axes=axes
+            )
+        if model.n_qubits <= MAX_ORACLE_QUBITS:
+            report.exact_reference = plus_input_expectation(ideal_channel(model, args.t), axes)
     except WidthOverflow as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except (HamsimError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if model.n_qubits <= MAX_ORACLE_QUBITS:
-        report["exact_reference"] = plus_input_expectation(ideal_channel(model, args.t), axes)
-    _write_output(json.dumps(report, indent=2), args.out)
+    _write_output(json.dumps(report.to_json_dict(), indent=2), args.out)
     return 0
 
 

@@ -1,5 +1,8 @@
 """Monte Carlo observable estimation for compiled randomized plans.
 
+Every sampled estimator (qDRIFT, order-K qSWIFT, all-order, Trotter)
+returns one `EstimateReport`.
+
 Estimators own streams, budgets, shot readout and reduction. The `compiler`
 draw layer fills rows from streams derived as (seed, stream labels, variant,
 chunk of 32,768 rows) and turns them into op codes; `Kernel.evolve` runs the
@@ -85,8 +88,9 @@ class EstimatorConfig:
     observable may be an axes string or an Observable; only its axes are
     used, the ancilla-X flag is chosen by context (corrections measure the
     ancilla-dressed operator, baselines measure the system operator).
-    bucket_samples/bucket_shots override counts per correction n_vec; the
-    baseline (n_vec = ()) always takes n_sample_0 and n_shot_0.
+    bucket_samples/bucket_shots override counts per correction n_vec and
+    must be >= 1; the baseline (n_vec = ()) always takes n_sample_0 and
+    n_shot_0.
     """
 
     n_segments: int
@@ -110,6 +114,8 @@ class EstimatorConfig:
             raise ValueError("order must not exceed the segment count")
         if self.n_sample_0 < 1 or self.n_shot_0 < 1:
             raise ValueError("sample and shot counts must be >= 1")
+        if any(n < 1 for n in (*self.bucket_samples.values(), *self.bucket_shots.values())):
+            raise ValueError("bucket sample and shot overrides must be >= 1")
 
     def observable_axes(self, model: HamiltonianModel) -> str:
         obs = self.observable
@@ -122,16 +128,21 @@ class EstimatorConfig:
 
     def n_sample(self, n_vec: tuple) -> int:
         counts = self.bucket_samples if n_vec else {}
-        return max(1, int(counts.get(n_vec, self.n_sample_0)))
+        return int(counts.get(n_vec, self.n_sample_0))
 
     def n_shot(self, n_vec: tuple) -> int:
         counts = self.bucket_shots if n_vec else {}
-        return max(1, int(counts.get(n_vec, self.n_shot_0)))
+        return int(counts.get(n_vec, self.n_shot_0))
 
 
 @dataclass
 class EstimateReport:
-    """Estimate with its decomposition: value = baseline + sum of buckets."""
+    """Estimate with its decomposition: value = baseline + sum of buckets.
+
+    Every sampled estimator returns one. budgets maps each row label to its
+    n_sample and n_shot, plus the coeff that scales a bucket's mean (B^N
+    for the all-order baseline row).
+    """
 
     method: str
     value: float
@@ -143,6 +154,11 @@ class EstimateReport:
     seed: int
     budgets: dict
     exact_reference: float | None = None
+
+    @property
+    def n_sample(self) -> int:
+        """Draws of the baseline row."""
+        return self.budgets["baseline"]["n_sample"]
 
     def to_json_dict(self) -> dict:
         out = {
@@ -482,14 +498,6 @@ def exact_qswift_value(
 # ---------------------------------------------------------------------------
 # All-order estimator (zero systematic error), batched over trajectories.
 
-@dataclass(frozen=True)
-class AllOrderResult:
-    value: float
-    stderr: float
-    b_power: float
-    n_sample: int
-
-
 def all_order_stats(
     model: HamiltonianModel,
     t: float,
@@ -498,13 +506,14 @@ def all_order_stats(
     rng_seed,
     observable_axes: str | None = None,
     system_zero: bool = False,
-) -> AllOrderResult:
-    """Mean and standard error of the rescaled signed estimator.
+) -> EstimateReport:
+    """Zero-systematic-error estimate of Tr(Q U(rho)) and its standard error.
 
     Each segment draws a plain time operator with probability 1/B or a
     swift block of size n with probability beta(n)/B; trajectory signs
-    track the s draws and the mean is rescaled by B^N. Expectations are
-    read exactly per trajectory.
+    track the s draws and the mean is rescaled by B^N, the baseline row's
+    coeff. Expectations are read exactly per trajectory, so no shots are
+    simulated.
     """
     if n_sample < 1 or n_segments < 1:
         raise ValueError("need n_sample >= 1 and N >= 1")
@@ -515,7 +524,6 @@ def all_order_stats(
     thetas = signed_angles(model, tau_angle)
     b_norm, block_sizes, cat_probs = all_order_categories(tau_angle)
 
-
     def one_chunk(args):
         chunk_idx, _, m = args
         rng = derived_rng(int(rng_seed), _STREAM_ALL_ORDER, chunk_idx)
@@ -524,16 +532,18 @@ def all_order_stats(
 
     mean, var, _ = _pooled_stats(map(one_chunk, _chunk_sizes(n_sample)))
     b_power = b_norm**n_segments
-    return AllOrderResult(
-        value=b_power * mean, stderr=b_power * sqrt(var), b_power=b_power, n_sample=n_sample
+    value = b_power * mean
+    return EstimateReport(
+        method="ALLORDER",
+        value=value,
+        baseline=value,
+        bucket_values={},
+        stderr=b_power * sqrt(var),
+        plan_count=n_sample,
+        shot_count=0,
+        seed=int(rng_seed),
+        budgets={"baseline": {"n_sample": n_sample, "n_shot": 0, "coeff": b_power}},
     )
-
-
-def estimate_all_order(
-    model: HamiltonianModel, t: float, n_segments: int, n_sample: int, rng_seed
-) -> float:
-    """Zero-systematic-error estimate of Tr(Q U(rho)); see all_order_stats."""
-    return all_order_stats(model, t, n_segments, n_sample, rng_seed).value
 
 
 # ---------------------------------------------------------------------------

@@ -104,7 +104,7 @@ def test_criterion_02_channel_matches_unrolled_second_order():
 
 def test_criterion_03_error_scaling_slopes():
     started = time.perf_counter()
-    grid = np.array([8, 16, 32, 64])
+    grid = np.array([32, 64, 128, 256])
     rho = plus_density(1)
     q_ideal = oracle_value(ideal_channel(REF, REF_T), rho, PAULI_Z)
     slopes = {}

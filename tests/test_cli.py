@@ -229,7 +229,8 @@ def test_simulate_all_order(model_file, capsys):
     assert report["plan_count"] == 2000
     # every trajectory is read exactly: no measurement shots are simulated
     assert report["shot_count"] == 0
-    assert report["b_power"] > 1.0
+    assert report["budgets"]["baseline"]["coeff"] > 1.0
+    assert report["buckets"] == {}
     assert report["stderr"] > 0.0
     assert abs(report["value"] - report["exact_reference"]) <= 5 * report["stderr"]
 
@@ -291,6 +292,25 @@ def test_simulate_bad_inputs_exit_two(model_file, capsys):
         capsys,
     )
     assert rc == 2
+
+
+@pytest.mark.parametrize("method", ["qdrift", "qswift", "trotter", "rtrotter", "all-order"])
+def test_simulate_observable_checked_for_every_method(method, tmp_path, capsys):
+    path = tmp_path / "pair.txt"
+    path.write_text("0.5 XX\n0.3 ZI\n0.2 IZ\n")
+    base = [
+        "simulate", "--hamiltonian", str(path), "--method", method,
+        "--segments", "4", "--samples", "20", "--shots", "10", "--observable",
+    ]
+    values = []
+    for axes in ("zi", "ZI"):
+        rc, out, _ = run_cli(base + [axes], capsys)
+        assert rc == 0
+        values.append(json.loads(out)["value"])
+    assert values[0] == values[1]
+    rc, _, err = run_cli(base + ["Z"], capsys)
+    assert rc == 2
+    assert err.startswith("error:")
 
 
 def test_budget_formats(model_file, tmp_path, capsys):

@@ -19,7 +19,6 @@ from hamsim import (
     all_order_b,
     all_order_stats,
     correction_terms,
-    estimate_all_order,
     estimate_qdrift,
     estimate_qswift,
     estimate_trotter,
@@ -242,6 +241,9 @@ def test_config_validation():
         EstimatorConfig(n_segments=2, order=3)
     with pytest.raises(ValueError):
         EstimatorConfig(n_segments=2, n_sample_0=0)
+    for overrides in ({"bucket_samples": {(2,): 0}}, {"bucket_shots": {(2,): -1}}):
+        with pytest.raises(ValueError):
+            EstimatorConfig(n_segments=4, order=2, **overrides)
     config = EstimatorConfig(n_segments=2, observable="XX")
     with pytest.raises(ValueError):
         config.observable_axes(REF)
@@ -342,13 +344,13 @@ def test_all_order_unbiased_and_rescaled():
     t, n_seg, n_sample = 1.25, 8, 200_000
     res = all_order_stats(REF, t, n_seg, n_sample, rng_seed=42)
     b_norm = all_order_b(tau(REF, t, n_seg))
-    assert res.b_power == pytest.approx(b_norm**n_seg, rel=1e-12)
+    b_power = res.budgets["baseline"]["coeff"]
+    assert b_power == pytest.approx(b_norm**n_seg, rel=1e-12)
     assert res.n_sample == n_sample
     ideal = oracle_value(ideal_channel(REF, t), plus_density(1), PAULI_Z)
     assert abs(res.value - ideal) <= 5 * res.stderr
-    assert res.stderr <= res.b_power / np.sqrt(n_sample)
-    assert res.stderr >= 0.05 * res.b_power / np.sqrt(n_sample)
-    assert estimate_all_order(REF, t, n_seg, n_sample, 42) == res.value
+    assert res.stderr <= b_power / np.sqrt(n_sample)
+    assert res.stderr >= 0.05 * b_power / np.sqrt(n_sample)
 
 
 def test_all_order_seed_contract():

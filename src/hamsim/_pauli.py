@@ -3,7 +3,9 @@
 Register convention used across the package: qubit 0 is the most significant
 bit of the basis-state index, so a register of `width` qubits stores qubit q
 at bit position `width - 1 - q`, and np.kron(A, B) composes operators as
-A on the lower qubit indices, B on the higher ones.
+A on the lower qubit indices, B on the higher ones. `pauli_action` strings
+start at qubit 0 of the system register; the ancilla X of an X (x) Q
+readout is a swap of the two ancilla halves (`statevector.read_rows`).
 """
 
 from __future__ import annotations
@@ -83,14 +85,15 @@ class PauliAction:
         return _xor_perm(self.flip, self.dim), -self.scalar if odd else self.scalar, signs
 
 
-def pauli_action(axes: str, width: int, start: int = 0) -> PauliAction:
-    """PauliAction for `axes` occupying qubits start .. start+len(axes)-1."""
-    if start < 0 or start + len(axes) > width:
+def pauli_action(axes: str, width: int) -> PauliAction:
+    """PauliAction for `axes` on qubits 0 .. len(axes)-1 of a `width`-qubit
+    register."""
+    if len(axes) > width:
         raise ValueError("Pauli string does not fit the register")
     flip = 0
     sign_mask = 0
     n_y = 0
-    for q, axis in enumerate(axes, start=start):
+    for q, axis in enumerate(axes):
         bit = 1 << (width - 1 - q)
         if axis == "X":
             flip |= bit

@@ -60,8 +60,8 @@ def _write_output(text: str, path: str | None) -> None:
 def _load_model(path: str):
     try:
         return load_hamiltonian(path)
-    except FileNotFoundError:
-        print(f"error: hamiltonian file not found: {path}", file=sys.stderr)
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: cannot read hamiltonian file {path}: {exc}", file=sys.stderr)
         raise SystemExit(2)
     except HamsimError as exc:
         print(f"error: {exc}", file=sys.stderr)

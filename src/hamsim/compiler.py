@@ -12,9 +12,10 @@ order; every weighted draw is `draw_categorical`, `Generator.choice(p=)`
 replayed from the same uniforms. `statevector.Kernel.evolve` executes rows
 of op codes (CODE_DTYPE): with T terms, ell < T is a time operator on term
 ell, T + b T + ell the branch-b swift operator of term ell, and PAD (-1)
-nothing. The qDRIFT baseline is the correction bucket BASELINE (k = 0: no
-blocks, one variant, coefficient 1), drawn by the same
-`draw_swift_variant`. qDRIFT and Trotter term arrays are already codes;
+nothing; `check_code_range` refuses models whose codes do not fit, more
+than 10,922 terms, before any draw writes one. The qDRIFT baseline is the
+correction bucket BASELINE (k = 0: no blocks, one variant, coefficient 1),
+drawn by the same `draw_swift_variant`. qDRIFT and Trotter term arrays are already codes;
 `SwiftDraw.codes` expands the correction draws, and `draw_all_order_codes`
 packs all-order trajectories in place. The public samplers are m = 1
 draws, and `plan_from_codes`, the one decoder, replays any row of codes as
@@ -37,6 +38,13 @@ from .hamiltonian import HamiltonianModel, tau
 B_SERIES_RTOL = 1e-15
 CODE_DTYPE = np.int16
 PAD = -1
+
+
+def check_code_range(n_terms: int) -> None:
+    """Raise ValueError unless every op code of an n_terms model, up to
+    3 n_terms - 1, fits CODE_DTYPE: at most 10,922 terms."""
+    if 3 * n_terms > np.iinfo(CODE_DTYPE).max:
+        raise ValueError(f"{n_terms} terms overflow the op codes")
 
 
 def swift_codes(n_terms: int, b, terms) -> np.ndarray:
@@ -202,18 +210,18 @@ def randomized_trotter_plan(
 
 
 def draw_categorical(p, size, rng) -> np.ndarray:
-    """`rng.choice(len(p), size, p=p)` value for value, leaving rng in the
-    same state: one uniform u per draw, index = the count of cdf entries
-    <= u (the same binary search). CODE_DTYPE when the categories fit,
-    else intp."""
+    """`rng.choice(len(p), size, p=p)` value for value as CODE_DTYPE, leaving
+    rng in the same state: one uniform u per draw, index = the count of cdf
+    entries <= u (the same binary search). Model draws pass
+    check_code_range first, so every index fits."""
     cdf = np.cumsum(p)
     cdf /= cdf[-1]
-    dtype = CODE_DTYPE if cdf.size <= np.iinfo(CODE_DTYPE).max else np.intp
-    return cdf.searchsorted(rng.random(size), side="right").astype(dtype)
+    return cdf.searchsorted(rng.random(size), side="right").astype(CODE_DTYPE)
 
 
 def draw_qdrift(model: HamiltonianModel, n_segments: int, m: int, rng) -> np.ndarray:
     """(m, N) term indices (CODE_DTYPE) drawn iid from the importance weights."""
+    check_code_range(model.n_terms)
     return draw_categorical(model.probs, (m, n_segments), rng)
 
 
@@ -379,35 +387,34 @@ def all_order_b(tau_angle: float) -> float:
 
     Equals 2 e^{2 tau} - 1 - 4 tau; the series is the definition used here.
     """
-    if tau_angle < 0:
-        raise ValueError("tau must be nonnegative")
-    total = 1.0
-    n = 2
-    while True:
-        beta = 2.0 ** (n + 1) * tau_angle**n / factorial(n)
-        total += beta
-        if beta < B_SERIES_RTOL * total and n > 2:
-            return total
-        if n > 500:
-            return total
-        n += 1
+    return all_order_categories(tau_angle)[0]
 
 
 def all_order_categories(tau_angle: float):
     """(B, block sizes, category probabilities) of one all-order segment:
     a time operator with probability 1/B, else a block of size n with
-    beta(n)/B; the < 1e-15 of block mass left out folds into the former."""
-    b_norm = all_order_b(tau_angle)
-    sizes, weights = [], []
-    n = 2
+    beta(n)/B; the block mass left out folds into the former.
+
+    One pass sums beta(n) = 2^{n+1} tau^n / n! into B from 1.0 until the
+    first n > 2 with beta(n) < 1e-15 of the sum so far (or n = 501); the
+    blocks kept are n = 2, 3, ... before the first n > 2 with beta(n) <
+    1e-15 B, and at most n = 500.
+    """
+    if tau_angle < 0:
+        raise ValueError("tau must be nonnegative")
+    b_norm, betas, n = 1.0, [], 2
     while True:
         beta = 2.0 ** (n + 1) * tau_angle**n / factorial(n)
+        betas.append(beta)
+        b_norm += beta
         if (beta < B_SERIES_RTOL * b_norm and n > 2) or n > 500:
             break
-        sizes.append(n)
-        weights.append(beta / b_norm)
         n += 1
-    cat_probs = np.array([1.0 / b_norm] + weights)
+    # betas[i] is beta(i + 2); the blocks stop no later than the sum did
+    stop = next(i for i, beta in enumerate(betas)
+                if (i > 0 and beta < B_SERIES_RTOL * b_norm) or i > 498)
+    sizes = list(range(2, stop + 2))
+    cat_probs = np.array([1.0] + betas[:stop]) / b_norm
     cat_probs[0] += 1.0 - cat_probs.sum()
     return b_norm, sizes, cat_probs
 
@@ -438,6 +445,7 @@ def draw_all_order_segment(
 ) -> SegmentDraw:
     """Categories, then time-operator terms, then per block size s, b and
     terms from P_s^(n): iid for s = 0, one shared index for s = 1."""
+    check_code_range(model.n_terms)
     probs = model.probs
     cats = draw_categorical(cat_probs, m, rng)
     time_rows = np.flatnonzero(cats == 0)

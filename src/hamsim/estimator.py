@@ -17,6 +17,9 @@ loop estimates it and every correction bucket, the baseline on its own
 streams and on 2^n amplitudes (its ancilla stays idle). The exhaustive
 *_exact oracles evolve every draw of a bucket's support, the baseline's
 included, as a weighted row through the same `Kernel.evolve`.
+
+Every circuit starts from |+>^(n+1); a run chooses only N, K, the budgets,
+the seed and the observable (`EstimatorConfig`).
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from .compiler import (
 )
 from .errors import BudgetOverflow, CombinatorialCap
 from .hamiltonian import HamiltonianModel, tau
-from .statevector import Kernel, Observable
+from .statevector import Kernel
 
 # Stream labels separating the independent sampling contexts under one seed.
 _STREAM_BASELINE = 0
@@ -56,6 +59,7 @@ _SUB_PLAN = 0
 _SUB_SHOT = 1
 
 ENUMERATION_CAP = 10**6
+CIRCUIT_CAP = 10**7
 # Rows per derived stream; tiles bound the rows evolved at once. A row's
 # arithmetic is the same in any tile, so reports do not depend on tiling.
 _STREAM_CHUNK = 1 << 15
@@ -85,12 +89,11 @@ def _map_ordered(fn, items: list, threads: int) -> list:
 class EstimatorConfig:
     """Budgets, seed, and readout selection for one estimation run.
 
-    observable may be an axes string or an Observable; only its axes are
-    used, the ancilla-X flag is chosen by context (corrections measure the
-    ancilla-dressed operator, baselines measure the system operator).
-    bucket_samples/bucket_shots override counts per correction n_vec and
-    must be >= 1; the baseline (n_vec = ()) always takes n_sample_0 and
-    n_shot_0.
+    observable is a Pauli axes string on the system (default Z on qubit 0);
+    corrections read it dressed with ancilla X, baselines read it bare.
+    bucket_samples overrides n_sample_0 per correction n_vec and must be
+    >= 1; the baseline (n_vec = ()) always takes n_sample_0. Every row
+    reads n_shot_0 shots per circuit.
     """
 
     n_segments: int
@@ -98,11 +101,8 @@ class EstimatorConfig:
     n_sample_0: int = 100
     n_shot_0: int = 100
     seed: int = 42
-    observable: object | None = None
-    system_zero: bool = False
+    observable: str | None = None
     bucket_samples: dict = field(default_factory=dict)
-    bucket_shots: dict = field(default_factory=dict)
-    circuit_cap: int = 10**7
     threads: int | None = None
 
     def __post_init__(self):
@@ -114,25 +114,19 @@ class EstimatorConfig:
             raise ValueError("order must not exceed the segment count")
         if self.n_sample_0 < 1 or self.n_shot_0 < 1:
             raise ValueError("sample and shot counts must be >= 1")
-        if any(n < 1 for n in (*self.bucket_samples.values(), *self.bucket_shots.values())):
-            raise ValueError("bucket sample and shot overrides must be >= 1")
+        if any(n < 1 for n in self.bucket_samples.values()):
+            raise ValueError("bucket sample overrides must be >= 1")
 
     def observable_axes(self, model: HamiltonianModel) -> str:
-        obs = self.observable
-        if obs is None:
+        if self.observable is None:
             return "Z" + "I" * (model.n_qubits - 1)
-        axes = obs.axes if isinstance(obs, Observable) else str(obs)
-        if len(axes) != model.n_qubits:
+        if len(self.observable) != model.n_qubits:
             raise ValueError("observable width does not match the model")
-        return axes.upper()
+        return self.observable.upper()
 
     def n_sample(self, n_vec: tuple) -> int:
         counts = self.bucket_samples if n_vec else {}
         return int(counts.get(n_vec, self.n_sample_0))
-
-    def n_shot(self, n_vec: tuple) -> int:
-        counts = self.bucket_shots if n_vec else {}
-        return int(counts.get(n_vec, self.n_shot_0))
 
 
 @dataclass
@@ -247,13 +241,13 @@ def _eval_correction_stats(
     reports do not depend on tiling or thread count.
     """
     n_sample = config.n_sample(term.n_vec)
-    n_shot = config.n_shot(term.n_vec)
+    n_shot = config.n_shot_0
     total_circuits = term.n_variants * n_sample
-    if term.k and total_circuits > config.circuit_cap:
+    if term.k and total_circuits > CIRCUIT_CAP:
         raise BudgetOverflow(
-            f"bucket {term.n_vec} needs {total_circuits} circuits, cap {config.circuit_cap}"
+            f"bucket {term.n_vec} needs {total_circuits} circuits, cap {CIRCUIT_CAP}"
         )
-    kernel = Kernel(model, config.observable_axes(model), config.system_zero)
+    kernel = Kernel(model, config.observable_axes(model))
     thetas = signed_angles(model, tau(model, t, config.n_segments))
     variants = [
         (s_vec, b_vecs)
@@ -322,7 +316,7 @@ def _estimate(
         var_total += variance
         plan_count += plans
         shot_count += shots
-        budget = {"n_sample": config.n_sample(term.n_vec), "n_shot": config.n_shot(term.n_vec)}
+        budget = {"n_sample": config.n_sample(term.n_vec), "n_shot": config.n_shot_0}
         budgets[term.label] = {**budget, "coeff": term.coeff} if term.k else budget
     baseline = values.pop(BASELINE.n_vec)
     return EstimateReport(
@@ -367,7 +361,7 @@ def estimate_trotter(
     Deterministic: one plan, a batch of one, pools n_sample_0 * n_shot_0
     shots; stderr is the binomial sqrt((1 - v^2) / shots).
     """
-    kernel = Kernel(model, config.observable_axes(model), config.system_zero)
+    kernel = Kernel(model, config.observable_axes(model))
     seed = config.seed
     if randomized:
         thetas = trotter_thetas(model, t, r, order)
@@ -422,7 +416,6 @@ def eval_correction_exact(
     n_segments: int,
     term: CorrectionTerm,
     observable_axes: str | None = None,
-    system_zero: bool = False,
 ) -> float:
     """Bucket value with sigma, index, and filler draws fully enumerated.
 
@@ -442,7 +435,7 @@ def eval_correction_exact(
     )
     if size_est > ENUMERATION_CAP:
         raise CombinatorialCap(f"exhaustive bucket would enumerate ~{size_est} circuits")
-    kernel = Kernel(model, observable_axes, system_zero)
+    kernel = Kernel(model, observable_axes)
     thetas = signed_angles(model, tau(model, t, n_segments))
     probs = model.probs
     total = 0.0
@@ -470,14 +463,10 @@ def eval_correction_exact(
 
 
 def exact_qdrift_value(
-    model: HamiltonianModel,
-    t: float,
-    n_segments: int,
-    observable_axes: str | None = None,
-    system_zero: bool = False,
+    model: HamiltonianModel, t: float, n_segments: int, observable_axes: str | None = None
 ) -> float:
     """Baseline value with all plans enumerated by their probabilities."""
-    return eval_correction_exact(model, t, n_segments, BASELINE, observable_axes, system_zero)
+    return eval_correction_exact(model, t, n_segments, BASELINE, observable_axes)
 
 
 def exact_qswift_value(
@@ -486,11 +475,10 @@ def exact_qswift_value(
     n_segments: int,
     order: int,
     observable_axes: str | None = None,
-    system_zero: bool = False,
 ) -> float:
     """Exhaustive order-K value: enumerated baseline plus enumerated buckets."""
     return sum(
-        eval_correction_exact(model, t, n_segments, term, observable_axes, system_zero)
+        eval_correction_exact(model, t, n_segments, term, observable_axes)
         for term in [BASELINE, *correction_terms(model, t, n_segments, order)]
     )
 
@@ -505,7 +493,6 @@ def all_order_stats(
     n_sample: int,
     rng_seed,
     observable_axes: str | None = None,
-    system_zero: bool = False,
 ) -> EstimateReport:
     """Zero-systematic-error estimate of Tr(Q U(rho)) and its standard error.
 
@@ -519,7 +506,7 @@ def all_order_stats(
         raise ValueError("need n_sample >= 1 and N >= 1")
     if not isinstance(rng_seed, (int, np.integer)):
         raise TypeError("all-order sampling derives per-chunk streams, pass an int seed")
-    kernel = Kernel(model, observable_axes, system_zero)
+    kernel = Kernel(model, observable_axes)
     tau_angle = tau(model, t, n_segments)
     thetas = signed_angles(model, tau_angle)
     b_norm, block_sizes, cat_probs = all_order_categories(tau_angle)

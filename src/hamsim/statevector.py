@@ -2,8 +2,9 @@
 
 The register always holds n_qubits + 1 qubits with the ancilla at qubit 0
 (the most significant bit), so the two ancilla blocks of the amplitude
-vector are contiguous halves. Time operators act on the system register
-only; swift operators act on both. Total width is capped at 22 qubits.
+vector are contiguous halves. Every circuit starts from |+>^(n+1), the |+>
+ancilla times |+>^n. Time operators act on the system register only; swift
+operators act on both. Total width is capped at 22 qubits.
 
 All execution lives here. `Kernel.evolve` runs batches of rows (one
 amplitude vector each) from the op codes that `compiler` builds out of its
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._pauli import AXES, PauliAction, pauli_action
-from .compiler import CODE_DTYPE, SwiftOp, TimeOp, validate_plan
+from .compiler import CODE_DTYPE, SwiftOp, TimeOp, check_code_range, validate_plan
 from .errors import WidthOverflow
 from .hamiltonian import HamiltonianModel, PauliTerm
 
@@ -73,18 +74,13 @@ class Observable:
         return len(self.axes)
 
 
-def prepare_plus_input(n_qubits: int, system_zero: bool = False) -> State:
-    """|+> ancilla tensor (|+>^n or |0>^n) as the default circuit input."""
+def prepare_plus_input(n_qubits: int) -> State:
+    """|+>^(n+1), the |+> ancilla times |+>^n: the circuit input."""
     if n_qubits < 1 or n_qubits + 1 > MAX_TOTAL_QUBITS:
         raise WidthOverflow(
             f"system width {n_qubits} outside [1, {MAX_TOTAL_QUBITS - 1}]"
         )
-    half = 1 << n_qubits
-    system = np.zeros(half, dtype=complex)
-    if system_zero:
-        system[0] = 1.0
-    else:
-        system[:] = 1.0 / np.sqrt(half)
+    system = np.full(1 << n_qubits, 1.0 / np.sqrt(1 << n_qubits), dtype=complex)
     amps = np.concatenate([system, system]) / np.sqrt(2.0)
     return State(amplitudes=amps, n_qubits=n_qubits)
 
@@ -171,7 +167,7 @@ def _swift_coef(sign: int, unit: complex, signs: np.ndarray, b: int) -> np.ndarr
 
 
 class Kernel:
-    """Batched executor for one model, observable and input state.
+    """Batched executor for one model and observable.
 
     Rows evolve from op codes: with T terms, code ell < T is the time
     operator e^{i thetas[ell] P_ell}, code T + b T + ell the branch-b swift
@@ -179,23 +175,18 @@ class Kernel:
     plan instructions are 1-based.
     """
 
-    def __init__(
-        self, model: HamiltonianModel, observable_axes: str | None = None,
-        system_zero: bool = False,
-    ):
+    def __init__(self, model: HamiltonianModel, observable_axes: str | None = None):
         n = model.n_qubits
-        if 3 * model.n_terms > np.iinfo(CODE_DTYPE).max:
-            raise ValueError(f"{model.n_terms} terms overflow the op codes")
+        check_code_range(model.n_terms)
         self.n_qubits = n
         self.n_terms = model.n_terms
-        self.system_zero = system_zero
         self.signs = [term.sign for term in model.terms]
         self.factors = [pauli_action(term.axes, width=n).factors() for term in model.terms]
         self.obs_action = pauli_action(observable_axes or "Z" + "I" * (n - 1), width=n)
 
     def fresh(self, m: int, ancilla: bool = True) -> np.ndarray:
         """m rows of the input state, without the idle ancilla unless `ancilla`."""
-        init = prepare_plus_input(self.n_qubits, system_zero=self.system_zero).amplitudes
+        init = prepare_plus_input(self.n_qubits).amplitudes
         return np.tile(init if ancilla else init[: init.size // 2], (m, 1))
 
     def read(self, states: np.ndarray, ancilla_x: bool) -> np.ndarray:

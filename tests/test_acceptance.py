@@ -226,13 +226,19 @@ def test_criterion_10_bias_ordering_on_bundled_chain():
     errors = {"qdrift": [], "qswift2": [], "qswift3": []}
     for seed in range(6):
         base = dict(n_segments=n_seg, n_sample_0=20000, n_shot_0=100, seed=seed)
-        got1 = estimate_qdrift(model, t, EstimatorConfig(order=1, **base)).value
-        got2 = estimate_qswift(
-            model, t, EstimatorConfig(order=2, bucket_samples=buckets, **base)
-        ).value
-        got3 = estimate_qswift(
+        # orders nest: order 1 is the baseline and order 2 adds the (2,)
+        # bucket, on the same streams as their own runs
+        report = estimate_qswift(
             model, t, EstimatorConfig(order=3, bucket_samples=buckets, **base)
-        ).value
+        )
+        got1 = report.baseline
+        got2 = report.baseline + report.bucket_values[(2,)]
+        got3 = report.value
+        if seed == 0:
+            assert got1 == estimate_qdrift(model, t, EstimatorConfig(order=1, **base)).value
+            assert got2 == estimate_qswift(
+                model, t, EstimatorConfig(order=2, bucket_samples=buckets, **base)
+            ).value
         errors["qdrift"].append(abs(got1 - q_exact))
         errors["qswift2"].append(abs(got2 - q_exact))
         errors["qswift3"].append(abs(got3 - q_exact))

@@ -264,6 +264,33 @@ def test_simulate_malformed_file_exits_two(tmp_path, capsys):
     assert err.value.code == 2
 
 
+UNREADABLE_MODELS = {
+    "directory": lambda tmp: tmp,
+    "under_a_file": lambda tmp: tmp / "ref.txt" / "model.txt",
+    "not_utf8": lambda tmp: tmp / "latin1.txt",
+}
+LOADING_COMMANDS = {
+    "simulate": ["simulate", "--segments", "2", "--samples", "2", "--shots", "2"],
+    "budget": ["budget", "--segments", "8", "--order", "2", "--epsilon", "0.1"],
+    "analyze": ["analyze"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(LOADING_COMMANDS))
+@pytest.mark.parametrize("kind", sorted(UNREADABLE_MODELS))
+def test_unreadable_model_file_exits_two(kind, command, model_file, tmp_path, capsys):
+    # an unreadable --hamiltonian is bad input: one error line and exit 2,
+    # not a traceback
+    (tmp_path / "latin1.txt").write_bytes("0.5 X\n# caf\xe9\n".encode("latin-1"))
+    path = str(UNREADABLE_MODELS[kind](tmp_path))
+    argv = LOADING_COMMANDS[command] + ["--hamiltonian", path]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
 def test_simulate_width_overflow_exits_four(tmp_path, capsys):
     wide = tmp_path / "wide.txt"
     wide.write_text("1.0 " + "X" + "I" * 21 + "\n")

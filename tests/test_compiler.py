@@ -388,3 +388,30 @@ def test_draw_categorical_replays_generator_choice(case):
         assert ours.bit_generator.state == theirs.bit_generator.state
     if case == "zero_entries":
         assert set(np.unique(want)) == {1, 4, 5}
+
+
+def _wide_model(n_terms: int):
+    """n_terms distinct 7-qubit strings, the last one carrying almost all
+    the weight so the draws hit the largest op code 3 n_terms - 1."""
+    strings = ["".join("IXYZ"[(i >> (2 * q)) & 3] for q in range(7))
+               for i in range(1, n_terms + 1)]
+    coeffs = ["1e-6"] * (n_terms - 1) + ["1e3"]
+    return parse_hamiltonian("\n".join(f"{c} {s}" for c, s in zip(coeffs, strings)))
+
+
+def test_samplers_refuse_models_whose_codes_overflow():
+    # int16 op codes fit 3 * 10,922 - 1 = 32,765; one more term would wrap
+    # the largest swift code to a negative one
+    term = CorrectionTerm(k=1, n_vec=(2,), xi=2, coeff=1.0)
+    over = _wide_model(10923)
+    for sample in (
+        lambda: qdrift_plan(over, 1.0, 4, rng_seed=1),
+        lambda: sample_swift_plan(over, 1.0, 4, term, (0,), ((1, 1),), rng_seed=1),
+        lambda: sample_all_order_segment(over, 0.5, rng_seed=1),
+    ):
+        with pytest.raises(ValueError, match="overflow the op codes"):
+            sample()
+    edge = _wide_model(10922)
+    plan = sample_swift_plan(edge, 1.0, 4, term, (0,), ((1, 1),), rng_seed=1)
+    validate_plan(plan, edge)
+    assert plan.ops.count(SwiftOp(ell=10922, b=1)) == 2

@@ -48,10 +48,6 @@ def test_prepare_plus_input_layout():
     assert state.amplitudes.shape == (8,)
     assert state.norm == pytest.approx(1.0, abs=1e-15)
     assert np.allclose(state.amplitudes, np.full(8, 1 / np.sqrt(8)))
-    zero = prepare_plus_input(2, system_zero=True)
-    want = np.zeros(8)
-    want[0] = want[4] = 1 / np.sqrt(2)
-    assert np.allclose(zero.amplitudes, want)
 
 
 def test_prepare_plus_input_width_limits():
@@ -124,9 +120,9 @@ def test_expectation_matches_dense(with_x):
 
 
 def test_expectation_ancilla_x_on_product_input_reads_system_value():
-    # |+> ancilla times |0...0>: the cross term is real and equals <Q>
-    state = prepare_plus_input(2, system_zero=True)
-    assert expectation(state, Observable("ZZ", with_ancilla_x=True)) == pytest.approx(1.0)
+    # |+> ancilla times |+>^n: the cross term is real and equals <Q>
+    state = prepare_plus_input(2)
+    assert expectation(state, Observable("XX", with_ancilla_x=True)) == pytest.approx(1.0)
     assert expectation(state, Observable("XZ", with_ancilla_x=True)) == pytest.approx(0.0)
 
 

@@ -27,12 +27,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from math import comb, factorial
+from math import comb, exp, factorial, inf, isfinite, lgamma, log
+from sys import float_info
 
 import numpy as np
 
 from ._rng import as_rng
-from .errors import OrderExceedsSegments
+from .errors import AllOrderOverflow, OrderExceedsSegments
 from .hamiltonian import HamiltonianModel, tau
 
 B_SERIES_RTOL = 1e-15
@@ -189,10 +190,12 @@ def draw_trotter_terms(model: HamiltonianModel, r: int, order: int, rng) -> np.n
         raise ValueError("randomized variant supports orders 1 and 2")
     if r < 1:
         raise ValueError("repetition count must be >= 1")
-    perms = [rng.permutation(model.n_terms) for _ in range(r)]
+    # one permuted() call draws the same r rows, and leaves rng in the same
+    # state, as r permutation() calls
+    perms = rng.permuted(np.tile(np.arange(model.n_terms), (r, 1)), axis=1)
     if order == 2:
-        perms = [np.concatenate([perm, perm[::-1]]) for perm in perms]
-    return np.concatenate(perms)
+        perms = np.concatenate([perms, perms[:, ::-1]], axis=1)
+    return perms.ravel()
 
 
 def trotter_thetas(model: HamiltonianModel, t: float, r: int, order: int) -> list[float]:
@@ -390,32 +393,53 @@ def all_order_b(tau_angle: float) -> float:
     return all_order_categories(tau_angle)[0]
 
 
+def _block_weight(n: int, tau_angle: float) -> float:
+    """beta(n) = 2^{n+1} tau^n / n!: the float expression wherever it is
+    finite, else from lgamma in log space (inf past the float range)."""
+    try:
+        beta = 2.0 ** (n + 1) * tau_angle**n / factorial(n)
+        if isfinite(beta):
+            return beta
+    except OverflowError:
+        pass
+    log_beta = (n + 1) * log(2.0) + n * log(tau_angle) - lgamma(n + 1)
+    return exp(log_beta) if log_beta < log(float_info.max) else inf
+
+
 def all_order_categories(tau_angle: float):
     """(B, block sizes, category probabilities) of one all-order segment:
     a time operator with probability 1/B, else a block of size n with
-    beta(n)/B; the block mass left out folds into the former.
+    beta(n)/B.
 
-    One pass sums beta(n) = 2^{n+1} tau^n / n! into B from 1.0 until the
-    first n > 2 with beta(n) < 1e-15 of the sum so far (or n = 501); the
-    blocks kept are n = 2, 3, ... before the first n > 2 with beta(n) <
-    1e-15 B, and at most n = 500.
+    One pass sums beta(n) into B from 1.0 until the first n > max(2, 2 tau)
+    (past the mode of beta) with beta(n) < 1e-15 of the sum so far; the
+    blocks kept are n = 2, 3, ... before the first such n with beta(n) <
+    1e-15 B. The leftover 1 - sum (the dropped tail and rounding) folds
+    into the time operator while 1/B >= 1e-15; below that it would swamp
+    1/B, and draw_categorical's normalization spreads it instead. Raises
+    AllOrderOverflow when B is not finite or the blocks pass n = 500.
     """
     if tau_angle < 0:
         raise ValueError("tau must be nonnegative")
-    b_norm, betas, n = 1.0, [], 2
-    while True:
-        beta = 2.0 ** (n + 1) * tau_angle**n / factorial(n)
+    past_mode = max(2.0, 2.0 * tau_angle)
+    b_norm, betas = 1.0, []
+    for n in range(2, 502):
+        beta = _block_weight(n, tau_angle)
         betas.append(beta)
         b_norm += beta
-        if (beta < B_SERIES_RTOL * b_norm and n > 2) or n > 500:
+        if n > past_mode and beta < B_SERIES_RTOL * b_norm:
             break
-        n += 1
+    else:
+        raise AllOrderOverflow(f"all-order blocks at tau = {tau_angle!r} pass n = 500")
+    if not isfinite(b_norm):
+        raise AllOrderOverflow(f"all-order normalization B at tau = {tau_angle!r} overflows")
     # betas[i] is beta(i + 2); the blocks stop no later than the sum did
     stop = next(i for i, beta in enumerate(betas)
-                if (i > 0 and beta < B_SERIES_RTOL * b_norm) or i > 498)
+                if i + 2 > past_mode and beta < B_SERIES_RTOL * b_norm)
     sizes = list(range(2, stop + 2))
     cat_probs = np.array([1.0] + betas[:stop]) / b_norm
-    cat_probs[0] += 1.0 - cat_probs.sum()
+    if cat_probs[0] >= B_SERIES_RTOL:
+        cat_probs[0] += 1.0 - cat_probs.sum()
     return b_norm, sizes, cat_probs
 
 

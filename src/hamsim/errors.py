@@ -45,6 +45,11 @@ class OrderExceedsSegments(HamsimError):
     """Correction order K exceeds the segment count N."""
 
 
+class AllOrderOverflow(HamsimError):
+    """The all-order normalization B^N leaves the float range, or its blocks
+    pass the largest size sampled (n = 500)."""
+
+
 class BudgetOverflow(HamsimError):
     """A sampling request exceeds the configured circuit budget."""
 

@@ -46,7 +46,7 @@ from .compiler import (
     trotter_plan,
     trotter_thetas,
 )
-from .errors import BudgetOverflow, CombinatorialCap
+from .errors import AllOrderOverflow, BudgetOverflow, CombinatorialCap
 from .hamiltonian import HamiltonianModel, tau
 from .statevector import Kernel
 
@@ -373,11 +373,14 @@ def estimate_trotter(
                 for i in plan_ids
             ])
             vals = _evolve_read(kernel, terms, thetas, ancilla_x=False)
-            chunks.extend(
-                _shot_means(vals[row : row + 1], config.n_shot_0,
-                            derived_rng(seed, _STREAM_TROTTER, i, _SUB_SHOT))
-                for row, i in enumerate(plan_ids)
-            )
+            # _shot_means over the chunk, each plan's binomial drawn as a
+            # scalar from its own shot stream
+            p_plus = np.clip(0.5 * (1.0 + vals), 0.0, 1.0).tolist()
+            hits = np.array([
+                derived_rng(seed, _STREAM_TROTTER, i, _SUB_SHOT).binomial(config.n_shot_0, p)
+                for i, p in zip(plan_ids, p_plus)
+            ])
+            chunks.append(2.0 * hits / config.n_shot_0 - 1.0)
         value, var, plans = _pooled_stats([np.concatenate(chunks)])
         method, stderr, shots = f"RTS{order}", sqrt(var), config.n_shot_0
     else:
@@ -499,8 +502,9 @@ def all_order_stats(
     Each segment draws a plain time operator with probability 1/B or a
     swift block of size n with probability beta(n)/B; trajectory signs
     track the s draws and the mean is rescaled by B^N, the baseline row's
-    coeff. Expectations are read exactly per trajectory, so no shots are
-    simulated.
+    coeff; AllOrderOverflow when B^N is not finite. Expectations are read
+    exactly per trajectory, so no shots are simulated. Chunks run on
+    HAMSIM_THREADS worker threads and reduce in chunk order.
     """
     if n_sample < 1 or n_segments < 1:
         raise ValueError("need n_sample >= 1 and N >= 1")
@@ -517,8 +521,12 @@ def all_order_stats(
         codes, signs = draw_all_order_codes(model, n_segments, block_sizes, cat_probs, m, rng)
         return signs * _evolve_read(kernel, codes, thetas, ancilla_x=True)
 
-    mean, var, _ = _pooled_stats(map(one_chunk, _chunk_sizes(n_sample)))
-    b_power = b_norm**n_segments
+    try:
+        b_power = b_norm**n_segments
+    except OverflowError:
+        raise AllOrderOverflow(f"B^N = {b_norm!r}^{n_segments} overflows") from None
+    chunks = _map_ordered(one_chunk, list(_chunk_sizes(n_sample)), _worker_count(None))
+    mean, var, _ = _pooled_stats(chunks)
     value = b_power * mean
     return EstimateReport(
         method="ALLORDER",

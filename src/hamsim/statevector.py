@@ -9,11 +9,18 @@ operators act on both. Total width is capped at 22 qubits.
 All execution lives here. `Kernel.evolve` runs batches of rows (one
 amplitude vector each) from the op codes that `compiler` builds out of its
 draws: a small integer per instruction naming a time operator, a swift
-operator with its branch, or a pad. Each column of codes groups the rows
-that share an op, and each group is one call of the row functions
-`rotate_rows` / `swift_rows`, which update amplitudes in place from a
-precomputed permutation and phase. Rows whose ancilla stays idle (qDRIFT
-baselines, Trotter) evolve on 2^n amplitudes instead of 2^(n+1).
+operator with its branch, or a pad. It has two schedules, chosen by tile
+size alone. Tiles of more than ROW_SCHEDULE_AMPS (2^12) amplitudes group,
+per column of codes, the rows that share an op, and each group is one call
+of the row functions `rotate_rows` / `swift_rows`, which update amplitudes
+in place from a precomputed permutation and phase. Smaller tiles, where
+those calls cost more than their amplitudes, update every row at once per
+column as A * psi + C * psi[P], from one (A, C, P) table row per code.
+Every entry of A and C has one exactly zero component, so each product
+rounds as the row functions' do and both schedules give bit-identical
+states: reports do not depend on which one runs. Rows whose ancilla stays
+idle (qDRIFT baselines, Trotter) evolve on 2^n amplitudes instead of
+2^(n+1).
 `read_rows` is the one exact readout, in cache-sized blocks. `Kernel.run`
 executes arbitrary-angle plans one instruction at a time; the single-state
 functions are batches of one over it or the row functions.
@@ -32,6 +39,9 @@ from .hamiltonian import HamiltonianModel, PauliTerm
 
 MAX_TOTAL_QUBITS = 22
 READ_BLOCK_BYTES = 512 << 10
+# Largest tile (rows x row width) that Kernel.evolve runs on the per-row
+# schedule; measured crossover, see the README's "Library" section.
+ROW_SCHEDULE_AMPS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -200,18 +210,68 @@ class Kernel:
             return perm, _time_coef(unit, signs, thetas[ell]), np.cos(thetas[ell])
         return perm, _swift_coef(self.signs[ell], unit, signs, kind - 1), kind - 1
 
+    def _row_tables(self, codes, thetas, width: int) -> tuple:
+        """(A, C, P) rows of the per-row schedule, one per code: code u maps
+        a row to A[u] * psi + C[u] * psi[P[u]]. A time operator is (cos,
+        coefficient, perm) on every 2^n half; a branch-b swift operator is
+        (0, coefficient, perm) on ancilla half 1 - b and (1, 0, identity)
+        (b = 0) or (-i, 0, identity) (b = 1) on the other; PAD is (1, 0,
+        identity)."""
+        dim = 1 << self.n_qubits
+        ident = np.arange(width)
+        a = np.ones((len(codes), width), dtype=complex)
+        c = np.zeros_like(a)
+        p = np.tile(ident, (len(codes), 1))
+        for row, code in enumerate(codes):
+            if code < 0:
+                continue
+            perm, coef, extra = self._coef(code, thetas)
+            perm = ident[:dim] if perm is None else perm
+            if code < self.n_terms:
+                halves = range(0, width, dim)
+                a[row] = extra
+            elif width == dim:
+                raise ValueError("swift operators need the ancilla")
+            else:
+                halves = [dim * (1 - extra)]
+                a[row, halves[0] : halves[0] + dim] = 0
+                if extra:
+                    a[row, dim:] = -1j
+            for lo in halves:
+                c[row, lo : lo + dim] = coef
+                p[row, lo : lo + dim] = perm + lo
+        return a, c, p
+
     def evolve(self, states: np.ndarray, codes: np.ndarray, thetas) -> None:
         """Row i gets the ops codes[i, 0], codes[i, 1], ... in order.
 
-        Column by column, a stable radix argsort of the int16 codes groups
-        the rows that share an op, and each group gets one row-function
-        call; coefficients are built once per code per call.
+        Tiles of at most ROW_SCHEDULE_AMPS amplitudes take the per-row
+        schedule: each column gathers, multiplies and adds every row at
+        once from the table rows (`_row_tables`) of the codes the tile
+        holds. Larger tiles take the grouped one: column by column, a stable
+        radix argsort of the int16 codes groups the rows that share an op,
+        and each group gets one row-function call; coefficients are built
+        once per code per call. Both give bit-identical states.
         """
-        m = states.shape[0]
-        full = states.shape[1] == 2 << self.n_qubits
+        codes = np.asarray(codes, dtype=CODE_DTYPE)
+        m, width = states.shape
+        if states.size <= ROW_SCHEDULE_AMPS:
+            shifted = codes + 1  # PAD -> 0
+            present = np.flatnonzero(np.bincount(shifted.ravel(), minlength=3 * self.n_terms + 1))
+            table_row = np.zeros(3 * self.n_terms + 1, dtype=np.intp)
+            table_row[present] = np.arange(present.size)
+            a, c, p = self._row_tables((present - 1).tolist(), thetas, width)
+            offsets = np.arange(0, m * width, width)[:, None]
+            for col in table_row[shifted.T]:
+                gathered = states.reshape(-1)[p[col] + offsets]
+                gathered *= c[col]
+                states *= a[col]
+                states += gathered
+            return
+        full = width == 2 << self.n_qubits
         n_terms = self.n_terms
         coefs = {}
-        for col in np.asarray(codes, dtype=CODE_DTYPE).T.copy():
+        for col in codes.T.copy():
             order = np.argsort(col, kind="stable")
             ranked = col[order]
             cuts = (np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist()

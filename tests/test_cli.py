@@ -7,6 +7,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hamsim
@@ -233,6 +234,20 @@ def test_simulate_all_order(model_file, capsys):
     assert report["buckets"] == {}
     assert report["stderr"] > 0.0
     assert abs(report["value"] - report["exact_reference"]) <= 5 * report["stderr"]
+
+
+def test_simulate_all_order_at_large_tau(capsys):
+    # chain_4q at N = 1: t = 40 is tau = 114 and runs; at t = 400 the block
+    # sizes pass n = 500 and B^N overflows, which exits 2
+    chain = str(resources.files("hamsim").joinpath("data/chain_4q.txt"))
+    base = ["simulate", "--hamiltonian", chain, "--method", "all-order",
+            "--segments", "1", "--samples", "50", "--t"]
+    rc, out, _ = run_cli(base + ["40"], capsys)
+    assert rc == 0
+    assert np.isfinite(json.loads(out)["budgets"]["baseline"]["coeff"])
+    rc, _, err = run_cli(base + ["400"], capsys)
+    assert rc == 2
+    assert err.startswith("error:")
 
 
 def test_simulate_writes_output_file(model_file, tmp_path, capsys):

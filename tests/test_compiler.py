@@ -1,7 +1,7 @@
 """Plan construction: product formulas, importance sampling, correction buckets."""
 
 from importlib import resources
-from math import comb,exp, factorial
+from math import comb, exp, factorial
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from hamsim import (
+    AllOrderOverflow,
     CorrectionTerm,
     GatePlan,
     OrderExceedsSegments,
@@ -34,6 +35,7 @@ from hamsim.compiler import (
     SwiftDraw,
     all_order_categories,
     draw_categorical,
+    draw_trotter_terms,
     plan_from_codes,
     signed_angles,
 )
@@ -128,6 +130,32 @@ def test_randomized_trotter_order_two_mirrors_each_segment():
     for seg in range(3):
         chunk = plan.ops[seg * per : (seg + 1) * per]
         assert chunk == tuple(reversed(chunk))
+
+
+def trotter_terms_loop(n_terms: int, r: int, order: int, rng) -> np.ndarray:
+    """The former draw_trotter_terms, kept as the reference for the one
+    permuted() call: a permutation() per segment, mirrored for order 2."""
+    perms = [rng.permutation(n_terms) for _ in range(r)]
+    if order == 2:
+        perms = [np.concatenate([perm, perm[::-1]]) for perm in perms]
+    return np.concatenate(perms)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_draw_trotter_terms_matches_permutation_loop(order):
+    # the same terms, and the generator left in the same state
+    for n_terms in (1, 2, 3, 7, 23):
+        model = parse_hamiltonian("\n".join(
+            f"0.{i % 9 + 1} " + "".join("IXYZ"[(i >> (2 * q)) & 3] for q in range(3))
+            for i in range(1, n_terms + 1)
+        ))
+        for r in (1, 2, 16, 33):
+            for seed in range(5):
+                ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = draw_trotter_terms(model, r, order, ours)
+                want = trotter_terms_loop(n_terms, r, order, theirs)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+                assert ours.random() == theirs.random()
 
 
 def test_randomized_trotter_rejects_higher_orders():
@@ -324,6 +352,30 @@ def test_all_order_b_matches_closed_form(tau_angle):
 def test_all_order_b_rejects_negative():
     with pytest.raises(ValueError):
         all_order_b(-0.1)
+
+
+@pytest.mark.parametrize("tau_angle", [23.0, 30.0])
+def test_all_order_categories_keep_the_mass_at_large_tau(tau_angle):
+    # the blocks run past the mode n ~ 2 tau, where nearly all of B sits,
+    # and the time operator keeps probability 1/B (5e-21 at tau = 23)
+    b_norm, sizes, cat_probs = all_order_categories(tau_angle)
+    assert b_norm == pytest.approx(2.0 * exp(2.0 * tau_angle) - 1.0 - 4.0 * tau_angle, rel=1e-13)
+    assert cat_probs[0] == pytest.approx(1.0 / b_norm, rel=1e-12)
+    assert sizes[0] == 2 and sizes[-1] > 2 * tau_angle
+    assert cat_probs.sum() == pytest.approx(1.0, abs=1e-13)
+
+
+def test_all_order_categories_past_the_float_range():
+    # tau = 114 (chain_4q at t = 40, N = 1): beta(n) overflows the float
+    # expression from n = 131 on and comes from lgamma; B stays finite
+    b_norm, sizes, cat_probs = all_order_categories(114.0)
+    assert b_norm == pytest.approx(2.0 * exp(228.0), rel=1e-13)
+    assert 228 < sizes[-1] < 500
+    assert np.isfinite(cat_probs).all()
+    # the mode passes n = 500, or B itself overflows
+    for tau_angle in (300.0, 1140.0):
+        with pytest.raises(AllOrderOverflow):
+            all_order_categories(tau_angle)
 
 
 def test_sample_all_order_segment_shapes():

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from hamsim import (
+    AllOrderOverflow,
     BudgetOverflow,
     CombinatorialCap,
     EstimatorConfig,
@@ -59,7 +60,7 @@ from hamsim.compiler import (
     swift_codes,
     trotter_thetas,
 )
-from hamsim import estimator
+from hamsim import estimator, statevector
 from hamsim.estimator import _shot_means
 from hamsim.statevector import Kernel
 
@@ -413,6 +414,12 @@ def test_golden_values_on_bundled_chain():
     assert estimate_trotter(CHAIN, 1.0, 16, 2, False, config).value == 0.2667999999999999
 
 
+def test_all_order_power_overflow_is_refused():
+    # tau = 99.75: B = 2e^{199.5} is finite, B^4 is not
+    with pytest.raises(AllOrderOverflow):
+        all_order_stats(CHAIN, 140.0, 4, 10, rng_seed=1)
+
+
 def _replayed(model, ops, axes, ancilla_x) -> float:
     plan = GatePlan(ops=tuple(ops), n_segments=1, method_tag="REPLAY")
     state = run_plan(prepare_plus_input(model.n_qubits), plan, model)
@@ -511,25 +518,36 @@ def test_batched_rows_replay_as_plans(m):
 
 
 def _tiled_reports(threads: int) -> tuple:
-    """Every batched estimator and both oracles on chain_4q at small sizes."""
+    """Every batched estimator and both oracles on chain_4q at small sizes;
+    all-order takes its worker count from HAMSIM_THREADS."""
     base = dict(n_segments=4, n_sample_0=40, n_shot_0=10, seed=11, threads=threads)
     buckets = {(2,): 5, (3,): 3, (4,): 2, (2, 2): 2}
     return (
         estimate_qdrift(CHAIN, 1.0, EstimatorConfig(**base)),
         estimate_qswift(CHAIN, 1.0, EstimatorConfig(order=3, bucket_samples=buckets, **base)),
         all_order_stats(CHAIN, 1.0, 4, 50, 11),
+        estimate_trotter(CHAIN, 1.0, 4, 2, True, EstimatorConfig(**base)),
+        estimate_trotter(CHAIN, 1.0, 4, 1, False, EstimatorConfig(**base)),
         exact_qswift_value(CHAIN, 0.5, 2, 2, "ZIII"),
     )
 
 
 def test_reports_independent_of_tiles_and_threads(monkeypatch):
-    # tiles and tile batches only schedule rows: any tile bound and worker
-    # count gives == reports, the exhaustive oracles included
+    # tiles, tile batches and the evolve schedule only schedule rows: any
+    # tile bound, worker count and ROW_SCHEDULE_AMPS (0: every tile
+    # grouped, 2^40: every tile per row) gives == reports, the exhaustive
+    # oracles included. 16-row stream chunks give every sampled estimator
+    # several chunks for the workers
+    monkeypatch.setattr(estimator, "_STREAM_CHUNK", 16)
+    monkeypatch.setenv("HAMSIM_THREADS", "1")
     want = _tiled_reports(threads=1)
-    for tile_rows in (1, 3, estimator._TILE_ROWS):
-        monkeypatch.setattr(estimator, "_TILE_ROWS", tile_rows)
-        for threads in (1, 2):
-            assert _tiled_reports(threads) == want, (tile_rows, threads)
+    for row_amps in (0, 1 << 40):
+        monkeypatch.setattr(statevector, "ROW_SCHEDULE_AMPS", row_amps)
+        for tile_rows in (1, 3, estimator._TILE_ROWS):
+            monkeypatch.setattr(estimator, "_TILE_ROWS", tile_rows)
+            for threads in (1, 2):
+                monkeypatch.setenv("HAMSIM_THREADS", str(threads))
+                assert _tiled_reports(threads) == want, (row_amps, tile_rows, threads)
 
 
 def test_wide_register_memory_stays_tiled():

@@ -1,5 +1,7 @@
 """Statevector engine versus dense linear-algebra oracles."""
 
+from importlib import resources
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -15,10 +17,13 @@ from hamsim import (
     apply_pauli_rotation,
     apply_swift_op,
     expectation,
+    load_hamiltonian,
     parse_hamiltonian,
     prepare_plus_input,
     run_plan,
 )
+from hamsim import statevector
+from hamsim.compiler import PAD
 from hamsim.statevector import Kernel
 
 PAULI_1Q = {
@@ -176,3 +181,39 @@ def test_kernel_swift_codes_need_the_ancilla():
     kernel = Kernel(parse_hamiltonian("1.0 XI\n0.5 ZZ"))
     with pytest.raises(ValueError, match="ancilla"):
         kernel.evolve(kernel.fresh(2, ancilla=False), np.array([[0], [2]]), [0.1, 0.2])
+
+
+SCHEDULE_MODELS = {
+    "chain_4q": load_hamiltonian(str(resources.files("hamsim").joinpath("data/chain_4q.txt"))),
+    "reference_1q": parse_hamiltonian("0.5 X\n0.3 Z"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCHEDULE_MODELS))
+def test_kernel_schedules_give_identical_states(name, monkeypatch):
+    # ROW_SCHEDULE_AMPS = 0 sends every tile to the grouped schedule, a
+    # bound above every tile sends it to the per-row one. Every entry of
+    # the per-row tables has one zero component, so the two agree bit for
+    # bit: time, swift and PAD codes on full rows, time and PAD codes on
+    # rows without the ancilla
+    model = SCHEDULE_MODELS[name]
+    kernel = Kernel(model)
+    n_terms = model.n_terms
+    rng = np.random.default_rng(31)
+    thetas = rng.uniform(-np.pi, np.pi, n_terms).tolist()
+    m, cols = 60, 17
+    mixed = rng.integers(PAD, 3 * n_terms, size=(m, cols))
+    time_only = rng.integers(PAD, n_terms, size=(m, cols))
+    for width, codes in ((2 << model.n_qubits, mixed), (1 << model.n_qubits, time_only)):
+        start = rng.normal(size=(m, width)) + 1j * rng.normal(size=(m, width))
+        rows = {}
+        for bound in (0, 1 << 40):
+            monkeypatch.setattr(statevector, "ROW_SCHEDULE_AMPS", bound)
+            rows[bound] = start.copy()
+            kernel.evolve(rows[bound], codes, thetas)
+        assert not np.array_equal(rows[0], start)
+        assert np.array_equal(rows[0], rows[1 << 40])
+    for bound in (0, 1 << 40):
+        monkeypatch.setattr(statevector, "ROW_SCHEDULE_AMPS", bound)
+        with pytest.raises(ValueError, match="^swift operators need the ancilla$"):
+            kernel.evolve(kernel.fresh(m, ancilla=False), mixed, thetas)

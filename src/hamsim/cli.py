@@ -5,6 +5,9 @@ Subcommands: `analyze` sweeps the analytic bounds into a CSV table,
 as JSON, with the same keys for every method, `budget` prints the
 sampling-budget planner, and `verify` runs the named self-check suites.
 `--observable` is case-insensitive and must match the model width.
+`simulate` still exits 0 but prints a `warning:` line on stderr when the
+report's 1-sigma interval is wider than [-1, 1], the range of a Pauli
+expectation (all-order at large tau, where B^N dwarfs the observable).
 Exit codes: 0 success, 1 failed verification, 2 input or parse errors,
 3 table rows hit a vacuous/above-cap bound (rows are still written, with
 gates=NA), 4 width over the simulator cap.
@@ -129,6 +132,10 @@ def cmd_simulate(args) -> int:
     except (HamsimError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if report.stderr > 1:
+        # a Pauli expectation lies in [-1, 1], so a wider 1-sigma interval says nothing
+        print(f"warning: stderr {report.stderr:.3g} exceeds the [-1, 1] range of "
+              "the observable; the estimate carries no information", file=sys.stderr)
     _write_output(json.dumps(report.to_json_dict(), indent=2), args.out)
     return 0
 

@@ -6,18 +6,20 @@ the term sign already folded in, so the executor applies e^{i angle P}
 without consulting the sign again. SwiftOp instructions name a term and a
 branch b; the sign folds into the controlled part at execution time.
 
-This module is the package's one sampler: the draw_* functions return
-0-based term-index arrays for m rows, consuming their generator in a fixed
-order; every weighted draw is `draw_categorical`, `Generator.choice(p=)`
+This module is the package's one sampler: the draw_* functions draw m
+rows of 0-based term indices or op codes, consuming their generator in a
+fixed order; every weighted draw is `draw_categorical`, `Generator.choice(p=)`
 replayed from the same uniforms. `statevector.Kernel.evolve` executes rows
 of op codes (CODE_DTYPE): with T terms, ell < T is a time operator on term
 ell, T + b T + ell the branch-b swift operator of term ell, and PAD (-1)
 nothing; `check_code_range` refuses models whose codes do not fit, more
-than 10,922 terms, before any draw writes one. The qDRIFT baseline is the
-correction bucket BASELINE (k = 0: no blocks, one variant, coefficient 1),
-drawn by the same `draw_swift_variant`. qDRIFT and Trotter term arrays are already codes;
-`SwiftDraw.codes` expands the correction draws, and `draw_all_order_codes`
-packs all-order trajectories in place. The public samplers are m = 1
+than 10,922 terms, in `draw_qdrift` and `draw_all_order_codes` before any
+code is written. The qDRIFT baseline is the correction bucket BASELINE
+(k = 0: no blocks, one variant, coefficient 1), drawn by the same
+`draw_swift_variant`. qDRIFT and Trotter term arrays are already codes;
+`SwiftDraw.codes` expands the correction draws, and `draw_all_order_codes`,
+the one all-order draw, writes each segment's time codes, swift codes and
+signs straight into the growing code array. The public samplers are m = 1
 draws, and `plan_from_codes`, the one decoder, replays any row of codes as
 a plan.
 """
@@ -415,9 +417,10 @@ def all_order_categories(tau_angle: float):
     (past the mode of beta) with beta(n) < 1e-15 of the sum so far; the
     blocks kept are n = 2, 3, ... before the first such n with beta(n) <
     1e-15 B. The leftover 1 - sum (the dropped tail and rounding) folds
-    into the time operator while 1/B >= 1e-15; below that it would swamp
-    1/B, and draw_categorical's normalization spreads it instead. Raises
-    AllOrderOverflow when B is not finite or the blocks pass n = 500.
+    into the largest category: the time operator below tau = 1/2, else the
+    block at the mode of beta, where it moves the weight least; every other
+    category keeps exactly its 1/B or beta(n)/B. Raises AllOrderOverflow
+    when B is not finite or the blocks pass n = 500.
     """
     if tau_angle < 0:
         raise ValueError("tau must be nonnegative")
@@ -438,77 +441,47 @@ def all_order_categories(tau_angle: float):
                 if i + 2 > past_mode and beta < B_SERIES_RTOL * b_norm)
     sizes = list(range(2, stop + 2))
     cat_probs = np.array([1.0] + betas[:stop]) / b_norm
-    if cat_probs[0] >= B_SERIES_RTOL:
-        cat_probs[0] += 1.0 - cat_probs.sum()
+    cat_probs[np.argmax(cat_probs)] += 1.0 - cat_probs.sum()
     return b_norm, sizes, cat_probs
-
-
-@dataclass(frozen=True)
-class SwiftBlock:
-    """Rows of a segment batch that drew one block size, with their sign
-    bits s (r,), branch bits b (r, n) and terms (r, n)."""
-
-    rows: np.ndarray
-    s: np.ndarray
-    b: np.ndarray
-    terms: np.ndarray
-
-
-@dataclass(frozen=True)
-class SegmentDraw:
-    """One all-order segment for m rows: time-operator rows and terms, and a
-    SwiftBlock per drawn block size."""
-
-    time_rows: np.ndarray
-    time_terms: np.ndarray
-    blocks: tuple
-
-
-def draw_all_order_segment(
-    model: HamiltonianModel, block_sizes, cat_probs, m: int, rng
-) -> SegmentDraw:
-    """Categories, then time-operator terms, then per block size s, b and
-    terms from P_s^(n): iid for s = 0, one shared index for s = 1."""
-    check_code_range(model.n_terms)
-    probs = model.probs
-    cats = draw_categorical(cat_probs, m, rng)
-    time_rows = np.flatnonzero(cats == 0)
-    time_terms = draw_categorical(probs, time_rows.size, rng)  # size 0 draws no uniform
-    blocks = []
-    for cat_id, n in enumerate(block_sizes, start=1):
-        rows = np.flatnonzero(cats == cat_id)
-        if not rows.size:
-            continue
-        s = rng.integers(0, 2, size=rows.size)
-        b = rng.integers(0, 2, size=(rows.size, n))
-        iid = draw_categorical(probs, (rows.size, n), rng)
-        one = draw_categorical(probs, rows.size, rng)
-        terms = np.where(s[:, None] == 1, one[:, None], iid)
-        blocks.append(SwiftBlock(rows=rows, s=s, b=b, terms=terms))
-    return SegmentDraw(time_rows=time_rows, time_terms=time_terms, blocks=tuple(blocks))
 
 
 def draw_all_order_codes(
     model: HamiltonianModel, n_segments: int, block_sizes, cat_probs, m: int, rng
 ) -> tuple:
     """(m, L) op codes and trajectory signs of N all-order segments drawn in
-    turn: each segment's ops go into one growing code array right after the
-    row's earlier ops, PAD after its last, L the longest row."""
+    turn. Each segment draws its categories (0 a time operator, i a block
+    of size block_sizes[i - 1]), then the time-operator terms, then per
+    block size the sign bits s, branch bits b and terms from P_s^(n): iid
+    for s = 0, one shared index for s = 1. Its ops go into one growing code
+    array right after the row's earlier ops, PAD after its last, L the
+    longest row; a block's sign (-1)^s multiplies its row's sign."""
+    check_code_range(model.n_terms)
+    probs = model.probs
+    widths = np.array([1, *block_sizes])
     codes = np.full((m, 2 * n_segments), PAD, dtype=CODE_DTYPE)
     fill = np.zeros(m, dtype=np.intp)
     signs = np.ones(m)
     for _ in range(n_segments):
-        draw = draw_all_order_segment(model, block_sizes, cat_probs, m, rng)
-        width = fill.max(initial=0) + max([1] + [block.terms.shape[1] for block in draw.blocks])
+        cats = draw_categorical(cat_probs, m, rng)
+        step = widths[cats]
+        width = fill.max(initial=0) + step.max(initial=1)
         if width > codes.shape[1]:
             codes = np.pad(codes, ((0, 0), (0, width)), constant_values=PAD)
-        codes[draw.time_rows, fill[draw.time_rows]] = draw.time_terms
-        fill[draw.time_rows] += 1
-        for block in draw.blocks:
-            cols = fill[block.rows, None] + np.arange(block.terms.shape[1])
-            codes[block.rows[:, None], cols] = swift_codes(model.n_terms, block.b, block.terms)
-            fill[block.rows] += block.terms.shape[1]
-            signs[block.rows] *= 1.0 - 2.0 * block.s
+        rows = np.flatnonzero(cats == 0)
+        codes[rows, fill[rows]] = draw_categorical(probs, rows.size, rng)  # size 0 draws no uniform
+        for cat_id, n in enumerate(block_sizes, start=1):
+            rows = np.flatnonzero(cats == cat_id)
+            if not rows.size:
+                continue
+            s = rng.integers(0, 2, size=rows.size)
+            b = rng.integers(0, 2, size=(rows.size, n))
+            iid = draw_categorical(probs, (rows.size, n), rng)
+            one = draw_categorical(probs, rows.size, rng)
+            terms = np.where(s[:, None] == 1, one[:, None], iid)
+            cols = fill[rows, None] + np.arange(n)
+            codes[rows[:, None], cols] = swift_codes(model.n_terms, b, terms)
+            signs[rows] *= 1.0 - 2.0 * s
+        fill += step
     return codes[:, : fill.max(initial=0)], signs
 
 
@@ -524,7 +497,8 @@ def sample_all_order_segment(
     model: HamiltonianModel, tau_angle: float, rng_seed
 ) -> AllOrderSegment:
     """Draw a qDRIFT segment with probability 1/B, else an n-swift block
-    with sign (-1)^s, uniform s and branch bits (see draw_all_order_segment)."""
+    with sign (-1)^s, uniform s and branch bits: draw_all_order_codes for
+    one segment and one row."""
     _, block_sizes, cat_probs = all_order_categories(tau_angle)
     codes, signs = draw_all_order_codes(model, 1, block_sizes, cat_probs, 1, as_rng(rng_seed))
     plan = plan_from_codes(model, codes[0], signed_angles(model, tau_angle), 1, "ALLORDER")

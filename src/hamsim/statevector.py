@@ -35,7 +35,7 @@ import numpy as np
 from ._pauli import AXES, PauliAction, pauli_action
 from .compiler import CODE_DTYPE, SwiftOp, TimeOp, check_code_range, validate_plan
 from .errors import WidthOverflow
-from .hamiltonian import HamiltonianModel, PauliTerm
+from .hamiltonian import HamiltonianModel
 
 MAX_TOTAL_QUBITS = 22
 READ_BLOCK_BYTES = 512 << 10
@@ -318,16 +318,6 @@ def apply_pauli_rotation(state: State, axes: str, theta: float) -> State:
     rows = state.amplitudes[None, :].copy()
     perm, unit, signs = pauli_action(axes, width=state.n_qubits).factors()
     rotate_rows(rows, slice(None), perm, _time_coef(unit, signs, theta), np.cos(theta))
-    return State(amplitudes=rows[0], n_qubits=state.n_qubits)
-
-
-def apply_swift_op(state: State, term: PauliTerm, b: int) -> State:
-    """Apply the swift operator S^(b) for H_ell = sign * P (see swift_rows)."""
-    if b not in (0, 1):
-        raise ValueError("swift branch b must be 0 or 1")
-    rows = state.amplitudes[None, :].copy()
-    perm, unit, signs = pauli_action(term.axes, width=state.n_qubits).factors()
-    swift_rows(rows, slice(None), perm, _swift_coef(term.sign, unit, signs, b), b)
     return State(amplitudes=rows[0], n_qubits=state.n_qubits)
 
 

@@ -2,9 +2,10 @@
 
 Each check is independent and returns a CheckResult; the CLI `verify`
 command runs a suite and reports one line per check. The checks rebuild
-channels from the statevector executor where possible, so a sign slip in
-the gate implementations shows up here even when the dense oracle is
-internally consistent.
+channels from the statevector executor where possible, and the gate checks
+evolve through `Kernel.evolve` on both of its schedules, the ones that
+produce reports, so a sign slip in the gate implementations shows up here
+even when the dense oracle is internally consistent.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from ._pauli import pauli_matrix
 from .bounds import qdrift_bound, qswift_bound, solve_min_n
-from .compiler import GatePlan, TimeOp, all_order_b, correction_terms, qdrift_plan
+from .compiler import all_order_b, correction_terms, qdrift_plan, signed_angles, swift_codes
 from .errors import VacuousRegion
 from .estimator import (
     all_order_stats,
@@ -34,7 +35,7 @@ from .exact_channels import (
     term_unitary,
 )
 from .hamiltonian import HamiltonianModel, PauliTerm, parse_hamiltonian, tau, to_text
-from .statevector import State, apply_swift_op, run_plan
+from .statevector import ROW_SCHEDULE_AMPS, Kernel, State, run_plan
 
 REFERENCE_TEXT = "0.5 X\n0.3 Z\n"
 
@@ -94,18 +95,17 @@ def check_qswift2_unroll() -> CheckResult:
     return CheckResult("qswift2-unroll", err < 1e-10, f"frobenius error {err:.2e}")
 
 
-def _swift_conjugation_sum(term: PauliTerm) -> list[np.ndarray]:
-    """U_b matrices rebuilt column-by-column from the statevector executor."""
-    dim = 2 ** (term.n_qubits + 1)
+def _kernel_matrices(model: HamiltonianModel, codes, thetas) -> list[np.ndarray]:
+    """Full-register unitary of one row of op codes, rebuilt column by column
+    by Kernel.evolve from the basis rows, once per schedule: the basis rows
+    alone are a per-row tile, tiled past ROW_SCHEDULE_AMPS a grouped one."""
+    kernel = Kernel(model)
+    dim = 2 << model.n_qubits
     mats = []
-    for b in (0, 1):
-        cols = []
-        for i in range(dim):
-            amps = np.zeros(dim, dtype=complex)
-            amps[i] = 1.0
-            out = apply_swift_op(State(amps, term.n_qubits), term, b)
-            cols.append(out.amplitudes)
-        mats.append(np.column_stack(cols))
+    for reps in (1, ROW_SCHEDULE_AMPS // dim**2 + 1):
+        states = np.tile(np.eye(dim, dtype=complex), (reps, 1))
+        kernel.evolve(states, np.tile(codes, (len(states), 1)), thetas)
+        mats.append(states[:dim].T)
     return mats
 
 
@@ -116,21 +116,22 @@ def check_swift_sum() -> CheckResult:
     rng = np.random.default_rng(23)
     for axes in "IXYZ":
         for sign in (1, -1):
-            term = PauliTerm(axes=axes, strength=1.0, sign=sign)
+            model = HamiltonianModel((PauliTerm(axes=axes, strength=1.0, sign=sign),))
             h_mat = sign * pauli_matrix(axes)
-            u0, u1 = _swift_conjugation_sum(term)
+            u0s, u1s = (_kernel_matrices(model, [swift_codes(1, b, 0)], [0.0]) for b in (0, 1))
             for _ in range(3):
                 block = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
                 rho = np.zeros((4, 4), dtype=complex)
                 rho[:2, 2:] = block
                 rho[2:, :2] = block.conj().T
-                total = u0 @ rho @ u0.conj().T + u1 @ rho @ u1.conj().T
                 want01 = 1j * (h_mat @ block - block @ h_mat)
-                worst = max(
-                    worst,
-                    float(np.abs(total[:2, 2:] - want01).max()),
-                    float(np.abs(total[2:, :2] - want01.conj().T).max()),
-                )
+                for u0, u1 in zip(u0s, u1s):
+                    total = u0 @ rho @ u0.conj().T + u1 @ rho @ u1.conj().T
+                    worst = max(
+                        worst,
+                        float(np.abs(total[:2, 2:] - want01).max()),
+                        float(np.abs(total[2:, :2] - want01.conj().T).max()),
+                    )
     return CheckResult("swift-sum", worst < 1e-12, f"max block deviation {worst:.2e}")
 
 
@@ -139,17 +140,12 @@ def check_time_op_vs_unitary() -> CheckResult:
     rng = np.random.default_rng(5)
     tau_angle = 0.3
     ells = rng.integers(1, model.n_terms + 1, size=6)
-    ops = tuple(TimeOp(int(e), model.term(int(e)).sign * tau_angle) for e in ells)
-    plan = GatePlan(ops=ops, n_segments=6, method_tag="QDRIFT")
-    dim = 2**model.n_qubits
-    vec = rng.normal(size=2 * dim) + 1j * rng.normal(size=2 * dim)
-    vec /= np.linalg.norm(vec)
-    state = run_plan(State(vec.copy(), model.n_qubits), plan, model)
-    u_total = np.eye(dim, dtype=complex)
+    u_total = np.eye(2**model.n_qubits, dtype=complex)
     for e in ells:
         u_total = term_unitary(model.term(int(e)), tau_angle) @ u_total
-    want = np.concatenate([u_total @ vec[:dim], u_total @ vec[dim:]])
-    err = float(np.abs(state.amplitudes - want).max())
+    want = np.kron(np.eye(2), u_total)  # the idle ancilla
+    thetas = signed_angles(model, tau_angle)
+    err = max(float(np.abs(u - want).max()) for u in _kernel_matrices(model, ells - 1, thetas))
     return CheckResult("time-op-vs-unitary", err < 1e-12, f"max amplitude error {err:.2e}")
 
 

@@ -242,9 +242,15 @@ def test_simulate_all_order_at_large_tau(capsys):
     chain = str(resources.files("hamsim").joinpath("data/chain_4q.txt"))
     base = ["simulate", "--hamiltonian", chain, "--method", "all-order",
             "--segments", "1", "--samples", "50", "--t"]
-    rc, out, _ = run_cli(base + ["40"], capsys)
+    rc, out, err = run_cli(base + ["40"], capsys)
     assert rc == 0
     assert np.isfinite(json.loads(out)["budgets"]["baseline"]["coeff"])
+    # a 1-sigma interval wider than [-1, 1] is flagged on stderr
+    assert json.loads(out)["stderr"] > 1 and err.startswith("warning:")
+    ordinary = ["simulate", "--hamiltonian", chain, "--method", "all-order",
+                "--segments", "16", "--samples", "50", "--t", "0.5"]
+    rc, out, err = run_cli(ordinary, capsys)
+    assert rc == 0 and json.loads(out)["stderr"] < 1 and err == ""
     rc, _, err = run_cli(base + ["400"], capsys)
     assert rc == 2
     assert err.startswith("error:")

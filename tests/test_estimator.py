@@ -46,18 +46,15 @@ from hamsim import (
 )
 from hamsim.compiler import (
     BASELINE,
-    CODE_DTYPE,
     PAD,
     AllOrderSegment,
     all_order_categories,
     draw_all_order_codes,
-    draw_all_order_segment,
     draw_qdrift,
     draw_swift_variant,
     draw_trotter_terms,
     plan_from_codes,
     signed_angles,
-    swift_codes,
     trotter_thetas,
 )
 from hamsim import estimator, statevector
@@ -426,18 +423,6 @@ def _replayed(model, ops, axes, ancilla_x) -> float:
     return expectation(state, Observable(axes, with_ancilla_x=ancilla_x))
 
 
-def segment_codes(draw, n_terms: int) -> np.ndarray:
-    """The former SegmentDraw.codes, kept as a reference: one all-order
-    segment's (m, largest block) op codes, PAD after each row's last op."""
-    m = draw.time_rows.size + sum(block.rows.size for block in draw.blocks)
-    width = max([1] + [block.terms.shape[1] for block in draw.blocks])
-    codes = np.full((m, width), PAD, dtype=CODE_DTYPE)
-    codes[draw.time_rows, 0] = draw.time_terms
-    for block in draw.blocks:
-        codes[block.rows, : block.terms.shape[1]] = swift_codes(n_terms, block.b, block.terms)
-    return codes
-
-
 def concat_codes(blocks) -> np.ndarray:
     """The former compiler.concat_codes, kept as the reference for the
     in-place packing: consecutive (m, *) code blocks as one (m, L) array,
@@ -497,12 +482,9 @@ def test_batched_rows_replay_as_plans(m):
     big_tau = 0.6  # blocks are drawn often enough to appear in a few rows
     big_thetas = signed_angles(CHAIN, big_tau)
     _, sizes, cat_probs = all_order_categories(big_tau)
-    draw = draw_all_order_segment(CHAIN, sizes, cat_probs, m, np.random.default_rng(4))
-    codes = segment_codes(draw, CHAIN.n_terms)  # PAD after each row's last op
-    states, signs = kernel.fresh(m), np.ones(m)
+    codes, signs = draw_all_order_codes(CHAIN, 1, sizes, cat_probs, m, np.random.default_rng(4))
+    states = kernel.fresh(m)
     kernel.evolve(states, codes, big_thetas)
-    for block in draw.blocks:
-        signs[block.rows] *= 1.0 - 2.0 * block.s
     vals = signs * kernel.read(states, ancilla_x=True)
     for row in range(m):
         plan = plan_from_codes(CHAIN, codes[row], big_thetas, 1, "ALLORDER")
@@ -581,20 +563,19 @@ print(tracemalloc.get_traced_memory()[1], resource.getrusage(resource.RUSAGE_SEL
 
 @pytest.mark.parametrize("model", [CHAIN, REF], ids=["chain_4q", "reference_1q"])
 def test_all_order_codes_pack_like_concat_codes(model):
-    # draw_all_order_codes packs N segment draws in place; the padded
-    # per-segment codes joined by concat_codes are the same array, and the
-    # signs are the product over every drawn block
+    # draw_all_order_codes packs N segments in place; N one-segment draws
+    # on one generator, joined by concat_codes, are the same array, and the
+    # signs are the product of the per-segment signs
     n_seg, m = 6, 400
     for tau_angle in (0.178, 0.6):
         _, sizes, cat_probs = all_order_categories(tau_angle)
         codes, signs = draw_all_order_codes(model, n_seg, sizes, cat_probs, m,
                                             np.random.default_rng(8))
         rng = np.random.default_rng(8)
-        draws = [draw_all_order_segment(model, sizes, cat_probs, m, rng) for _ in range(n_seg)]
-        want = concat_codes([segment_codes(draw, model.n_terms) for draw in draws])
-        want_signs = np.ones(m)
-        for block in (block for draw in draws for block in draw.blocks):
-            want_signs[block.rows] *= 1.0 - 2.0 * block.s
+        segments = [draw_all_order_codes(model, 1, sizes, cat_probs, m, rng)
+                    for _ in range(n_seg)]
+        want = concat_codes([seg_codes for seg_codes, _ in segments])
+        want_signs = np.prod([seg_signs for _, seg_signs in segments], axis=0)
         assert codes.dtype == want.dtype and np.array_equal(codes, want)
         assert np.array_equal(signs, want_signs)
         no_block = ((codes >= 0) & (codes < model.n_terms)).sum(axis=1) == n_seg

@@ -8,6 +8,7 @@ from scipy.linalg import expm
 
 from hamsim import (
     GatePlan,
+    HamiltonianModel,
     Observable,
     PauliTerm,
     State,
@@ -15,7 +16,6 @@ from hamsim import (
     TimeOp,
     WidthOverflow,
     apply_pauli_rotation,
-    apply_swift_op,
     expectation,
     load_hamiltonian,
     parse_hamiltonian,
@@ -24,6 +24,7 @@ from hamsim import (
 )
 from hamsim import statevector
 from hamsim.compiler import PAD
+from hamsim.exact_channels import swift_unitary
 from hamsim.statevector import Kernel
 
 PAULI_1Q = {
@@ -90,26 +91,16 @@ def test_pauli_rotation_matches_expm(axes):
 @pytest.mark.parametrize("sign", [1, -1])
 @pytest.mark.parametrize("b", [0, 1])
 def test_swift_op_matches_block_unitary(axes, sign, b):
-    n = len(axes)
-    dim = 1 << n
-    h = sign * dense_string(axes)
-    if b == 0:
-        u_full = np.block(
-            [[np.eye(dim), np.zeros((dim, dim))], [np.zeros((dim, dim)), 1j * h]]
-        )
-    else:
-        u_full = np.block(
-            [[h, np.zeros((dim, dim))], [np.zeros((dim, dim)), -1j * np.eye(dim)]]
-        )
+    # code T + b T + 0 of a one-term model is its branch-b swift operator;
+    # one row is a per-row tile, rows past ROW_SCHEDULE_AMPS a grouped one
     term = PauliTerm(axes=axes, strength=1.0, sign=sign)
-    state = random_state(n, seed=7)
-    got = apply_swift_op(state, term, b)
-    assert np.allclose(got.amplitudes, u_full @ state.amplitudes, atol=1e-12)
-
-
-def test_swift_op_rejects_bad_branch():
-    with pytest.raises(ValueError):
-        apply_swift_op(random_state(1, 0), PauliTerm("X", 1.0), 2)
+    state = random_state(len(axes), seed=7)
+    want = swift_unitary(term, b) @ state.amplitudes
+    kernel = Kernel(HamiltonianModel((term,)))
+    for m in (1, statevector.ROW_SCHEDULE_AMPS // want.size + 1):
+        rows = np.tile(state.amplitudes, (m, 1))
+        kernel.evolve(rows, np.full((m, 1), 1 + b), [0.0])
+        assert np.allclose(rows, want, atol=1e-12)
 
 
 @pytest.mark.parametrize("with_x", [False, True])

@@ -4,8 +4,8 @@ Register convention used across the package: qubit 0 is the most significant
 bit of the basis-state index, so a register of `width` qubits stores qubit q
 at bit position `width - 1 - q`, and np.kron(A, B) composes operators as
 A on the lower qubit indices, B on the higher ones. `pauli_action` strings
-start at qubit 0 of the system register; the ancilla X of an X (x) Q
-readout is a swap of the two ancilla halves (`statevector.read_rows`).
+span the system register from qubit 0; the ancilla X of an X (x) Q
+readout is a swap of the two ancilla halves (`statevector.Kernel.read`).
 """
 
 from __future__ import annotations
@@ -30,6 +30,17 @@ def pauli_matrix(axes: str) -> np.ndarray:
     if not axes or any(c not in AXES for c in axes):
         raise ValueError(f"invalid Pauli string {axes!r}")
     return reduce(np.kron, (PAULI_1Q[c] for c in axes))
+
+
+def system_observable(axes: str | None, n_qubits: int) -> str:
+    """The observable rule of every entry point: `axes` upper-cased, one
+    Pauli letter per system qubit, else ValueError; None is Z on qubit 0."""
+    if axes is None:
+        return "Z" + "I" * (n_qubits - 1)
+    axes = axes.upper()
+    if not axes or len(axes) != n_qubits or any(c not in AXES for c in axes):
+        raise ValueError(f"observable {axes!r} is not one Pauli letter per system qubit")
+    return axes
 
 
 @lru_cache(maxsize=512)
@@ -85,11 +96,9 @@ class PauliAction:
         return _xor_perm(self.flip, self.dim), -self.scalar if odd else self.scalar, signs
 
 
-def pauli_action(axes: str, width: int) -> PauliAction:
-    """PauliAction for `axes` on qubits 0 .. len(axes)-1 of a `width`-qubit
-    register."""
-    if len(axes) > width:
-        raise ValueError("Pauli string does not fit the register")
+def pauli_action(axes: str) -> PauliAction:
+    """PauliAction for `axes` on a register of len(axes) qubits."""
+    width = len(axes)
     flip = 0
     sign_mask = 0
     n_y = 0

@@ -21,7 +21,8 @@ code is written. The qDRIFT baseline is the correction bucket BASELINE
 the one all-order draw, writes each segment's time codes, swift codes and
 signs straight into the growing code array. The public samplers are m = 1
 draws, and `plan_from_codes`, the one decoder, replays any row of codes as
-a plan.
+a plan; its inverse `plan_codes` turns any plan into rows of codes, so
+every plan executes on `Kernel.evolve`.
 """
 
 from __future__ import annotations
@@ -87,38 +88,47 @@ class GatePlan:
 
 
 def validate_plan(plan: GatePlan, model: HamiltonianModel):
-    """Raise if any instruction is not executable against the model."""
+    """Raise if any instruction is not executable against the model:
+    TypeError for one that is neither TimeOp nor SwiftOp, ValueError for
+    a term outside the model, a non-finite angle or a branch not 0 or 1."""
     for op in plan.ops:
+        if not isinstance(op, (TimeOp, SwiftOp)):
+            raise TypeError(f"unknown instruction {op!r}")
         if not 1 <= op.ell <= model.n_terms:
             raise ValueError(f"instruction index {op.ell} outside [1, {model.n_terms}]")
+        if isinstance(op, TimeOp) and not isfinite(op.angle):
+            raise ValueError(f"time operator angle {op.angle!r} is not finite")
         if isinstance(op, SwiftOp) and op.b not in (0, 1):
             raise ValueError(f"swift branch {op.b} not in {{0, 1}}")
 
 
 def plan_to_text(plan: GatePlan) -> str:
     """Line-oriented serialization: `T <ell> <angle>` / `S <ell> <b>`."""
-    lines = []
-    for op in plan.ops:
-        if isinstance(op, TimeOp):
-            lines.append(f"T {op.ell} {op.angle!r}")
-        else:
-            lines.append(f"S {op.ell} {op.b}")
+    lines = [f"T {op.ell} {op.angle!r}" if isinstance(op, TimeOp) else f"S {op.ell} {op.b}"
+             for op in plan.ops]
     return "\n".join(lines) + "\n"
 
 
 def plan_from_text(text: str, n_segments: int, method_tag: str = "REPLAY") -> GatePlan:
+    """Parse plan_to_text output. Raises ValueError naming the line for an
+    unknown instruction, a field that does not parse or a non-finite angle."""
     ops = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
+        fields = raw.split()
+        if not fields:
             continue
-        fields = line.split()
-        if fields[0] == "T" and len(fields) == 3:
-            ops.append(TimeOp(ell=int(fields[1]), angle=float(fields[2])))
-        elif fields[0] == "S" and len(fields) == 3:
-            ops.append(SwiftOp(ell=int(fields[1]), b=int(fields[2])))
-        else:
-            raise ValueError(f"line {lineno}: bad plan instruction {raw!r}")
+        try:
+            if fields[0] == "T" and len(fields) == 3:
+                angle = float(fields[2])
+                if not isfinite(angle):
+                    raise ValueError(f"angle {fields[2]} is not finite")
+                ops.append(TimeOp(ell=int(fields[1]), angle=angle))
+            elif fields[0] == "S" and len(fields) == 3:
+                ops.append(SwiftOp(ell=int(fields[1]), b=int(fields[2])))
+            else:
+                raise ValueError("bad plan instruction")
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc} in {raw!r}") from None
     return GatePlan(ops=tuple(ops), n_segments=n_segments, method_tag=method_tag)
 
 
@@ -134,6 +144,22 @@ def plan_from_codes(
         kind, ell = divmod(code, model.n_terms)
         ops.append(TimeOp(ell + 1, float(thetas[ell])) if kind == 0 else SwiftOp(ell + 1, kind - 1))
     return GatePlan(ops=tuple(ops), n_segments=n_segments, method_tag=method_tag)
+
+
+def plan_codes(plan: GatePlan, n_terms: int) -> list[tuple]:
+    """The plan as (codes, thetas) pairs in order, the inverse of
+    plan_from_codes: codes a (1, L) CODE_DTYPE row, thetas[ell] the angle of
+    term ell's time operators in it (0.0 where it has none). A new row
+    starts only where a term's TimeOp angle differs from its angle in the
+    current row."""
+    rows = [([], {})]
+    for op in plan.ops:
+        ell = op.ell - 1
+        if isinstance(op, TimeOp) and rows[-1][1].setdefault(ell, op.angle) != op.angle:
+            rows.append(([], {ell: op.angle}))
+        rows[-1][0].append(ell if isinstance(op, TimeOp) else swift_codes(n_terms, op.b, ell))
+    return [(np.array([codes], dtype=CODE_DTYPE), [angles.get(ell, 0.0) for ell in range(n_terms)])
+            for codes, angles in rows]
 
 
 def signed_angles(model: HamiltonianModel, angle: float) -> list[float]:

@@ -32,6 +32,7 @@ from math import ceil, comb, prod, sqrt
 
 import numpy as np
 
+from ._pauli import system_observable
 from ._rng import derived_rng
 from .compiler import (
     BASELINE,
@@ -42,6 +43,7 @@ from .compiler import (
     draw_all_order_codes,
     draw_swift_variant,
     draw_trotter_terms,
+    plan_codes,
     signed_angles,
     trotter_plan,
     trotter_thetas,
@@ -118,11 +120,7 @@ class EstimatorConfig:
             raise ValueError("bucket sample overrides must be >= 1")
 
     def observable_axes(self, model: HamiltonianModel) -> str:
-        if self.observable is None:
-            return "Z" + "I" * (model.n_qubits - 1)
-        if len(self.observable) != model.n_qubits:
-            raise ValueError("observable width does not match the model")
-        return self.observable.upper()
+        return system_observable(self.observable, model.n_qubits)
 
     def n_sample(self, n_vec: tuple) -> int:
         counts = self.bucket_samples if n_vec else {}
@@ -386,7 +384,8 @@ def estimate_trotter(
     else:
         plan = trotter_plan(model, t, r, order)
         states = kernel.fresh(1, ancilla=False)
-        kernel.run(states, plan.ops)
+        for codes, thetas in plan_codes(plan, model.n_terms):
+            kernel.evolve(states, codes, thetas)
         plans, shots = 1, config.n_shot_0 * config.n_sample_0
         rng = derived_rng(seed, _STREAM_TROTTER, 0, _SUB_SHOT)
         value = float(_shot_means(kernel.read(states, ancilla_x=False), shots, rng)[0])

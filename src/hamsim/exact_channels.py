@@ -16,7 +16,7 @@ from math import factorial
 
 import numpy as np
 
-from ._pauli import pauli_matrix
+from ._pauli import pauli_matrix, system_observable
 from .errors import DimensionCap, OrderExceedsSegments
 from .hamiltonian import HamiltonianModel, PauliTerm, tau
 
@@ -185,7 +185,7 @@ def plus_input_expectation(channel: Superoperator, observable_axes: str | None =
     Z on qubit 0): the dense readout of the circuits' default input."""
     dim = channel.dim
     rho = np.full((dim, dim), 1.0 / dim, dtype=complex)
-    q_mat = pauli_matrix(observable_axes or "Z" + "I" * (channel.n_qubits - 1))
+    q_mat = pauli_matrix(system_observable(observable_axes, channel.n_qubits))
     return float(np.trace(q_mat @ channel.apply(rho)).real)
 
 

@@ -21,21 +21,20 @@ rounds as the row functions' do and both schedules give bit-identical
 states: reports do not depend on which one runs. Rows whose ancilla stays
 idle (qDRIFT baselines, Trotter) evolve on 2^n amplitudes instead of
 2^(n+1).
-`read_rows` is the one exact readout, in cache-sized blocks. `Kernel.run`
-executes arbitrary-angle plans one instruction at a time; the single-state
-functions are batches of one over it or the row functions.
+`Kernel.read` is the one exact readout, in cache-sized blocks. Every circuit
+runs through `Kernel.evolve`: the single-state functions take and return
+plain amplitude arrays and evolve them as batches of one, a plan as the
+code rows of `compiler.plan_codes` and a bare rotation as a one-term model.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from ._pauli import AXES, PauliAction, pauli_action
-from .compiler import CODE_DTYPE, SwiftOp, TimeOp, check_code_range, validate_plan
+from ._pauli import pauli_action, system_observable
+from .compiler import CODE_DTYPE, check_code_range, plan_codes, validate_plan
 from .errors import WidthOverflow
-from .hamiltonian import HamiltonianModel
+from .hamiltonian import HamiltonianModel, PauliTerm
 
 MAX_TOTAL_QUBITS = 22
 READ_BLOCK_BYTES = 512 << 10
@@ -44,59 +43,19 @@ READ_BLOCK_BYTES = 512 << 10
 ROW_SCHEDULE_AMPS = 1 << 12
 
 
-@dataclass(frozen=True)
-class State:
-    """Pure state of the ancilla-extended register (2^(n+1) amplitudes)."""
-
-    amplitudes: np.ndarray
-    n_qubits: int
-
-    def __post_init__(self):
-        expected = 1 << (self.n_qubits + 1)
-        if self.amplitudes.shape != (expected,):
-            raise ValueError(
-                f"amplitude vector has shape {self.amplitudes.shape}, "
-                f"expected ({expected},)"
-            )
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-
-@dataclass(frozen=True)
-class Observable:
-    """Pauli-string observable Q on the system register.
-
-    with_ancilla_x measures X (x) Q on the extended register instead of
-    I (x) Q; that is the readout the swift-operator corrections need.
-    """
-
-    axes: str
-    with_ancilla_x: bool = False
-
-    def __post_init__(self):
-        if not self.axes or any(c not in AXES for c in self.axes):
-            raise ValueError(f"invalid observable axes {self.axes!r}")
-
-    @property
-    def n_qubits(self) -> int:
-        return len(self.axes)
-
-
-def prepare_plus_input(n_qubits: int) -> State:
-    """|+>^(n+1), the |+> ancilla times |+>^n: the circuit input."""
+def prepare_plus_input(n_qubits: int) -> np.ndarray:
+    """|+>^(n+1), the |+> ancilla times |+>^n: the circuit input's
+    2^(n+1) amplitudes."""
     if n_qubits < 1 or n_qubits + 1 > MAX_TOTAL_QUBITS:
         raise WidthOverflow(
             f"system width {n_qubits} outside [1, {MAX_TOTAL_QUBITS - 1}]"
         )
     system = np.full(1 << n_qubits, 1.0 / np.sqrt(1 << n_qubits), dtype=complex)
-    amps = np.concatenate([system, system]) / np.sqrt(2.0)
-    return State(amplitudes=amps, n_qubits=n_qubits)
+    return np.concatenate([system, system]) / np.sqrt(2.0)
 
 
 # ---------------------------------------------------------------------------
-# Row functions: every amplitude update and readout in the package. A row is
+# Row functions: every amplitude update in the package. A row is
 # either the full 2^(n+1) register or, when the ancilla stays idle in |+>,
 # one 2^n half: both halves of such a row are equal, so either stands for it.
 
@@ -137,45 +96,6 @@ def swift_rows(states: np.ndarray, rows, perm, coef: np.ndarray, b: int) -> None
         states[rows] = sub
 
 
-def read_rows(states: np.ndarray, action: PauliAction, ancilla_x: bool) -> np.ndarray:
-    """Exact <X (x) Q> (ancilla_x) or <I (x) Q> per row, Q the system `action`;
-    raises ValueError on a non-real value, which means a broken evolution.
-    A 2^n row (idle ancilla) reads 2 <psi|Q|psi>, the sum of its two equal
-    halves under either operator. Rows are read in blocks of at most
-    READ_BLOCK_BYTES (512 KiB), which keeps the conjugated and Pauli-applied
-    copies small enough to stay in cache and be reused between blocks."""
-    half = action.dim
-    step = max(1, READ_BLOCK_BYTES // (states.shape[1] * states.itemsize))
-    vals = np.empty(states.shape[0], dtype=complex)
-    for lo in range(0, states.shape[0], step):
-        rows = states[lo : lo + step]
-        if states.shape[1] == half:
-            vals[lo : lo + step] = 2 * np.einsum("ij,ij->i", rows.conj(), action.apply(rows))
-            continue
-        lower, upper = rows[:, :half], rows[:, half:]
-        q_low, q_up = action.apply(lower), action.apply(upper)
-        if ancilla_x:
-            q_low, q_up = q_up, q_low
-        vals[lo : lo + step] = (
-            np.einsum("ij,ij->i", lower.conj(), q_low)
-            + np.einsum("ij,ij->i", upper.conj(), q_up)
-        )
-    worst = float(np.abs(vals.imag).max(initial=0.0))
-    if worst > 1e-10:
-        raise ValueError(f"non-real Pauli expectation (imag {worst:.3e})")
-    return vals.real
-
-
-def _time_coef(unit: complex, signs: np.ndarray, theta: float) -> np.ndarray:
-    """rotate_rows coefficient of e^{i theta P}, P = unit * signs * [perm]."""
-    return (1j * np.sin(theta) * unit) * signs
-
-
-def _swift_coef(sign: int, unit: complex, signs: np.ndarray, b: int) -> np.ndarray:
-    """swift_rows coefficient of branch b for H_ell = sign * P."""
-    return ((1j * sign if b == 0 else sign) * unit) * signs
-
-
 class Kernel:
     """Batched executor for one model and observable.
 
@@ -191,24 +111,53 @@ class Kernel:
         self.n_qubits = n
         self.n_terms = model.n_terms
         self.signs = [term.sign for term in model.terms]
-        self.factors = [pauli_action(term.axes, width=n).factors() for term in model.terms]
-        self.obs_action = pauli_action(observable_axes or "Z" + "I" * (n - 1), width=n)
+        self.factors = [pauli_action(term.axes).factors() for term in model.terms]
+        self.obs_action = pauli_action(system_observable(observable_axes, n))
 
     def fresh(self, m: int, ancilla: bool = True) -> np.ndarray:
         """m rows of the input state, without the idle ancilla unless `ancilla`."""
-        init = prepare_plus_input(self.n_qubits).amplitudes
+        init = prepare_plus_input(self.n_qubits)
         return np.tile(init if ancilla else init[: init.size // 2], (m, 1))
 
     def read(self, states: np.ndarray, ancilla_x: bool) -> np.ndarray:
-        return read_rows(states, self.obs_action, ancilla_x)
+        """Exact <X (x) Q> (ancilla_x) or <I (x) Q> per row, Q the observable;
+        raises ValueError on a non-real value, which means a broken evolution.
+        A 2^n row (idle ancilla) reads 2 <psi|Q|psi>, the sum of its two equal
+        halves under either operator. Rows are read in blocks of at most
+        READ_BLOCK_BYTES (512 KiB), which keeps the conjugated and Pauli-applied
+        copies small enough to stay in cache and be reused between blocks."""
+        action = self.obs_action
+        half = action.dim
+        step = max(1, READ_BLOCK_BYTES // (states.shape[1] * states.itemsize))
+        vals = np.empty(states.shape[0], dtype=complex)
+        for lo in range(0, states.shape[0], step):
+            rows = states[lo : lo + step]
+            if states.shape[1] == half:
+                vals[lo : lo + step] = 2 * np.einsum("ij,ij->i", rows.conj(), action.apply(rows))
+                continue
+            lower, upper = rows[:, :half], rows[:, half:]
+            q_low, q_up = action.apply(lower), action.apply(upper)
+            if ancilla_x:
+                q_low, q_up = q_up, q_low
+            vals[lo : lo + step] = (
+                np.einsum("ij,ij->i", lower.conj(), q_low)
+                + np.einsum("ij,ij->i", upper.conj(), q_up)
+            )
+        worst = float(np.abs(vals.imag).max(initial=0.0))
+        if worst > 1e-10:
+            raise ValueError(f"non-real Pauli expectation (imag {worst:.3e})")
+        return vals.real
 
     def _coef(self, code: int, thetas) -> tuple:
-        """(perm, coefficient, cosine or branch) of one op code."""
+        """(perm, coefficient, cosine or branch) of one op code: i sin(theta)
+        P_ell and cos(theta) for rotate_rows, i H_ell (b = 0) or H_ell (b = 1)
+        and b for swift_rows, H_ell = sign_ell P_ell."""
         kind, ell = divmod(code, self.n_terms)
         perm, unit, signs = self.factors[ell]
         if kind == 0:
-            return perm, _time_coef(unit, signs, thetas[ell]), np.cos(thetas[ell])
-        return perm, _swift_coef(self.signs[ell], unit, signs, kind - 1), kind - 1
+            return perm, (1j * np.sin(thetas[ell]) * unit) * signs, np.cos(thetas[ell])
+        b = kind - 1
+        return perm, ((1j * self.signs[ell] if b == 0 else self.signs[ell]) * unit) * signs, b
 
     def _row_tables(self, codes, thetas, width: int) -> tuple:
         """(A, C, P) rows of the per-row schedule, one per code: code u maps
@@ -290,48 +239,43 @@ class Kernel:
                 else:
                     raise ValueError("swift operators need the ancilla")
 
-    def run(self, states: np.ndarray, ops) -> None:
-        """Apply one validated instruction list to every row, in order:
-        arbitrary-angle plans, one row-function call per instruction."""
-        rows = slice(None)
-        for op in ops:
-            perm, unit, signs = self.factors[op.ell - 1]
-            if isinstance(op, TimeOp):
-                coef = _time_coef(unit, signs, op.angle)
-                rotate_rows(states, rows, perm, coef, np.cos(op.angle))
-            elif isinstance(op, SwiftOp):
-                coef = _swift_coef(self.signs[op.ell - 1], unit, signs, op.b)
-                swift_rows(states, rows, perm, coef, op.b)
-            else:
-                raise TypeError(f"unknown instruction {op!r}")
-
 
 # ---------------------------------------------------------------------------
-# Single-state API: batches of one over the row functions.
+# Single-state API: 2^(n+1) amplitude arrays evolved as batches of one.
 
-def apply_pauli_rotation(state: State, axes: str, theta: float) -> State:
-    """Apply e^{i theta P} with P the bare system Pauli string `axes`.
-
-    Plan TimeOp angles are stored with the term sign already folded in and
-    execute through this bare rotation.
-    """
-    rows = state.amplitudes[None, :].copy()
-    perm, unit, signs = pauli_action(axes, width=state.n_qubits).factors()
-    rotate_rows(rows, slice(None), perm, _time_coef(unit, signs, theta), np.cos(theta))
-    return State(amplitudes=rows[0], n_qubits=state.n_qubits)
+def _kernel_row(amplitudes, model: HamiltonianModel, observable_axes: str | None = None) -> tuple:
+    """(Kernel of the model and observable, a (1, 2^(n+1)) complex copy of
+    the amplitudes); ValueError for amplitudes of any other shape."""
+    if np.shape(amplitudes) != (2 << model.n_qubits,):
+        raise ValueError(f"amplitude vector has shape {np.shape(amplitudes)}, "
+                         f"expected ({2 << model.n_qubits},)")
+    return Kernel(model, observable_axes), np.array(amplitudes, dtype=complex, ndmin=2)
 
 
-def expectation(state: State, observable: Observable) -> float:
-    """Exact <O> for O = X (x) Q or I (x) Q; the value is real for Paulis."""
-    if observable.n_qubits != state.n_qubits:
-        raise ValueError("observable width does not match the state")
-    action = pauli_action(observable.axes, width=state.n_qubits)
-    return float(read_rows(state.amplitudes[None, :], action, observable.with_ancilla_x)[0])
+def _one_term(axes: str) -> HamiltonianModel:
+    """The model P, P the system Pauli string `axes`."""
+    return HamiltonianModel((PauliTerm(system_observable(axes, len(axes)), 1.0),))
 
 
-def run_plan(state: State, plan, model: HamiltonianModel) -> State:
+def apply_pauli_rotation(amplitudes, axes: str, theta: float) -> np.ndarray:
+    """Apply e^{i theta P}, P the bare system Pauli string `axes`: plan
+    TimeOp angles carry the term sign and execute as this bare rotation."""
+    kernel, row = _kernel_row(amplitudes, _one_term(axes))
+    kernel.evolve(row, [[0]], [theta])
+    return row[0]
+
+
+def expectation(amplitudes, axes: str, ancilla_x: bool = False) -> float:
+    """Exact <X (x) Q> (ancilla_x) or <I (x) Q>, Q the system Pauli string
+    `axes`; the value is real for Paulis."""
+    kernel, row = _kernel_row(amplitudes, _one_term(axes), axes)
+    return float(kernel.read(row, ancilla_x)[0])
+
+
+def run_plan(amplitudes, plan, model: HamiltonianModel) -> np.ndarray:
     """Execute a compiled GatePlan instruction list in application order."""
     validate_plan(plan, model)
-    rows = state.amplitudes[None, :].copy()
-    Kernel(model).run(rows, plan.ops)
-    return State(amplitudes=rows[0], n_qubits=state.n_qubits)
+    kernel, row = _kernel_row(amplitudes, model)
+    for codes, thetas in plan_codes(plan, model.n_terms):
+        kernel.evolve(row, codes, thetas)
+    return row[0]

@@ -35,7 +35,7 @@ from .exact_channels import (
     term_unitary,
 )
 from .hamiltonian import HamiltonianModel, PauliTerm, parse_hamiltonian, tau, to_text
-from .statevector import ROW_SCHEDULE_AMPS, Kernel, State, run_plan
+from .statevector import ROW_SCHEDULE_AMPS, Kernel, run_plan
 
 REFERENCE_TEXT = "0.5 X\n0.3 Z\n"
 
@@ -256,9 +256,7 @@ def check_plan_replay() -> CheckResult:
     dim = 2 ** (model.n_qubits + 1)
     vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     vec /= np.linalg.norm(vec)
-    a = run_plan(State(vec.copy(), model.n_qubits), plan, model).amplitudes
-    b = run_plan(State(vec.copy(), model.n_qubits), replayed, model).amplitudes
-    err = float(np.abs(a - b).max())
+    err = float(np.abs(run_plan(vec, plan, model) - run_plan(vec, replayed, model)).max())
     return CheckResult("plan-serialization", err == 0.0, f"replay deviation {err:.2e}")
 
 

@@ -20,6 +20,7 @@ from hamsim import (
     correction_terms,
     enumerate_g2,
     parse_hamiltonian,
+    plan_codes,
     plan_from_text,
     plan_to_text,
     qdrift_plan,
@@ -31,13 +32,19 @@ from hamsim import (
     validate_plan,
 )
 from hamsim.compiler import (
+    BASELINE,
     CODE_DTYPE,
+    PAD,
     SwiftDraw,
     all_order_categories,
+    draw_all_order_codes,
     draw_categorical,
+    draw_qdrift,
+    draw_swift_variant,
     draw_trotter_terms,
     plan_from_codes,
     signed_angles,
+    trotter_thetas,
 )
 
 PAULI_1Q = {
@@ -202,6 +209,21 @@ def test_plan_text_bad_line():
         plan_from_text("T 1 0.5\nQ 2 3\n", n_segments=2)
 
 
+@pytest.mark.parametrize("bad", ["T x 0.1", "T 1 0.5x", "T 1 nan", "T 1 inf", "T 1 -inf",
+                                 "S 1 y", "S 1.5 0", "T 1", "S 1 0 0"])
+def test_plan_text_bad_field_names_its_line(bad):
+    with pytest.raises(ValueError, match="^line 2: "):
+        plan_from_text(f"T 1 0.5\n{bad}\nS 2 1\n", n_segments=2)
+
+
+def test_validate_plan_refuses_what_cannot_run():
+    for angle in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="not finite"):
+            validate_plan(GatePlan(ops=(TimeOp(1, angle),), n_segments=1, method_tag="X"), MODEL)
+    with pytest.raises(TypeError, match="unknown instruction"):
+        validate_plan(GatePlan(ops=(TimeOp(1, 0.1), (1, 0.1)), n_segments=1, method_tag="X"), MODEL)
+
+
 op_strategy = st.one_of(
     st.builds(
         TimeOp,
@@ -218,6 +240,56 @@ def test_plan_text_roundtrip(ops):
     plan = GatePlan(ops=tuple(ops), n_segments=max(1, len(ops)), method_tag="ANY")
     again = plan_from_text(plan_to_text(plan), n_segments=plan.n_segments, method_tag="ANY")
     assert again == plan
+
+
+def _code_rows(model, rng):
+    """(tag, codes row, thetas) from every sampler that writes op codes."""
+    n_seg, m = 6, 4
+    thetas = signed_angles(model, tau(model, 1.0, n_seg))
+    yield "qdrift", draw_qdrift(model, n_seg, m, rng), thetas
+    term = next(t for t in correction_terms(model, 1.0, n_seg, 3) if t.n_vec == (2, 2))
+    draw = draw_swift_variant(model, n_seg, term, (1, 0), m, rng)
+    yield "swift", draw.codes(((0, 1), (1, 1)), model.n_terms), thetas
+    draw = draw_swift_variant(model, n_seg, BASELINE, (), m, rng)
+    yield "baseline", draw.codes((), model.n_terms), thetas
+    _, sizes, probs = all_order_categories(0.4)
+    yield "all-order", draw_all_order_codes(model, n_seg, sizes, probs, m, rng)[0], thetas
+    for order in (1, 2):
+        terms = np.stack([draw_trotter_terms(model, 3, order, rng) for _ in range(m)])
+        yield f"rtrotter{order}", terms, trotter_thetas(model, 1.0, 3, order)
+
+
+def test_plan_codes_inverts_plan_from_codes():
+    # one row per plan: every sampled plan holds one angle per term
+    rng = np.random.default_rng(17)
+    seen_pad = False
+    for tag, codes, thetas in _code_rows(MODEL, rng):
+        for row in codes:
+            seen_pad |= bool((row == PAD).any())
+            plan = plan_from_codes(MODEL, row, thetas, 1, tag)
+            [(got, got_thetas)] = plan_codes(plan, MODEL.n_terms)
+            assert got.dtype == CODE_DTYPE
+            assert np.array_equal(got, row[row != PAD][None, :]), tag
+            for ell in set(row[(row >= 0) & (row < MODEL.n_terms)].tolist()):
+                assert got_thetas[ell] == thetas[ell]
+            assert plan_from_codes(MODEL, got[0], got_thetas, 1, tag) == plan
+    assert seen_pad
+
+
+def test_plan_codes_split_where_an_angle_changes():
+    plan = GatePlan(
+        ops=(TimeOp(1, 0.1), SwiftOp(2, 1), TimeOp(3, 0.2), TimeOp(1, 0.1),
+             TimeOp(1, -0.4), TimeOp(3, 0.2), SwiftOp(1, 0)),
+        n_segments=1, method_tag="X",
+    )
+    rows = plan_codes(plan, MODEL.n_terms)
+    assert [row.tolist() for row, _ in rows] == [[[0, 7, 2, 0]], [[0, 2, 3]]]
+    assert [thetas for _, thetas in rows] == [[0.1, 0.0, 0.2], [-0.4, 0.0, 0.2]]
+    empty = plan_codes(GatePlan(ops=(), n_segments=1, method_tag="X"), MODEL.n_terms)
+    assert [row.shape for row, _ in empty] == [(1, 0)]
+    # Suzuki order 4 rescales every term between its five order-2 pieces
+    assert len(plan_codes(trotter_plan(MODEL, 1.0, 2, 2), MODEL.n_terms)) == 1
+    assert len(plan_codes(trotter_plan(MODEL, 1.0, 2, 4), MODEL.n_terms)) > 1
 
 
 def test_enumerate_g2_known_values():

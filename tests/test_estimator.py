@@ -16,7 +16,6 @@ from hamsim import (
     CombinatorialCap,
     EstimatorConfig,
     GatePlan,
-    Observable,
     all_order_b,
     all_order_stats,
     correction_terms,
@@ -59,6 +58,7 @@ from hamsim.compiler import (
 )
 from hamsim import estimator, statevector
 from hamsim.estimator import _shot_means
+from hamsim.exact_channels import plus_input_expectation
 from hamsim.statevector import Kernel
 
 REF = parse_hamiltonian("0.5 X\n0.3 Z")
@@ -283,7 +283,7 @@ def test_estimate_trotter_deterministic_path():
     assert got == estimate_trotter(REF, t, r, 2, randomized=False, config=config).value
     plan = trotter_plan(REF, t, r, 2)
     state = run_plan(prepare_plus_input(1), plan, REF)
-    exact_plan_value = expectation(state, Observable("Z"))
+    exact_plan_value = expectation(state, "Z")
     # one million pooled shots: 5 sigma is well under 0.005
     assert abs(got - exact_plan_value) <= 0.01
     assert (report.method, report.plan_count, report.shot_count) == ("TS2", 1, 10**6)
@@ -411,6 +411,43 @@ def test_golden_values_on_bundled_chain():
     assert estimate_trotter(CHAIN, 1.0, 16, 2, False, config).value == 0.2667999999999999
 
 
+def test_deterministic_order_four_trotter_golden():
+    # order 4 rescales every term between its Suzuki pieces, so its plan
+    # runs as several code rows; pinned with == to the one-instruction-at-
+    # a-time executor these rows replaced
+    base = dict(n_segments=16, n_sample_0=200, n_shot_0=100, seed=7)
+    report = estimate_trotter(CHAIN, 1.0, 16, 4, False, EstimatorConfig(**base))
+    assert (report.method, report.value, report.stderr) == (
+        "TS4", 0.2667999999999999, 0.006814755168015943
+    )
+    config = EstimatorConfig(observable="XIII", **base)
+    assert estimate_trotter(CHAIN, 1.0, 16, 4, False, config).value == 0.7515000000000001
+    state = run_plan(prepare_plus_input(4), trotter_plan(CHAIN, 1.0, 16, 4), CHAIN)
+    assert expectation(state, "ZIII") == 0.26326349879352995
+
+
+def test_one_observable_rule_at_every_entry_point():
+    # one Pauli letter per system qubit, any case; None is Z on qubit 0
+    def all_order(axes):
+        return all_order_stats(CHAIN, 1.0, 2, 50, 3, observable_axes=axes).value
+
+    assert all_order("ziii") == all_order("ZIII") == all_order(None)
+    pair = parse_hamiltonian("0.5 XX\n0.3 ZI")
+    assert exact_qdrift_value(pair, 1.0, 2, "zi") == exact_qdrift_value(pair, 1.0, 2)
+    entry_points = (
+        lambda axes: all_order_stats(CHAIN, 1.0, 2, 50, 3, observable_axes=axes),
+        lambda axes: exact_qdrift_value(pair, 1.0, 2, observable_axes=axes),
+        lambda axes: exact_qswift_value(pair, 1.0, 2, 2, observable_axes=axes),
+        lambda axes: Kernel(pair, axes),
+        lambda axes: plus_input_expectation(ideal_channel(pair, 1.0), axes),
+        lambda axes: EstimatorConfig(n_segments=2, observable=axes).observable_axes(pair),
+    )
+    for call in entry_points:
+        for bad in ("Z", "ZIZII", "ZQ", ""):
+            with pytest.raises(ValueError, match="one Pauli letter per system qubit"):
+                call(bad)
+
+
 def test_all_order_power_overflow_is_refused():
     # tau = 99.75: B = 2e^{199.5} is finite, B^4 is not
     with pytest.raises(AllOrderOverflow):
@@ -420,7 +457,7 @@ def test_all_order_power_overflow_is_refused():
 def _replayed(model, ops, axes, ancilla_x) -> float:
     plan = GatePlan(ops=tuple(ops), n_segments=1, method_tag="REPLAY")
     state = run_plan(prepare_plus_input(model.n_qubits), plan, model)
-    return expectation(state, Observable(axes, with_ancilla_x=ancilla_x))
+    return expectation(state, axes, ancilla_x)
 
 
 def concat_codes(blocks) -> np.ndarray:

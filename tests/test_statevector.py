@@ -9,9 +9,7 @@ from scipy.linalg import expm
 from hamsim import (
     GatePlan,
     HamiltonianModel,
-    Observable,
     PauliTerm,
-    State,
     SwiftOp,
     TimeOp,
     WidthOverflow,
@@ -19,12 +17,14 @@ from hamsim import (
     expectation,
     load_hamiltonian,
     parse_hamiltonian,
+    plan_codes,
     prepare_plus_input,
     run_plan,
+    trotter_plan,
 )
 from hamsim import statevector
 from hamsim.compiler import PAD
-from hamsim.exact_channels import swift_unitary
+from hamsim.exact_channels import swift_unitary, term_unitary
 from hamsim.statevector import Kernel
 
 PAULI_1Q = {
@@ -42,18 +42,17 @@ def dense_string(axes: str) -> np.ndarray:
     return mat
 
 
-def random_state(n_qubits: int, seed: int) -> State:
+def random_state(n_qubits: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=1 << (n_qubits + 1)) + 1j * rng.normal(size=1 << (n_qubits + 1))
-    amps /= np.linalg.norm(amps)
-    return State(amplitudes=amps, n_qubits=n_qubits)
+    return amps / np.linalg.norm(amps)
 
 
 def test_prepare_plus_input_layout():
     state = prepare_plus_input(2)
-    assert state.amplitudes.shape == (8,)
-    assert state.norm == pytest.approx(1.0, abs=1e-15)
-    assert np.allclose(state.amplitudes, np.full(8, 1 / np.sqrt(8)))
+    assert state.shape == (8,)
+    assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-15)
+    assert np.allclose(state, np.full(8, 1 / np.sqrt(8)))
 
 
 def test_prepare_plus_input_width_limits():
@@ -61,19 +60,31 @@ def test_prepare_plus_input_width_limits():
         prepare_plus_input(0)
     with pytest.raises(WidthOverflow):
         prepare_plus_input(22)
-    assert prepare_plus_input(21).n_qubits == 21
+    assert prepare_plus_input(21).shape == (1 << 22,)
 
 
 def test_state_shape_validation():
-    with pytest.raises(ValueError):
-        State(amplitudes=np.zeros(4, dtype=complex), n_qubits=2)
+    # every single-state entry point wants the 2^(n+1) amplitudes
+    model = parse_hamiltonian("0.5 XZ")
+    plan = GatePlan(ops=(TimeOp(1, 0.1),), n_segments=1, method_tag="TEST")
+    for amps in (np.zeros(4, dtype=complex), np.zeros((1, 8), dtype=complex)):
+        with pytest.raises(ValueError, match="amplitude vector has shape"):
+            run_plan(amps, plan, model)
+        with pytest.raises(ValueError, match="amplitude vector has shape"):
+            apply_pauli_rotation(amps, "XZ", 0.1)
+        with pytest.raises(ValueError, match="amplitude vector has shape"):
+            expectation(amps, "XZ")
 
 
 def test_observable_validation():
     with pytest.raises(ValueError):
-        Observable(axes="XQ")
+        expectation(random_state(2, 0), "XQ")
     with pytest.raises(ValueError):
-        expectation(random_state(2, 0), Observable(axes="Z"))
+        expectation(random_state(2, 0), "Z")
+    with pytest.raises(ValueError):
+        apply_pauli_rotation(random_state(2, 0), "Z", 0.1)
+    state = random_state(2, 0)
+    assert expectation(state, "zx", ancilla_x=True) == expectation(state, "ZX", ancilla_x=True)
 
 
 @pytest.mark.parametrize("axes", ["X", "Y", "Z", "XY", "ZI", "IYX"])
@@ -84,7 +95,7 @@ def test_pauli_rotation_matches_expm(axes):
     got = apply_pauli_rotation(state, axes, theta)
     u_sys = expm(1j * theta * dense_string(axes))
     u_full = np.kron(np.eye(2), u_sys)
-    assert np.allclose(got.amplitudes, u_full @ state.amplitudes, atol=1e-12)
+    assert np.allclose(got, u_full @ state, atol=1e-12)
 
 
 @pytest.mark.parametrize("axes", ["X", "ZY"])
@@ -95,10 +106,10 @@ def test_swift_op_matches_block_unitary(axes, sign, b):
     # one row is a per-row tile, rows past ROW_SCHEDULE_AMPS a grouped one
     term = PauliTerm(axes=axes, strength=1.0, sign=sign)
     state = random_state(len(axes), seed=7)
-    want = swift_unitary(term, b) @ state.amplitudes
+    want = swift_unitary(term, b) @ state
     kernel = Kernel(HamiltonianModel((term,)))
     for m in (1, statevector.ROW_SCHEDULE_AMPS // want.size + 1):
-        rows = np.tile(state.amplitudes, (m, 1))
+        rows = np.tile(state, (m, 1))
         kernel.evolve(rows, np.full((m, 1), 1 + b), [0.0])
         assert np.allclose(rows, want, atol=1e-12)
 
@@ -110,16 +121,16 @@ def test_expectation_matches_dense(with_x):
     obs_sys = dense_string(axes)
     anc = dense_string("X") if with_x else np.eye(2)
     dense = np.kron(anc, obs_sys)
-    want = np.vdot(state.amplitudes, dense @ state.amplitudes).real
-    got = expectation(state, Observable(axes=axes, with_ancilla_x=with_x))
+    want = np.vdot(state, dense @ state).real
+    got = expectation(state, axes, ancilla_x=with_x)
     assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_expectation_ancilla_x_on_product_input_reads_system_value():
     # |+> ancilla times |+>^n: the cross term is real and equals <Q>
     state = prepare_plus_input(2)
-    assert expectation(state, Observable("XX", with_ancilla_x=True)) == pytest.approx(1.0)
-    assert expectation(state, Observable("XZ", with_ancilla_x=True)) == pytest.approx(0.0)
+    assert expectation(state, "XX", ancilla_x=True) == pytest.approx(1.0)
+    assert expectation(state, "XZ", ancilla_x=True) == pytest.approx(0.0)
 
 
 def test_run_plan_matches_dense_product():
@@ -154,7 +165,45 @@ def test_run_plan_matches_dense_product():
         total = u @ total
     state = random_state(model.n_qubits, seed=23)
     got = run_plan(state, plan, model)
-    assert np.allclose(got.amplitudes, total @ state.amplitudes, atol=1e-12)
+    assert np.allclose(got, total @ state, atol=1e-12)
+
+
+SPLIT_MODEL = parse_hamiltonian("0.5 XZ\n-0.3 ZI\n0.2 YY")
+SPLIT_PLANS = {
+    "suzuki4": trotter_plan(SPLIT_MODEL, 0.9, 2, 4),
+    "hand": GatePlan(
+        ops=(TimeOp(2, 0.3), SwiftOp(1, 0), TimeOp(2, 0.3), TimeOp(1, 0.2),
+             TimeOp(2, -0.5), SwiftOp(3, 1), TimeOp(1, 0.2), TimeOp(2, 0.3)),
+        n_segments=1, method_tag="TEST",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_PLANS))
+def test_split_plans_match_dense_product(name):
+    # a term at a second angle starts a new code row; run_plan evolves the
+    # rows in turn
+    model, plan = SPLIT_MODEL, SPLIT_PLANS[name]
+    assert len(plan_codes(plan, model.n_terms)) > 1
+    total = np.eye(2 << model.n_qubits, dtype=complex)
+    for op in plan.ops:
+        term = model.term(op.ell)
+        if isinstance(op, TimeOp):
+            u = np.kron(np.eye(2), term_unitary(term, term.sign * op.angle))
+        else:
+            u = swift_unitary(term, op.b)
+        total = u @ total
+    state = random_state(model.n_qubits, seed=29)
+    assert np.abs(run_plan(state, plan, model) - total @ state).max() <= 1e-12
+
+
+def test_run_plan_refuses_plans_that_cannot_run():
+    model = parse_hamiltonian("0.5 XZ")
+    state = random_state(2, seed=3)
+    for op in (TimeOp(1, float("nan")), TimeOp(1, float("inf")), "T 1 0.1"):
+        plan = GatePlan(ops=(op,), n_segments=1, method_tag="TEST")
+        with pytest.raises((TypeError, ValueError)):
+            run_plan(state, plan, model)
 
 
 def test_run_plan_time_op_angle_is_bare():
@@ -164,7 +213,7 @@ def test_run_plan_time_op_angle_is_bare():
     state = random_state(1, seed=1)
     got = run_plan(state, plan, model)
     want = apply_pauli_rotation(state, "X", 0.3)
-    assert np.allclose(got.amplitudes, want.amplitudes, atol=1e-15)
+    assert np.allclose(got, want, atol=1e-15)
 
 
 def test_kernel_swift_codes_need_the_ancilla():

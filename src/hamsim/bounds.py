@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import ceil, e, exp
+from math import ceil, e, exp, isfinite
 
 from .errors import NoSolutionBelowCap, VacuousRegion
 
@@ -119,7 +119,17 @@ def trotter_gate_count(
 
 
 def best_trotter_gate_count(n_terms: int, lam_max: float, t: float, epsilon: float) -> int:
-    return min(trotter_gate_count(n_terms, lam_max, t, epsilon, order) for order in (1, 2, 4))
+    """Least count over orders 1, 2 and 4 that stay finite; OverflowError
+    when none does."""
+    counts = []
+    for order in (1, 2, 4):
+        try:
+            counts.append(trotter_gate_count(n_terms, lam_max, t, epsilon, order))
+        except OverflowError:
+            continue
+    if not counts:
+        raise OverflowError(f"every product-formula count overflows at t = {t!r}")
+    return min(counts)
 
 
 @dataclass(frozen=True)
@@ -164,7 +174,8 @@ def _method_gates(
             return best_trotter_gate_count(n_terms, lam_max, t, epsilon)
         if method.startswith("ts"):
             return trotter_gate_count(n_terms, lam_max, t, epsilon, int(method[2:]))
-    except (NoSolutionBelowCap, VacuousRegion):
+    except (NoSolutionBelowCap, VacuousRegion, OverflowError):
+        # an overflowing count is above every cap too
         return None
     raise ValueError(f"unknown method {method!r}")
 
@@ -182,12 +193,16 @@ def sweep_table(
 
     Randomized methods report the minimal segment count from their bounds;
     ts rows report exponential counts. Points where a bound is vacuous up
-    to the solver cap get gates=None (rendered NA in CSV).
+    to the solver cap, or whose count overflows a float, get gates=None
+    (rendered NA in CSV). Every t, lam and lam_max must be finite.
     """
     t_grid = list(t_grid)
     methods = list(methods)
     if not t_grid or not methods:
         raise ValueError("grid and method list must be nonempty")
+    for name, value in (("lambda", lam), ("Lambda", lam_max), *(("t", t) for t in t_grid)):
+        if not isfinite(value):
+            raise ValueError(f"{name} = {value!r} is not finite")
     rows = []
     for t in t_grid:
         for method in methods:

@@ -19,6 +19,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from math import inf
 
 import numpy as np
 
@@ -43,8 +44,8 @@ def _parse_t_grid(spec: str) -> list[float]:
     if len(parts) != 4 or parts[0] != "log":
         raise ValueError(f"t-grid spec must look like log:<a>:<b>:<n>, got {spec!r}")
     a, b, n = float(parts[1]), float(parts[2]), int(parts[3])
-    if a <= 0 or b <= 0 or n < 1:
-        raise ValueError("t-grid endpoints must be positive and n >= 1")
+    if not (0 < a < inf and 0 < b < inf) or n < 1:
+        raise ValueError("t-grid endpoints must be positive and finite, and n >= 1")
     if n == 1:
         return [a]
     return [float(x) for x in np.geomspace(a, b, n)]

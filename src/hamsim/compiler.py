@@ -36,8 +36,8 @@ from sys import float_info
 import numpy as np
 
 from ._rng import as_rng
-from .errors import AllOrderOverflow, OrderExceedsSegments
-from .hamiltonian import HamiltonianModel, tau
+from .errors import AllOrderOverflow, CoefficientOverflow, OrderExceedsSegments
+from .hamiltonian import HamiltonianModel, finite_time, tau
 
 B_SERIES_RTOL = 1e-15
 CODE_DTYPE = np.int16
@@ -205,7 +205,7 @@ def trotter_plan(model: HamiltonianModel, t: float, r: int, order: int) -> GateP
         raise ValueError("repetition count must be >= 1")
     if order != 1 and (order < 2 or order % 2):
         raise ValueError("order must be 1 or an even integer")
-    step = t / r
+    step = finite_time(t) / r
     segment = _segment_ops(model, step, order)
     tag = f"TS{order}"
     return GatePlan(ops=tuple(segment * r), n_segments=r, method_tag=tag)
@@ -228,7 +228,8 @@ def draw_trotter_terms(model: HamiltonianModel, r: int, order: int, rng) -> np.n
 
 def trotter_thetas(model: HamiltonianModel, t: float, r: int, order: int) -> list[float]:
     """Rotation angle of each term in every instruction of a randomized plan."""
-    step = t / r if order == 1 else 0.5 * (t / r)
+    step = finite_time(t) / r
+    step = step if order == 1 else 0.5 * step
     return (np.array([term.coefficient for term in model.terms]) * step).tolist()
 
 
@@ -318,7 +319,8 @@ BASELINE = CorrectionTerm(k=0, n_vec=(), xi=0, coeff=1.0)
 def correction_terms(
     model: HamiltonianModel, t: float, n_segments: int, order: int
 ) -> list[CorrectionTerm]:
-    """Buckets (xi in [2, 2K-2], k in [1, K], n_vec in G2) with coefficients."""
+    """Buckets (xi in [2, 2K-2], k in [1, K], n_vec in G2) with coefficients;
+    CoefficientOverflow when a coefficient or its square is not finite."""
     if order < 1:
         raise ValueError("order must be >= 1")
     if order > n_segments:
@@ -330,9 +332,17 @@ def correction_terms(
     for xi in range(2, 2 * order - 1):
         for k in range(1, order + 1):
             for n_vec in enumerate_g2(k, xi):
-                coeff = comb(n_segments, k) * tau_angle**xi
-                coeff /= np.prod([factorial(n) for n in n_vec])
-                out.append(CorrectionTerm(k=k, n_vec=n_vec, xi=xi, coeff=float(coeff)))
+                try:
+                    coeff = comb(n_segments, k) * tau_angle**xi
+                except OverflowError:
+                    coeff = inf
+                coeff = float(coeff / np.prod([factorial(n) for n in n_vec]))
+                if not isfinite(coeff * coeff):
+                    raise CoefficientOverflow(
+                        f"bucket {','.join(map(str, n_vec))} coefficient C(N, k) tau^xi / "
+                        f"prod(n_j!) overflows at tau = {tau_angle!r}"
+                    )
+                out.append(CorrectionTerm(k=k, n_vec=n_vec, xi=xi, coeff=coeff))
     return out
 
 

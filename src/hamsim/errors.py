@@ -50,6 +50,11 @@ class AllOrderOverflow(HamsimError):
     pass the largest size sampled (n = 500)."""
 
 
+class CoefficientOverflow(HamsimError):
+    """A correction bucket's coefficient C(N,k) tau^xi / prod(n_j!), or its
+    square, which scales the bucket's variance, leaves the float range."""
+
+
 class BudgetOverflow(HamsimError):
     """A sampling request exceeds the configured circuit budget."""
 

@@ -33,7 +33,7 @@ from math import ceil, comb, prod, sqrt
 import numpy as np
 
 from ._pauli import system_observable
-from ._rng import derived_rng
+from ._rng import derived_rng, derived_rngs
 from .compiler import (
     BASELINE,
     CorrectionTerm,
@@ -363,20 +363,21 @@ def estimate_trotter(
     seed = config.seed
     if randomized:
         thetas = trotter_thetas(model, t, r, order)
+        streams = (seed, _STREAM_TROTTER)
         chunks = []
         for _, first, size in _chunk_sizes(config.n_sample_0):
             plan_ids = range(first, first + size)
             terms = np.stack([
-                draw_trotter_terms(model, r, order, derived_rng(seed, _STREAM_TROTTER, i, _SUB_PLAN))
-                for i in plan_ids
+                draw_trotter_terms(model, r, order, rng)
+                for rng in derived_rngs(streams, plan_ids, (_SUB_PLAN,))
             ])
             vals = _evolve_read(kernel, terms, thetas, ancilla_x=False)
             # _shot_means over the chunk, each plan's binomial drawn as a
             # scalar from its own shot stream
             p_plus = np.clip(0.5 * (1.0 + vals), 0.0, 1.0).tolist()
             hits = np.array([
-                derived_rng(seed, _STREAM_TROTTER, i, _SUB_SHOT).binomial(config.n_shot_0, p)
-                for i, p in zip(plan_ids, p_plus)
+                rng.binomial(config.n_shot_0, p)
+                for rng, p in zip(derived_rngs(streams, plan_ids, (_SUB_SHOT,)), p_plus)
             ])
             chunks.append(2.0 * hits / config.n_shot_0 - 1.0)
         value, var, plans = _pooled_stats([np.concatenate(chunks)])
@@ -604,7 +605,13 @@ def plan_budget(
         variants = term.n_variants
         # counts from n_rows / epsilon_total^2, not 1 / eps^2: the latter can
         # land an ulp above an integer, and ceil then adds a circuit
-        n_samp = max(1, ceil(term.coeff**2 * variants * n_rows / epsilon_total**2))
+        try:
+            n_samp = max(1, ceil(term.coeff**2 * variants * n_rows / epsilon_total**2))
+        except (OverflowError, ZeroDivisionError):
+            raise BudgetOverflow(
+                f"bucket {term.label} needs more samples than a float counts "
+                f"at epsilon = {epsilon_total!r}"
+            ) from None
         rows.append(
             BudgetRow(
                 label=term.label,

@@ -145,8 +145,15 @@ def to_text(model: HamiltonianModel) -> str:
     return "\n".join(lines) + "\n"
 
 
+def finite_time(t: float) -> float:
+    """The evolution time t; ValueError when it is inf or nan."""
+    if not np.isfinite(t):
+        raise ValueError(f"evolution time t = {t!r} is not finite")
+    return t
+
+
 def tau(model: HamiltonianModel, t: float, n_segments: int) -> float:
     """Per-segment evolution angle lam * t / N."""
     if int(n_segments) != n_segments or n_segments < 1:
         raise ValueError("segment count must be a positive integer")
-    return model.lam * t / n_segments
+    return model.lam * finite_time(t) / n_segments

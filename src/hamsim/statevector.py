@@ -41,6 +41,9 @@ READ_BLOCK_BYTES = 512 << 10
 # Largest tile (rows x row width) that Kernel.evolve runs on the per-row
 # schedule; measured crossover, see the README's "Library" section.
 ROW_SCHEDULE_AMPS = 1 << 12
+# Bytes of (A, C, P) table rows the per-row schedule gathers at once, for a
+# block of columns: a one-row plan takes its columns in one or few blocks
+ROW_BLOCK_BYTES = 256 << 10
 
 
 def prepare_plus_input(n_qubits: int) -> np.ndarray:
@@ -197,10 +200,12 @@ class Kernel:
         Tiles of at most ROW_SCHEDULE_AMPS amplitudes take the per-row
         schedule: each column gathers, multiplies and adds every row at
         once from the table rows (`_row_tables`) of the codes the tile
-        holds. Larger tiles take the grouped one: column by column, a stable
-        radix argsort of the int16 codes groups the rows that share an op,
-        and each group gets one row-function call; coefficients are built
-        once per code per call. Both give bit-identical states.
+        holds, themselves gathered for a block of columns at a time, at
+        most ROW_BLOCK_BYTES (256 KiB) of them. Larger tiles take the
+        grouped one: column by column, a stable radix argsort of the int16
+        codes groups the rows that share an op, and each group gets one
+        row-function call; coefficients are built once per code per call.
+        Both give bit-identical states.
         """
         codes = np.asarray(codes, dtype=CODE_DTYPE)
         m, width = states.shape
@@ -211,11 +216,18 @@ class Kernel:
             table_row[present] = np.arange(present.size)
             a, c, p = self._row_tables((present - 1).tolist(), thetas, width)
             offsets = np.arange(0, m * width, width)[:, None]
-            for col in table_row[shifted.T]:
-                gathered = states.reshape(-1)[p[col] + offsets]
-                gathered *= c[col]
-                states *= a[col]
-                states += gathered
+            cols = table_row[shifted.T]
+            # P (intp), C and A (complex) bytes per amplitude of one column
+            step = max(1, ROW_BLOCK_BYTES // (40 * states.size))
+            for lo in range(0, len(cols), step):
+                blk = cols[lo : lo + step]
+                pb = p[blk] + offsets
+                cb, ab = c[blk], a[blk]
+                for j in range(len(blk)):
+                    gathered = states.reshape(-1)[pb[j]]
+                    gathered *= cb[j]
+                    states *= ab[j]
+                    states += gathered
             return
         full = width == 2 << self.n_qubits
         n_terms = self.n_terms

@@ -255,7 +255,32 @@ def test_sweep_table_vacuous_rows_become_na():
     assert ",NA" in table.to_csv()
 
 
+def test_overflowing_counts_become_na():
+    # at L Lambda t = 3e200 the order-1 count (L Lambda t)^2 / epsilon and
+    # the qswift start (2e lambda t)^2 overflow a float; orders 2 and 4 do
+    # not, so ts_best takes the least of those
+    with pytest.raises(OverflowError):
+        trotter_gate_count(3, 1.0, 1e200, 1e-3, 1)
+    finite = [trotter_gate_count(3, 1.0, 1e200, 1e-3, order) for order in (2, 4)]
+    assert best_trotter_gate_count(3, 1.0, 1e200, 1e-3) == min(finite)
+    methods = ["qdrift", "qswift2", "qswift3", "ts1", "ts_best"]
+    table = sweep_table([1e200], methods, 1e-3, lam=3.0, lam_max=1.0, n_terms=3)
+    gates = {row.method: row.gates for row in table.rows}
+    assert gates == {"qdrift": None, "qswift2": None, "qswift3": None, "ts1": None,
+                     "ts_best": min(finite)}
+    # past t of about 1e250 every order overflows
+    table = sweep_table([1e300], ["ts_best"], 1e-3, lam=3.0, lam_max=1.0, n_terms=3)
+    assert table.rows[0].gates is None
+
+
 def test_sweep_table_validation():
+    for bad in (inf, -inf, float("nan")):
+        for kwargs in ({"lam": bad}, {"lam_max": bad}):
+            with pytest.raises(ValueError, match="is not finite"):
+                sweep_table([1.0], ["qdrift"], 1e-3, **{"lam": 1.0, "lam_max": 1.0,
+                                                        "n_terms": 2, **kwargs})
+        with pytest.raises(ValueError, match=r"^t = .* is not finite$"):
+            sweep_table([1.0, bad], ["qdrift"], 1e-3, lam=1.0, lam_max=1.0, n_terms=2)
     with pytest.raises(ValueError):
         sweep_table([], ["qdrift"], 1e-3, lam=1.0, lam_max=1.0, n_terms=2)
     with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -135,6 +136,71 @@ def test_analyze_input_errors(capsys):
         capsys,
     )
     assert rc == 2
+
+
+CHAIN_FILE = str(resources.files("hamsim").joinpath("data/chain_4q.txt"))
+BUDGET = ["budget", "--hamiltonian", CHAIN_FILE, "--segments", "16", "--order", "3"]
+
+
+@pytest.mark.parametrize("argv, bucket", [
+    # tau^2 fits a float at t = 1e100, the bucket's variance coeff^2 does not
+    (["simulate", "--hamiltonian", CHAIN_FILE, "--t", "1e100"], "2"),
+    (BUDGET + ["--t", "1e300", "--epsilon", "0.05"], "2"),
+    (BUDGET + ["--t", "1e50", "--epsilon", "0.05"], "4"),
+    # the coefficients fit, the sample count n_rows / epsilon^2 does not
+    (BUDGET + ["--epsilon", "1e-200"], "baseline"),
+])
+def test_overflowing_bucket_exits_two(argv, bucket, capsys):
+    rc, out, err = run_cli(argv, capsys)
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: bucket {bucket} ")
+    assert "overflows" in err or "float" in err
+
+
+@pytest.mark.parametrize("t", ["inf", "nan"])
+@pytest.mark.parametrize("command", [
+    ["simulate", "--method", "qdrift"],
+    ["simulate", "--method", "qswift"],
+    ["simulate", "--method", "trotter"],
+    ["simulate", "--method", "trotter", "--order", "4"],
+    ["simulate", "--method", "rtrotter"],
+    ["simulate", "--method", "all-order"],
+    BUDGET[:1] + BUDGET[3:] + ["--epsilon", "0.05"],
+], ids=lambda v: "-".join(v[::2]) if isinstance(v, list) else v)
+def test_non_finite_time_exits_two(command, t, capsys):
+    # one error naming the input, before any NumPy warning can leak
+    argv = command[:1] + ["--hamiltonian", CHAIN_FILE, "--t", t] + command[1:]
+    if command[0] == "simulate":
+        argv += ["--samples", "5", "--shots", "5"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run_cli(argv, capsys)
+    assert (rc, out, err) == (2, "", f"error: evolution time t = {t} is not finite\n")
+
+
+def test_analyze_overflowing_counts_are_na_rows(capsys):
+    rc, out, err = run_cli(
+        ["analyze", "--lambda", "3", "--Lambda", "1", "--L", "3", "--t", "1e200",
+         "--methods", "qdrift,qswift2,qswift3,ts1,ts2,ts4,ts_best"],
+        capsys,
+    )
+    assert (rc, err) == (3, "")
+    gates = dict(line.split(",")[2::2] for line in out.splitlines()[1:])
+    assert [gates[m] for m in ("qdrift", "qswift2", "qswift3", "ts1")] == ["NA"] * 4
+    assert gates["ts_best"] == str(min(int(gates["ts2"]), int(gates["ts4"])))
+
+
+@pytest.mark.parametrize("args", [
+    ["--t", "inf"], ["--t", "nan"], ["--t-grid", "log:1:inf:3"], ["--t-grid", "log:nan:2:3"],
+    ["--lambda", "inf"], ["--Lambda", "nan"],
+])
+def test_analyze_non_finite_inputs_exit_two(args, capsys):
+    argv = ["analyze", "--lambda", "3", "--Lambda", "1", "--L", "3", *args]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run_cli(argv, capsys)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and "finite" in err
 
 
 def test_simulate_qdrift_report(model_file, capsys):

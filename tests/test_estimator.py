@@ -57,6 +57,7 @@ from hamsim.compiler import (
     trotter_thetas,
 )
 from hamsim import estimator, statevector
+from hamsim._rng import derived_rng
 from hamsim.estimator import _shot_means
 from hamsim.exact_channels import plus_input_expectation
 from hamsim.statevector import Kernel
@@ -424,6 +425,39 @@ def test_deterministic_order_four_trotter_golden():
     assert estimate_trotter(CHAIN, 1.0, 16, 4, False, config).value == 0.7515000000000001
     state = run_plan(prepare_plus_input(4), trotter_plan(CHAIN, 1.0, 16, 4), CHAIN)
     assert expectation(state, "ZIII") == 0.26326349879352995
+
+
+def randomized_trotter_loop(model, t: float, r: int, order: int, config) -> tuple:
+    """(value, stderr) of the former randomized estimate_trotter, kept as the
+    reference for its batch-derived streams: each plan draws its terms from
+    a derived_rng of its own, evolves alone, and reads its shots from a
+    second derived_rng."""
+    kernel = Kernel(model, config.observable_axes(model))
+    thetas = trotter_thetas(model, t, r, order)
+    means = []
+    for i in range(config.n_sample_0):
+        plan_rng = derived_rng(config.seed, estimator._STREAM_TROTTER, i, estimator._SUB_PLAN)
+        states = kernel.fresh(1, ancilla=False)
+        kernel.evolve(states, draw_trotter_terms(model, r, order, plan_rng)[None], thetas)
+        p_plus = np.clip(0.5 * (1.0 + kernel.read(states, ancilla_x=False)), 0.0, 1.0)
+        shot_rng = derived_rng(config.seed, estimator._STREAM_TROTTER, i, estimator._SUB_SHOT)
+        means.append(2.0 * shot_rng.binomial(config.n_shot_0, float(p_plus[0])) / config.n_shot_0
+                     - 1.0)
+    mean, var, _ = estimator._pooled_stats([np.array(means)])
+    return mean, np.sqrt(var)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_randomized_trotter_matches_per_plan_streams(order, monkeypatch):
+    # streams derived in one pass per chunk give every plan the draws and
+    # shots of its own derived_rng, at any chunk size
+    for seed in (0, 3, 2**40 + 3):
+        config = EstimatorConfig(n_segments=4, n_sample_0=150, n_shot_0=50, seed=seed)
+        want = randomized_trotter_loop(CHAIN, 1.0, 4, order, config)
+        for chunk in (7, 64, 1 << 15):
+            monkeypatch.setattr(estimator, "_STREAM_CHUNK", chunk)
+            report = estimate_trotter(CHAIN, 1.0, 4, order, True, config)
+            assert (report.value, report.stderr) == want
 
 
 def test_one_observable_rule_at_every_entry_point():

@@ -235,25 +235,29 @@ def test_kernel_schedules_give_identical_states(name, monkeypatch):
     # bound above every tile sends it to the per-row one. Every entry of
     # the per-row tables has one zero component, so the two agree bit for
     # bit: time, swift and PAD codes on full rows, time and PAD codes on
-    # rows without the ancilla
+    # rows without the ancilla. The per-row schedule gathers its table
+    # rows for blocks of columns; the 40 x 300 tiles and the one-row tiles
+    # of 8,000 columns (a deterministic plan's shape) span several blocks
     model = SCHEDULE_MODELS[name]
     kernel = Kernel(model)
     n_terms = model.n_terms
     rng = np.random.default_rng(31)
     thetas = rng.uniform(-np.pi, np.pi, n_terms).tolist()
-    m, cols = 60, 17
-    mixed = rng.integers(PAD, 3 * n_terms, size=(m, cols))
-    time_only = rng.integers(PAD, n_terms, size=(m, cols))
-    for width, codes in ((2 << model.n_qubits, mixed), (1 << model.n_qubits, time_only)):
-        start = rng.normal(size=(m, width)) + 1j * rng.normal(size=(m, width))
-        rows = {}
+    for m, cols in ((60, 17), (40, 300), (1, 8000)):
+        mixed = rng.integers(PAD, 3 * n_terms, size=(m, cols))
+        time_only = rng.integers(PAD, n_terms, size=(m, cols))
+        for width, codes in ((2 << model.n_qubits, mixed), (1 << model.n_qubits, time_only)):
+            # 40 table bytes per amplitude and column: P, C and A
+            assert cols == 17 or 40 * m * width * cols > 2 * statevector.ROW_BLOCK_BYTES
+            start = rng.normal(size=(m, width)) + 1j * rng.normal(size=(m, width))
+            rows = {}
+            for bound in (0, 1 << 40):
+                monkeypatch.setattr(statevector, "ROW_SCHEDULE_AMPS", bound)
+                rows[bound] = start.copy()
+                kernel.evolve(rows[bound], codes, thetas)
+            assert not np.array_equal(rows[0], start)
+            assert np.array_equal(rows[0], rows[1 << 40])
         for bound in (0, 1 << 40):
             monkeypatch.setattr(statevector, "ROW_SCHEDULE_AMPS", bound)
-            rows[bound] = start.copy()
-            kernel.evolve(rows[bound], codes, thetas)
-        assert not np.array_equal(rows[0], start)
-        assert np.array_equal(rows[0], rows[1 << 40])
-    for bound in (0, 1 << 40):
-        monkeypatch.setattr(statevector, "ROW_SCHEDULE_AMPS", bound)
-        with pytest.raises(ValueError, match="^swift operators need the ancilla$"):
-            kernel.evolve(kernel.fresh(m, ancilla=False), mixed, thetas)
+            with pytest.raises(ValueError, match="^swift operators need the ancilla$"):
+                kernel.evolve(kernel.fresh(m, ancilla=False), mixed, thetas)

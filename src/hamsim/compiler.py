@@ -42,6 +42,12 @@ from .hamiltonian import HamiltonianModel, finite_time, tau
 B_SERIES_RTOL = 1e-15
 CODE_DTYPE = np.int16
 PAD = -1
+# draw_categorical counts u >= edge over the cdf's edges, one pass over the
+# uniforms per edge, instead of binary-searching them when there are at most
+# COUNT_MAX_EDGES edges and at least COUNT_DRAWS_PER_EDGE uniforms per edge:
+# measured crossovers, see the README's "Library" section
+COUNT_MAX_EDGES = 64
+COUNT_DRAWS_PER_EDGE = 256
 
 
 def check_code_range(n_terms: int) -> None:
@@ -244,11 +250,20 @@ def randomized_trotter_plan(
 def draw_categorical(p, size, rng) -> np.ndarray:
     """`rng.choice(len(p), size, p=p)` value for value as CODE_DTYPE, leaving
     rng in the same state: one uniform u per draw, index = the count of cdf
-    entries <= u (the same binary search). Model draws pass
+    entries <= u, the binary search `choice` runs itself. Short cdfs count
+    instead: the cdf is nondecreasing and u < 1 = cdf[-1], so the count is
+    that of the edges cdf[:-1] with u >= edge. Model draws pass
     check_code_range first, so every index fits."""
     cdf = np.cumsum(p)
     cdf /= cdf[-1]
-    return cdf.searchsorted(rng.random(size), side="right").astype(CODE_DTYPE)
+    u = rng.random(size)
+    n_edges = cdf.size - 1
+    if n_edges > COUNT_MAX_EDGES or u.size < COUNT_DRAWS_PER_EDGE * n_edges:
+        return cdf.searchsorted(u, side="right").astype(CODE_DTYPE)
+    index = np.zeros(u.shape, dtype=CODE_DTYPE)
+    for edge in cdf[:-1].tolist():
+        index += u >= edge
+    return index
 
 
 def draw_qdrift(model: HamiltonianModel, n_segments: int, m: int, rng) -> np.ndarray:

@@ -6,10 +6,10 @@ returns one `EstimateReport`.
 Estimators own streams, budgets, shot readout and reduction. The `compiler`
 draw layer fills rows from streams derived as (seed, stream labels, variant,
 chunk of 32,768 rows) and turns them into op codes; `Kernel.evolve` runs the
-codes in execution tiles of at most 8,192 rows and 32 MiB of amplitudes,
-one reused tile buffer per readout call, and shots are simulated binomially
-from the exact expectations, each unit's shots from its own stream after
-its draws. Tiles only schedule rows: every
+codes in execution tiles of at most 8,192 rows and 2 MiB of amplitudes,
+one reused tile buffer and its ping-pong partner per readout call, and
+shots are simulated binomially from the exact expectations, each unit's
+shots from its own stream after its draws. Tiles only schedule rows: every
 row's arithmetic is the same in any tile, and reduction order is fixed by
 variant and chunk index, so reports are bit-identical for any tile size and
 worker count. The qDRIFT baseline is the k = 0 bucket `BASELINE`: one
@@ -64,9 +64,11 @@ ENUMERATION_CAP = 10**6
 CIRCUIT_CAP = 10**7
 # Rows per derived stream; tiles bound the rows evolved at once. A row's
 # arithmetic is the same in any tile, so reports do not depend on tiling.
+# 2 MiB tiles were the fastest of 512 KiB to 4 MiB for the grouped
+# schedule, a tile and its partner buffer (see the README's "Library")
 _STREAM_CHUNK = 1 << 15
 _TILE_ROWS = 1 << 13
-_TILE_BYTES = 32 << 20
+_TILE_BYTES = 2 << 20
 
 
 def _worker_count(explicit: int | None) -> int:
@@ -195,16 +197,17 @@ def _tile_rows(amps: int) -> int:
 
 def _evolve_read(kernel: Kernel, codes: np.ndarray, thetas, ancilla_x: bool) -> np.ndarray:
     """Exact readout of every row of op codes, evolved tile by tile in one
-    reused buffer. Rows read as I (x) Q evolve on 2^n amplitudes."""
+    reused buffer, allocated together with the grouped schedule's partner.
+    Rows read as I (x) Q evolve on 2^n amplitudes."""
     m = codes.shape[0]
     step = _tile_rows((2 if ancilla_x else 1) << kernel.n_qubits)
     init = kernel.fresh(1, ancilla=ancilla_x)
-    tile = np.empty((min(step, m), init.shape[1]), dtype=init.dtype)
+    tile, partner = np.empty((2, min(step, m), init.shape[1]), dtype=init.dtype)
     vals = np.empty(m)
     for lo in range(0, m, step):
         states = tile[: min(step, m - lo)]
         states[:] = init
-        kernel.evolve(states, codes[lo : lo + step], thetas)
+        kernel.evolve(states, codes[lo : lo + step], thetas, partner[: len(states)])
         vals[lo : lo + step] = kernel.read(states, ancilla_x)
     return vals
 

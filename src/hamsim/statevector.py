@@ -12,8 +12,10 @@ draws: a small integer per instruction naming a time operator, a swift
 operator with its branch, or a pad. It has two schedules, chosen by tile
 size alone. Tiles of more than ROW_SCHEDULE_AMPS (2^12) amplitudes group,
 per column of codes, the rows that share an op, and each group is one call
-of the row functions `rotate_rows` / `swift_rows`, which update amplitudes
-in place from a precomputed permutation and phase. Smaller tiles, where
+of the row functions `rotate_rows` / `swift_rows`, which update a
+contiguous block of rows in place from a precomputed permutation and
+phase: the tile ping-pongs with a partner buffer, each column copying
+every group into its own contiguous slot of the other. Smaller tiles, where
 those calls cost more than their amplitudes, update every row at once per
 column as A * psi + C * psi[P], from one (A, C, P) table row per code.
 Every entry of A and C has one exactly zero component, so each product
@@ -62,41 +64,36 @@ def prepare_plus_input(n_qubits: int) -> np.ndarray:
 # either the full 2^(n+1) register or, when the ancilla stays idle in |+>,
 # one 2^n half: both halves of such a row are equal, so either stands for it.
 
-def rotate_rows(states: np.ndarray, rows, perm, coef: np.ndarray, cos: float) -> None:
-    """psi <- cos * psi + coef * psi[perm] on every 2^n half of the given
-    rows (a slice or an index array), in place. With P psi = unit * signs *
-    psi[perm] and coef = i sin(theta) * unit * signs this is e^{i theta P}."""
-    sub = states[rows]
-    halves = sub.reshape(-1, coef.shape[0])
+def rotate_rows(rows: np.ndarray, perm, coef: np.ndarray, cos: float) -> None:
+    """psi <- cos * psi + coef * psi[perm] on every 2^n half of a contiguous
+    block of rows, in place. With P psi = unit * signs * psi[perm] and
+    coef = i sin(theta) * unit * signs this is e^{i theta P}."""
+    halves = rows.reshape(-1, coef.shape[0])
     if perm is None:
         gathered = halves * coef
     else:
         gathered = np.take(halves, perm, axis=1)
         gathered *= coef
-    sub *= cos
-    sub += gathered.reshape(sub.shape)
-    if not isinstance(rows, slice):
-        states[rows] = sub
+    rows *= cos
+    rows += gathered.reshape(rows.shape)
 
 
-def swift_rows(states: np.ndarray, rows, perm, coef: np.ndarray, b: int) -> None:
-    """Swift operator S^(b) of H_ell = sign * P on full-register rows, in
-    place, with coef * psi[perm] = i H_ell psi (b = 0) or H_ell psi (b = 1).
+def swift_rows(rows: np.ndarray, perm, coef: np.ndarray, b: int) -> None:
+    """Swift operator S^(b) of H_ell = sign * P on a block of full-register
+    rows, in place, with coef * psi[perm] = i H_ell psi (b = 0) or H_ell psi
+    (b = 1).
 
     Net unitaries (ancilla block form): S^(0) = diag(I, i H_ell) and
     S^(1) = diag(H_ell, -i I). Their channel actions on the ancilla
     off-diagonal blocks are rho -> (-i rho H, +i H rho) for b = 0 and
     rho -> (+i H rho, -i rho H) for b = 1, so the two sum to i[H, .].
     """
-    half = states.shape[1] // 2
-    sub = states[rows]
-    part = sub[:, half:] if b == 0 else sub[:, :half]
+    half = rows.shape[1] // 2
+    part = rows[:, half:] if b == 0 else rows[:, :half]
     if b:
-        sub[:, half:] *= -1j
+        rows[:, half:] *= -1j
     gathered = part if perm is None else np.take(part, perm, axis=1)
     np.multiply(gathered, coef, out=part)
-    if not isinstance(rows, slice):
-        states[rows] = sub
 
 
 class Kernel:
@@ -194,7 +191,7 @@ class Kernel:
                 p[row, lo : lo + dim] = perm + lo
         return a, c, p
 
-    def evolve(self, states: np.ndarray, codes: np.ndarray, thetas) -> None:
+    def evolve(self, states: np.ndarray, codes: np.ndarray, thetas, partner=None) -> None:
         """Row i gets the ops codes[i, 0], codes[i, 1], ... in order.
 
         Tiles of at most ROW_SCHEDULE_AMPS amplitudes take the per-row
@@ -203,9 +200,13 @@ class Kernel:
         holds, themselves gathered for a block of columns at a time, at
         most ROW_BLOCK_BYTES (256 KiB) of them. Larger tiles take the
         grouped one: column by column, a stable radix argsort of the int16
-        codes groups the rows that share an op, and each group gets one
-        row-function call; coefficients are built once per code per call.
-        Both give bit-identical states.
+        codes groups the rows that share an op, each group is copied into
+        its contiguous slot of the partner buffer (`partner`, of the
+        states' shape and dtype, or a new one), gets one row-function call
+        there, and the buffers swap; a column with one code for every row
+        runs in place. After the last column one scatter restores input
+        row order in `states`. Coefficients are built once per code per
+        call. Both schedules give bit-identical states.
         """
         codes = np.asarray(codes, dtype=CODE_DTYPE)
         m, width = states.shape
@@ -230,26 +231,45 @@ class Kernel:
                     states += gathered
             return
         full = width == 2 << self.n_qubits
-        n_terms = self.n_terms
         coefs = {}
+
+        def apply(code: int, rows: np.ndarray) -> None:
+            if code < 0:
+                return
+            if code not in coefs:
+                coefs[code] = self._coef(code, thetas)
+            perm, coef, extra = coefs[code]
+            if code < self.n_terms:
+                rotate_rows(rows, perm, coef, extra)
+            elif full:
+                swift_rows(rows, perm, coef, extra)
+            else:
+                raise ValueError("swift operators need the ancilla")
+
+        # src row i is input row where[i] (None: src is states, unsorted);
+        # dst is the partner buffer
+        src, dst, where = states, partner, None
         for col in codes.T.copy():
-            order = np.argsort(col, kind="stable")
-            ranked = col[order]
+            if (col == col[0]).all():  # one whole-tile group, in place
+                apply(int(col[0]), src)
+                continue
+            current = col if where is None else col[where]
+            order = np.argsort(current, kind="stable")
+            ranked = current[order]
             cuts = (np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist()
+            if dst is None:
+                dst = np.empty_like(states)
             for lo, hi in zip([0, *cuts], [*cuts, m]):
-                code = int(ranked[lo])
-                if code < 0:
-                    continue
-                rows = slice(None) if hi - lo == m else order[lo:hi]
-                if code not in coefs:
-                    coefs[code] = self._coef(code, thetas)
-                perm, coef, extra = coefs[code]
-                if code < n_terms:
-                    rotate_rows(states, rows, perm, coef, extra)
-                elif full:
-                    swift_rows(states, rows, perm, coef, extra)
-                else:
-                    raise ValueError("swift operators need the ancilla")
+                # mode="clip" takes straight into out; "raise" buffers
+                np.take(src, order[lo:hi], axis=0, out=dst[lo:hi], mode="clip")
+                apply(int(ranked[lo]), dst[lo:hi])
+            where = order if where is None else where[order]
+            src, dst = dst, src
+        if where is not None:
+            if src is states:  # sorted an even number of times: no overlap
+                dst[...] = src
+                src = dst
+            states[where] = src
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,8 @@ from hamsim import (
 from hamsim.compiler import (
     BASELINE,
     CODE_DTYPE,
+    COUNT_DRAWS_PER_EDGE,
+    COUNT_MAX_EDGES,
     PAD,
     SwiftDraw,
     all_order_categories,
@@ -495,15 +497,33 @@ CATEGORICAL_CASES = {
     "all_order_0.178": lambda: all_order_categories(0.178)[2],
     "all_order_0.25": lambda: all_order_categories(0.25)[2],
     "zero_entries": lambda: np.array([0.0, 0.25, 0.0, 0.0, 0.5, 0.25, 0.0]),
+    "one_category": lambda: np.array([1.0]),
+    # COUNT_MAX_EDGES - 1, COUNT_MAX_EDGES and COUNT_MAX_EDGES + 1 cdf edges
+    # (one fewer than categories): counted, counted, binary-searched
+    "edges_below": lambda: _random_probs(COUNT_MAX_EDGES),
+    "edges_at": lambda: _random_probs(COUNT_MAX_EDGES + 1),
+    "edges_above": lambda: _random_probs(COUNT_MAX_EDGES + 2),
+    "entries_12000": lambda: _random_probs(12000),
 }
+
+
+def _random_probs(n: int) -> np.ndarray:
+    """n positive weights, normalized, from a fixed stream."""
+    p = np.random.default_rng(n).random(n) + 1e-3
+    return p / p.sum()
 
 
 @pytest.mark.parametrize("case", sorted(CATEGORICAL_CASES))
 def test_draw_categorical_replays_generator_choice(case):
     # value for value what Generator.choice(p=) draws, leaving the generator
-    # in the same state
+    # in the same state; short cdfs count their edges from
+    # COUNT_DRAWS_PER_EDGE uniforms per edge on and search below that
     p = CATEGORICAL_CASES[case]()
-    for size in (0, 20000, (3000, 7)):
+    sizes = [0, 5, 20000, (3000, 7)]
+    if p.size - 1 <= COUNT_MAX_EDGES:
+        floor = COUNT_DRAWS_PER_EDGE * (p.size - 1)
+        sizes += [max(floor - 1, 0), floor]
+    for size in sizes:
         ours, theirs = np.random.default_rng(17), np.random.default_rng(17)
         got = draw_categorical(p, size, ours)
         want = theirs.choice(p.size, size=size, p=p)

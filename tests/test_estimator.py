@@ -606,8 +606,10 @@ def test_reports_independent_of_tiles_and_threads(monkeypatch):
 def test_wide_register_memory_stays_tiled():
     # qDRIFT on a 16-qubit chain: an untiled 256-row block of the extended
     # register alone would take 256 * 2^17 * 16 B = 512 MiB. The traced peak
-    # covers NumPy buffers only: one 32 MiB tile plus the readout's copies,
-    # which read_rows bounds by reading in blocks
+    # covers NumPy buffers only: one 2 MiB tile and its 2 MiB ping-pong
+    # partner plus the readout's copies, which read_rows bounds by reading
+    # in blocks. Traced 26.7 MiB and ru_maxrss 63 MiB (85.7 and 122 MiB
+    # with one 32 MiB tile and no partner)
     script = """
 import resource, sys, tracemalloc
 from hamsim import EstimatorConfig, estimate_qdrift, parse_hamiltonian
@@ -668,9 +670,11 @@ def _traced_peak_mib(fn) -> float:
 
 def test_bucket_memory_peak():
     # criterion 10's (2,) bucket: 8 variants x 12,000 rows in batches of
-    # about four 8,192-row tiles. One reused 4 MiB tile buffer, int16 draws
-    # and 512 KiB readout blocks bound the peak (15.7 MiB with a fresh tile
-    # per tile and 8 MiB blocks)
+    # about four 4,096-row tiles. One reused 4 MiB buffer (a 2 MiB tile and
+    # its ping-pong partner), int16 draws and 512 KiB readout blocks bound
+    # the peak: 8.1 MiB (9.1 MiB with one 4 MiB 8,192-row tile and
+    # per-group copies, 15.7 MiB with a fresh tile per tile and 8 MiB
+    # blocks)
     term = next(b for b in correction_terms(CHAIN, 1.0, 16, 2) if b.n_vec == (2,))
     config = EstimatorConfig(n_segments=16, order=2, bucket_samples={(2,): 12000},
                              seed=3, threads=1)
@@ -685,8 +689,9 @@ def test_bucket_memory_peak():
 
 def test_all_order_memory_peak():
     # 20,000 trajectories of 16 segments, packed in place into one code
-    # array (17.2 MiB with padded per-segment arrays joined afterwards);
-    # warmed untraced like the bucket peak
+    # array: 6.9 MiB with 2 MiB tiles and their partners (7.3 MiB with 4 MiB
+    # tiles and per-group copies, 17.2 MiB with padded per-segment arrays
+    # joined afterwards); warmed untraced like the bucket peak
     all_order_stats(CHAIN, 1.0, 16, 8, 3)
     peak = _traced_peak_mib(lambda: all_order_stats(CHAIN, 1.0, 16, 20000, 3))
     print(f"traced peak {peak:.2f} MiB")

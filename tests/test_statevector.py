@@ -261,3 +261,30 @@ def test_kernel_schedules_give_identical_states(name, monkeypatch):
             monkeypatch.setattr(statevector, "ROW_SCHEDULE_AMPS", bound)
             with pytest.raises(ValueError, match="^swift operators need the ancilla$"):
                 kernel.evolve(kernel.fresh(m, ancilla=False), mixed, thetas)
+    # The grouped schedule's edge cases, on 4 (reference_1q), 16 and 32
+    # (chain_4q) amplitudes per row: no columns, all-PAD columns, columns
+    # that are one whole-tile group (evolved in place), one-row tiles, and
+    # one, two or three sorted columns, so that the rows end in the caller's
+    # array or in the partner buffer. The caller's array holds the result
+    for width, top in ((2 << model.n_qubits, 3 * n_terms), (1 << model.n_qubits, n_terms)):
+        for m in (1, 50):
+            mixed = rng.integers(PAD, top, size=(m, 3))
+            same, pad = np.full((m, 1), top - 1), np.full((m, 1), PAD)
+            cases = {
+                "no columns": mixed[:, :0],
+                "all PAD": np.hstack([pad, pad]),
+                "one code": np.hstack([same, pad, same]),
+                "one sorted": np.hstack([pad, mixed[:, :1], same]),
+                "two sorted": np.hstack([mixed[:, :1], same, mixed[:, 1:2]]),
+                "three sorted": np.hstack([mixed[:, :1], pad, mixed[:, 1:], same]),
+            }
+            for case, codes in cases.items():
+                start = rng.normal(size=(m, width)) + 1j * rng.normal(size=(m, width))
+                rows = {}
+                for bound in (0, 1 << 40):
+                    monkeypatch.setattr(statevector, "ROW_SCHEDULE_AMPS", bound)
+                    rows[bound] = start.copy()
+                    kernel.evolve(rows[bound], codes, thetas)
+                moved = (codes != PAD).any()
+                assert moved != np.array_equal(rows[0], start), (width, m, case)
+                assert np.array_equal(rows[0], rows[1 << 40]), (width, m, case)

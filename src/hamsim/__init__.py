@@ -7,38 +7,15 @@ estimates observables by seeded Monte Carlo over those plans, and checks
 everything against a dense superoperator oracle at small widths. An
 analytic-bounds engine inverts the systematic-error bounds into minimal
 segment and gate counts.
+
+The package root exports the names that the command line, the `verify`
+self-checks, the benchmark and the README's library example call, and the
+`HamsimError` family. Everything else, the draws and op codes included, is
+imported from its module (`hamsim.compiler`, `hamsim.statevector`, ...).
 """
 
-from .bounds import (
-    BoundRow,
-    BoundTable,
-    best_trotter_gate_count,
-    eta,
-    qdrift_bound,
-    qswift_bound,
-    solve_min_n,
-    sweep_table,
-    trotter_gate_count,
-)
-from .compiler import (
-    AllOrderSegment,
-    CorrectionTerm,
-    GatePlan,
-    SwiftOp,
-    TimeOp,
-    all_order_b,
-    correction_terms,
-    enumerate_g2,
-    plan_codes,
-    plan_from_text,
-    plan_to_text,
-    qdrift_plan,
-    randomized_trotter_plan,
-    sample_all_order_segment,
-    sample_swift_plan,
-    trotter_plan,
-    validate_plan,
-)
+from .bounds import qdrift_bound, qswift_bound, solve_min_n, sweep_table
+from .compiler import all_order_b, correction_terms, plan_from_text, plan_to_text
 from .errors import (
     AllOrderOverflow,
     BudgetOverflow,
@@ -55,9 +32,6 @@ from .errors import (
     WidthOverflow,
 )
 from .estimator import (
-    BudgetRow,
-    BudgetTable,
-    EstimateReport,
     EstimatorConfig,
     all_order_stats,
     estimate_qdrift,
@@ -65,26 +39,16 @@ from .estimator import (
     estimate_trotter,
     eval_correction_exact,
     exact_qdrift_value,
-    exact_qswift_value,
     plan_budget,
 )
 from .exact_channels import (
-    Superoperator,
-    channel_distance_surrogate,
-    choi_matrix,
-    conjugation,
-    dense_hamiltonian,
     ideal_channel,
-    liouvillian_term,
-    mean_liouvillian,
     mixture,
     qdrift_channel,
     qswift_channel,
     random_pure_density,
     script_l_n,
-    swift_unitary,
     term_unitary,
-    trace_distance,
 )
 from .hamiltonian import (
     HamiltonianModel,
@@ -94,91 +58,54 @@ from .hamiltonian import (
     tau,
     to_text,
 )
-from .statevector import (
-    apply_pauli_rotation,
-    expectation,
-    prepare_plus_input,
-    run_plan,
-)
+from .statevector import run_plan
 
 __version__ = "0.1.0"
 
 __all__ = [
+    # the HamsimError family
     "AllOrderOverflow",
-    "AllOrderSegment",
-    "BoundRow",
-    "BoundTable",
     "BudgetOverflow",
-    "BudgetRow",
-    "BudgetTable",
     "CoefficientOverflow",
     "CombinatorialCap",
-    "CorrectionTerm",
     "DimensionCap",
     "EmptyModel",
-    "EstimateReport",
-    "EstimatorConfig",
-    "GatePlan",
-    "HamiltonianModel",
     "HamsimError",
     "InconsistentWidth",
     "MalformedLine",
     "NoSolutionBelowCap",
     "OrderExceedsSegments",
-    "PauliTerm",
-    "Superoperator",
-    "SwiftOp",
-    "TimeOp",
     "VacuousRegion",
     "WidthOverflow",
+    # models, estimators, oracles and bounds
+    "EstimatorConfig",
+    "HamiltonianModel",
+    "PauliTerm",
     "all_order_b",
     "all_order_stats",
-    "apply_pauli_rotation",
-    "best_trotter_gate_count",
-    "channel_distance_surrogate",
-    "choi_matrix",
-    "conjugation",
     "correction_terms",
-    "dense_hamiltonian",
-    "enumerate_g2",
     "estimate_qdrift",
     "estimate_qswift",
     "estimate_trotter",
-    "eta",
     "eval_correction_exact",
     "exact_qdrift_value",
-    "exact_qswift_value",
-    "expectation",
     "ideal_channel",
-    "liouvillian_term",
     "load_hamiltonian",
-    "mean_liouvillian",
     "mixture",
     "parse_hamiltonian",
     "plan_budget",
-    "plan_codes",
     "plan_from_text",
     "plan_to_text",
-    "prepare_plus_input",
     "qdrift_bound",
     "qdrift_channel",
-    "qdrift_plan",
     "qswift_bound",
     "qswift_channel",
     "random_pure_density",
-    "randomized_trotter_plan",
     "run_plan",
-    "sample_all_order_segment",
-    "sample_swift_plan",
     "script_l_n",
     "solve_min_n",
-    "swift_unitary",
     "sweep_table",
     "tau",
     "term_unitary",
     "to_text",
-    "trace_distance",
-    "trotter_gate_count",
-    "trotter_plan",
-    "validate_plan",
 ]

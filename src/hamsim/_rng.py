@@ -116,10 +116,3 @@ def derived_rngs(prefix, indices, suffix=()):
     for state in derived_states(prefix, indices, suffix):
         rng.bit_generator.state = state
         yield rng
-
-
-def as_rng(seed_or_rng) -> np.random.Generator:
-    """Accept either a seed (int/SeedSequence/None) or an existing Generator."""
-    if isinstance(seed_or_rng, np.random.Generator):
-        return seed_or_rng
-    return np.random.default_rng(seed_or_rng)

@@ -107,7 +107,7 @@ def cmd_simulate(args) -> int:
         config = EstimatorConfig(
             n_segments=args.segments,
             # qdrift is the order-1 estimate: the baseline without buckets
-            order=max(1, args.order) if args.method == "qswift" else 1,
+            order=args.order if args.method == "qswift" else 1,
             n_sample_0=args.samples,
             n_shot_0=args.shots,
             seed=args.seed,
@@ -118,7 +118,7 @@ def cmd_simulate(args) -> int:
             report = estimate_qswift(model, args.t, config)
         elif args.method in ("trotter", "rtrotter"):
             report = estimate_trotter(
-                model, args.t, args.segments, max(1, args.order),
+                model, args.t, args.segments, args.order,
                 randomized=args.method == "rtrotter", config=config,
             )
         else:

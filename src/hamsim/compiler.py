@@ -19,10 +19,10 @@ code is written. The qDRIFT baseline is the correction bucket BASELINE
 `draw_swift_variant`. qDRIFT and Trotter term arrays are already codes;
 `SwiftDraw.codes` expands the correction draws, and `draw_all_order_codes`,
 the one all-order draw, writes each segment's time codes, swift codes and
-signs straight into the growing code array. The public samplers are m = 1
-draws, and `plan_from_codes`, the one decoder, replays any row of codes as
-a plan; its inverse `plan_codes` turns any plan into rows of codes, so
-every plan executes on `Kernel.evolve`.
+signs straight into the growing code array. `plan_from_codes`, the one
+decoder, replays any drawn row of codes as a plan; its inverse `plan_codes`
+turns any plan into rows of codes, so every plan executes on
+`Kernel.evolve`.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from sys import float_info
 
 import numpy as np
 
-from ._rng import as_rng
 from .errors import AllOrderOverflow, CoefficientOverflow, OrderExceedsSegments
 from .hamiltonian import HamiltonianModel, finite_time, tau
 
@@ -243,7 +242,7 @@ def randomized_trotter_plan(
     model: HamiltonianModel, t: float, r: int, order: int, rng_seed
 ) -> GatePlan:
     """Product-formula plan with an independent term permutation per segment."""
-    terms = draw_trotter_terms(model, r, order, as_rng(rng_seed))
+    terms = draw_trotter_terms(model, r, order, np.random.default_rng(rng_seed))
     return plan_from_codes(model, terms, trotter_thetas(model, t, r, order), r, f"RTS{order}")
 
 
@@ -270,12 +269,6 @@ def draw_qdrift(model: HamiltonianModel, n_segments: int, m: int, rng) -> np.nda
     """(m, N) term indices (CODE_DTYPE) drawn iid from the importance weights."""
     check_code_range(model.n_terms)
     return draw_categorical(model.probs, (m, n_segments), rng)
-
-
-def qdrift_plan(model: HamiltonianModel, t: float, n_segments: int, rng_seed) -> GatePlan:
-    """N time operators with ell drawn iid from the importance weights: the
-    plan of the baseline bucket."""
-    return sample_swift_plan(model, t, n_segments, BASELINE, (), (), rng_seed)
 
 
 @lru_cache(maxsize=4096)
@@ -422,22 +415,6 @@ def draw_swift_variant(
     return SwiftDraw(sigma=sigma, fillers=fillers, parts=tuple(parts))
 
 
-def sample_swift_plan(
-    model: HamiltonianModel,
-    t: float,
-    n_segments: int,
-    term: CorrectionTerm,
-    s_vec,
-    b_vecs,
-    rng_seed,
-) -> GatePlan:
-    """Draw (sigma, ell-vectors, fillers) and decode the bucket circuit."""
-    draw = draw_swift_variant(model, n_segments, term, s_vec, 1, as_rng(rng_seed))
-    thetas = signed_angles(model, tau(model, t, n_segments))
-    codes = draw.codes(b_vecs, model.n_terms)
-    return plan_from_codes(model, codes[0], thetas, n_segments, "QSWIFT" if term.k else "QDRIFT")
-
-
 def all_order_b(tau_angle: float) -> float:
     """Normalization B = 1 + sum_{n>=2} 2^{n+1} tau^n / n!, summed to convergence.
 
@@ -534,23 +511,3 @@ def draw_all_order_codes(
             signs[rows] *= 1.0 - 2.0 * s
         fill += step
     return codes[:, : fill.max(initial=0)], signs
-
-
-@dataclass(frozen=True)
-class AllOrderSegment:
-    """One importance-sampled segment: its sign weight and instructions."""
-
-    sign: int
-    ops: tuple
-
-
-def sample_all_order_segment(
-    model: HamiltonianModel, tau_angle: float, rng_seed
-) -> AllOrderSegment:
-    """Draw a qDRIFT segment with probability 1/B, else an n-swift block
-    with sign (-1)^s, uniform s and branch bits: draw_all_order_codes for
-    one segment and one row."""
-    _, block_sizes, cat_probs = all_order_categories(tau_angle)
-    codes, signs = draw_all_order_codes(model, 1, block_sizes, cat_probs, 1, as_rng(rng_seed))
-    plan = plan_from_codes(model, codes[0], signed_angles(model, tau_angle), 1, "ALLORDER")
-    return AllOrderSegment(sign=int(signs[0]), ops=plan.ops)

@@ -228,41 +228,8 @@ def qswift_channel(model: HamiltonianModel, t: float, n_segments: int, order: in
     return Superoperator(column.sum(axis=0), model.n_qubits)
 
 
-def choi_matrix(channel: Superoperator) -> np.ndarray:
-    """Unnormalized Choi matrix sum_ij |i><j| (x) channel(|i><j|); PSD iff CP."""
-    d = channel.dim
-    out = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            basis = np.zeros((d, d), dtype=complex)
-            basis[i, j] = 1.0
-            out[i * d : (i + 1) * d, j * d : (j + 1) * d] = channel.apply(basis)
-    return out
-
-
-def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Half the nuclear norm of rho - sigma."""
-    return 0.5 * float(np.linalg.norm(np.linalg.svd(rho - sigma, compute_uv=False), 1))
-
-
 def random_pure_density(n_qubits: int, rng) -> np.ndarray:
     d = 2**n_qubits
     vec = rng.normal(size=d) + 1j * rng.normal(size=d)
     vec /= np.linalg.norm(vec)
     return np.outer(vec, vec.conj())
-
-
-def channel_distance_surrogate(
-    a: Superoperator, b: Superoperator, n_inputs: int = 20, rng_seed=7
-) -> float:
-    """Max output trace distance over a fixed set of random pure inputs.
-
-    A lower bound on the diamond distance, used for one-sided checks that an
-    analytic upper bound dominates.
-    """
-    rng = np.random.default_rng(rng_seed)
-    worst = 0.0
-    for _ in range(n_inputs):
-        rho = random_pure_density(a.n_qubits, rng)
-        worst = max(worst, trace_distance(a.apply(rho), b.apply(rho)))
-    return worst

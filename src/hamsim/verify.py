@@ -16,7 +16,7 @@ import numpy as np
 
 from ._pauli import pauli_matrix
 from .bounds import qdrift_bound, qswift_bound, solve_min_n
-from .compiler import all_order_b, correction_terms, qdrift_plan, signed_angles, swift_codes
+from .compiler import all_order_b, correction_terms, signed_angles, swift_codes
 from .errors import VacuousRegion
 from .estimator import (
     all_order_stats,
@@ -247,10 +247,11 @@ def check_budget_shape() -> CheckResult:
 
 
 def check_plan_replay() -> CheckResult:
-    from .compiler import plan_from_text, plan_to_text
+    from .compiler import draw_qdrift, plan_from_codes, plan_from_text, plan_to_text
 
     model = _reference_model()
-    plan = qdrift_plan(model, 1.25, 8, rng_seed=3)
+    codes = draw_qdrift(model, 8, 1, np.random.default_rng(3))
+    plan = plan_from_codes(model, codes[0], signed_angles(model, tau(model, 1.25, 8)), 8, "QDRIFT")
     replayed = plan_from_text(plan_to_text(plan), plan.n_segments)
     rng = np.random.default_rng(8)
     dim = 2 ** (model.n_qubits + 1)

@@ -15,13 +15,11 @@ from hamsim import (
     EstimatorConfig,
     all_order_b,
     all_order_stats,
-    channel_distance_surrogate,
     correction_terms,
     estimate_qdrift,
     estimate_qswift,
     eval_correction_exact,
     ideal_channel,
-    liouvillian_term,
     load_hamiltonian,
     mixture,
     parse_hamiltonian,
@@ -30,10 +28,11 @@ from hamsim import (
     qswift_bound,
     qswift_channel,
     script_l_n,
-    swift_unitary,
     sweep_table,
     tau,
 )
+from hamsim.exact_channels import liouvillian_term, swift_unitary
+from oracle_helpers import channel_distance_surrogate
 
 REF = parse_hamiltonian("0.5 X\n0.3 Z\n")
 REF_T = 1.25  # lambda = 0.8, so lambda * t = 1

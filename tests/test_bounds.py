@@ -7,18 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamsim import (
-    BoundRow,
-    BoundTable,
     NoSolutionBelowCap,
     VacuousRegion,
-    best_trotter_gate_count,
-    eta,
     qdrift_bound,
     qswift_bound,
     solve_min_n,
     sweep_table,
-    trotter_gate_count,
 )
+from hamsim.bounds import BoundRow, BoundTable, best_trotter_gate_count, eta, trotter_gate_count
 
 
 def test_eta_frozen_value():

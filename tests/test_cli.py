@@ -406,6 +406,16 @@ def test_simulate_bad_inputs_exit_two(model_file, capsys):
         capsys,
     )
     assert rc == 2
+    # an order below 1 is refused, never raised to 1
+    for method, order in (("qswift", "-3"), ("qswift", "0"), ("trotter", "0"),
+                          ("trotter", "-1"), ("rtrotter", "0")):
+        rc, out, err = run_cli(
+            ["simulate", "--hamiltonian", model_file, "--method", method, "--order", order,
+             "--samples", "5", "--shots", "5"],
+            capsys,
+        )
+        assert (rc, out) == (2, ""), (method, order)
+        assert err.startswith("error:")
 
 
 @pytest.mark.parametrize("method", ["qdrift", "qswift", "trotter", "rtrotter", "all-order"])

@@ -11,25 +11,13 @@ from scipy.linalg import expm
 
 from hamsim import (
     AllOrderOverflow,
-    CorrectionTerm,
-    GatePlan,
     OrderExceedsSegments,
-    SwiftOp,
-    TimeOp,
     all_order_b,
     correction_terms,
-    enumerate_g2,
     parse_hamiltonian,
-    plan_codes,
     plan_from_text,
     plan_to_text,
-    qdrift_plan,
-    randomized_trotter_plan,
-    sample_all_order_segment,
-    sample_swift_plan,
     tau,
-    trotter_plan,
-    validate_plan,
 )
 from hamsim.compiler import (
     BASELINE,
@@ -37,16 +25,25 @@ from hamsim.compiler import (
     COUNT_DRAWS_PER_EDGE,
     COUNT_MAX_EDGES,
     PAD,
+    CorrectionTerm,
+    GatePlan,
     SwiftDraw,
+    SwiftOp,
+    TimeOp,
     all_order_categories,
     draw_all_order_codes,
     draw_categorical,
     draw_qdrift,
     draw_swift_variant,
     draw_trotter_terms,
+    enumerate_g2,
+    plan_codes,
     plan_from_codes,
+    randomized_trotter_plan,
     signed_angles,
+    trotter_plan,
     trotter_thetas,
+    validate_plan,
 )
 
 PAULI_1Q = {
@@ -75,6 +72,29 @@ def plan_unitary(plan: GatePlan, model) -> np.ndarray:
 
 
 MODEL = parse_hamiltonian("0.5 XZ\n-0.3 ZI\n0.2 YY")
+
+
+# Plans of one drawn row, decoded by plan_from_codes; seed is an int or a
+# Generator the draw continues.
+def qdrift_row_plan(model, t, n_seg, seed) -> GatePlan:
+    codes = draw_qdrift(model, n_seg, 1, np.random.default_rng(seed))
+    thetas = signed_angles(model, tau(model, t, n_seg))
+    return plan_from_codes(model, codes[0], thetas, n_seg, "QDRIFT")
+
+
+def swift_row_plan(model, t, n_seg, term, s_vec, b_vecs, seed) -> GatePlan:
+    draw = draw_swift_variant(model, n_seg, term, s_vec, 1, np.random.default_rng(seed))
+    thetas = signed_angles(model, tau(model, t, n_seg))
+    return plan_from_codes(model, draw.codes(b_vecs, model.n_terms)[0], thetas, n_seg, "QSWIFT")
+
+
+def all_order_row(model, tau_angle, seed) -> tuple:
+    """(sign, ops) of one all-order segment."""
+    _, sizes, cat_probs = all_order_categories(tau_angle)
+    codes, signs = draw_all_order_codes(
+        model, 1, sizes, cat_probs, 1, np.random.default_rng(seed))
+    plan = plan_from_codes(model, codes[0], signed_angles(model, tau_angle), 1, "ALLORDER")
+    return int(signs[0]), plan.ops
 
 
 @pytest.mark.parametrize("order,per_segment", [(1, 1), (2, 2), (4, 10)])
@@ -174,27 +194,27 @@ def test_randomized_trotter_rejects_higher_orders():
 
 def test_qdrift_plan_shape_and_angles():
     n_seg = 50
-    plan = qdrift_plan(MODEL, 1.3, n_seg, rng_seed=5)
+    plan = qdrift_row_plan(MODEL, 1.3, n_seg, 5)
     assert plan.method_tag == "QDRIFT"
     assert plan.n_time_ops == n_seg
     tau_angle = tau(MODEL, 1.3, n_seg)
     for op in plan.ops:
         assert abs(op.angle) == pytest.approx(tau_angle, abs=1e-15)
         assert np.sign(op.angle) == MODEL.term(op.ell).sign
-    assert plan == qdrift_plan(MODEL, 1.3, n_seg, rng_seed=5)
-    assert plan != qdrift_plan(MODEL, 1.3, n_seg, rng_seed=6)
+    assert plan == qdrift_row_plan(MODEL, 1.3, n_seg, 5)
+    assert plan != qdrift_row_plan(MODEL, 1.3, n_seg, 6)
 
 
 def test_qdrift_plan_frequencies_track_importance_weights():
     n_seg = 4000
-    plan = qdrift_plan(MODEL, 1.0, n_seg, rng_seed=123)
+    plan = qdrift_row_plan(MODEL, 1.0, n_seg, 123)
     counts = np.bincount([op.ell for op in plan.ops], minlength=4)[1:]
     assert np.allclose(counts / n_seg, MODEL.probs, atol=0.05)
 
 
 def test_qdrift_plan_validation():
     with pytest.raises(ValueError):
-        qdrift_plan(MODEL, 1.0, 0, rng_seed=1)
+        qdrift_row_plan(MODEL, 1.0, 0, 1)
 
 
 def test_validate_plan_errors():
@@ -394,12 +414,8 @@ def test_sample_swift_plan_structure():
     term = next(
         b for b in correction_terms(MODEL, 1.0, n_seg, 3) if b.n_vec == (2, 2)
     )
-    plan = sample_swift_plan(
-        MODEL, 1.0, n_seg, term, s_vec=(1, 1), b_vecs=((0, 1), (1, 1)), rng_seed=17
-    )
-    assert plan == sample_swift_plan(
-        MODEL, 1.0, n_seg, term, s_vec=(1, 1), b_vecs=((0, 1), (1, 1)), rng_seed=17
-    )
+    plan = swift_row_plan(MODEL, 1.0, n_seg, term, (1, 1), ((0, 1), (1, 1)), 17)
+    assert plan == swift_row_plan(MODEL, 1.0, n_seg, term, (1, 1), ((0, 1), (1, 1)), 17)
     assert plan.n_time_ops == n_seg - term.k
     assert plan.n_swift_ops == term.xi
     # s = 1 blocks repeat a single index
@@ -412,9 +428,7 @@ def test_sample_swift_plan_structure():
 def test_sample_swift_plan_k_over_segments():
     term = CorrectionTerm(k=3, n_vec=(2, 2, 2), xi=6, coeff=1.0)
     with pytest.raises(OrderExceedsSegments):
-        sample_swift_plan(
-            MODEL, 1.0, 2, term, s_vec=(0, 0, 0), b_vecs=((0, 0),) * 3, rng_seed=1
-        )
+        swift_row_plan(MODEL, 1.0, 2, term, (0, 0, 0), ((0, 0),) * 3, 1)
 
 
 @pytest.mark.parametrize("tau_angle", [0.0, 0.05, 0.125, 0.4, 1.0])
@@ -460,24 +474,24 @@ def test_sample_all_order_segment_shapes():
     n_time = 0
     n_draws = 1500
     for _ in range(n_draws):
-        seg = sample_all_order_segment(MODEL, tau_angle, rng)
-        assert seg.sign in (-1, 1)
-        if isinstance(seg.ops[0], TimeOp):
-            assert len(seg.ops) == 1
-            assert seg.sign == 1
+        sign, ops = all_order_row(MODEL, tau_angle, rng)
+        assert sign in (-1, 1)
+        if isinstance(ops[0], TimeOp):
+            assert len(ops) == 1
+            assert sign == 1
             n_time += 1
         else:
-            assert len(seg.ops) >= 2
-            assert all(isinstance(op, SwiftOp) for op in seg.ops)
-            if seg.sign == -1:
-                ells = {op.ell for op in seg.ops}
+            assert len(ops) >= 2
+            assert all(isinstance(op, SwiftOp) for op in ops)
+            if sign == -1:
+                ells = {op.ell for op in ops}
                 assert len(ells) == 1
     assert n_time / n_draws == pytest.approx(1.0 / b_norm, abs=0.06)
 
 
 def test_sample_all_order_segment_determinism():
-    a = sample_all_order_segment(MODEL, 0.3, rng_seed=42)
-    b = sample_all_order_segment(MODEL, 0.3, rng_seed=42)
+    a = all_order_row(MODEL, 0.3, 42)
+    b = all_order_row(MODEL, 0.3, 42)
     assert a == b
 
 
@@ -550,13 +564,13 @@ def test_samplers_refuse_models_whose_codes_overflow():
     term = CorrectionTerm(k=1, n_vec=(2,), xi=2, coeff=1.0)
     over = _wide_model(10923)
     for sample in (
-        lambda: qdrift_plan(over, 1.0, 4, rng_seed=1),
-        lambda: sample_swift_plan(over, 1.0, 4, term, (0,), ((1, 1),), rng_seed=1),
-        lambda: sample_all_order_segment(over, 0.5, rng_seed=1),
+        lambda: qdrift_row_plan(over, 1.0, 4, 1),
+        lambda: swift_row_plan(over, 1.0, 4, term, (0,), ((1, 1),), 1),
+        lambda: all_order_row(over, 0.5, 1),
     ):
         with pytest.raises(ValueError, match="overflow the op codes"):
             sample()
     edge = _wide_model(10922)
-    plan = sample_swift_plan(edge, 1.0, 4, term, (0,), ((1, 1),), rng_seed=1)
+    plan = swift_row_plan(edge, 1.0, 4, term, (0,), ((1, 1),), 1)
     validate_plan(plan, edge)
     assert plan.ops.count(SwiftOp(ell=10922, b=1)) == 2

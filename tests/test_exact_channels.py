@@ -11,15 +11,7 @@ from hamsim import (
     DimensionCap,
     OrderExceedsSegments,
     PauliTerm,
-    Superoperator,
-    channel_distance_surrogate,
-    choi_matrix,
-    conjugation,
-    dense_hamiltonian,
-    enumerate_g2,
     ideal_channel,
-    liouvillian_term,
-    mean_liouvillian,
     mixture,
     parse_hamiltonian,
     qdrift_channel,
@@ -27,9 +19,23 @@ from hamsim import (
     qswift_channel,
     random_pure_density,
     script_l_n,
-    swift_unitary,
     tau,
     term_unitary,
+)
+from hamsim.compiler import enumerate_g2
+from hamsim.exact_channels import (
+    Superoperator,
+    conjugation,
+    dense_hamiltonian,
+    liouvillian_term,
+    mean_liouvillian,
+    swift_unitary,
+)
+from oracle_helpers import (
+    THREE_QUBIT,
+    TWO_QUBIT,
+    channel_distance_surrogate,
+    choi_matrix,
     trace_distance,
 )
 
@@ -63,8 +69,6 @@ def random_super(n_qubits: int, seed: int) -> Superoperator:
 
 
 REF = parse_hamiltonian("0.5 X\n0.3 Z")
-TWO_QUBIT = parse_hamiltonian("0.5 XZ\n0.3 ZI\n-0.2 YY")
-THREE_QUBIT = parse_hamiltonian("0.5 XZI\n0.3 ZIY\n-0.2 YYX\n0.4 IZZ")
 
 
 def interleaving_sum(parts, filler: Superoperator, n_copies: int) -> np.ndarray:

@@ -7,25 +7,17 @@ import pytest
 from scipy.linalg import expm
 
 from hamsim import (
-    GatePlan,
     HamiltonianModel,
     PauliTerm,
-    SwiftOp,
-    TimeOp,
     WidthOverflow,
-    apply_pauli_rotation,
-    expectation,
     load_hamiltonian,
     parse_hamiltonian,
-    plan_codes,
-    prepare_plus_input,
     run_plan,
-    trotter_plan,
 )
 from hamsim import statevector
-from hamsim.compiler import PAD
+from hamsim.compiler import PAD, GatePlan, SwiftOp, TimeOp, plan_codes, trotter_plan
 from hamsim.exact_channels import swift_unitary, term_unitary
-from hamsim.statevector import Kernel
+from hamsim.statevector import Kernel, apply_pauli_rotation, expectation, prepare_plus_input
 
 PAULI_1Q = {
     "I": np.eye(2, dtype=complex),

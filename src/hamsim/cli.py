@@ -19,6 +19,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from functools import cache
 from math import inf
 
 import numpy as np
@@ -230,8 +231,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first call of `main`, not at
+    import: `parse_args` fills a new namespace per call and leaves the
+    parser as it was, so one serves every call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.fn(args)
 
 

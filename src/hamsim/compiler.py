@@ -216,6 +216,15 @@ def trotter_plan(model: HamiltonianModel, t: float, r: int, order: int) -> GateP
     return GatePlan(ops=tuple(segment * r), n_segments=r, method_tag=tag)
 
 
+@lru_cache(maxsize=1)
+def _identity_rows(n_terms: int, r: int) -> np.ndarray:
+    """Read-only (r, n_terms) table whose rows are 0..n_terms-1, built once
+    for the consecutive plans of one estimate."""
+    table = np.tile(np.arange(n_terms), (r, 1))
+    table.flags.writeable = False
+    return table
+
+
 def draw_trotter_terms(model: HamiltonianModel, r: int, order: int, rng) -> np.ndarray:
     """Term per instruction of one randomized plan: a fresh permutation per
     segment, which order 2 mirrors to keep the second-order cancellation."""
@@ -224,8 +233,8 @@ def draw_trotter_terms(model: HamiltonianModel, r: int, order: int, rng) -> np.n
     if r < 1:
         raise ValueError("repetition count must be >= 1")
     # one permuted() call draws the same r rows, and leaves rng in the same
-    # state, as r permutation() calls
-    perms = rng.permuted(np.tile(np.arange(model.n_terms), (r, 1)), axis=1)
+    # state, as r permutation() calls; it permutes a copy of the shared table
+    perms = rng.permuted(_identity_rows(model.n_terms, r), axis=1)
     if order == 2:
         perms = np.concatenate([perms, perms[:, ::-1]], axis=1)
     return perms.ravel()

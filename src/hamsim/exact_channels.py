@@ -203,15 +203,18 @@ def script_l_n(model: HamiltonianModel, n: int) -> Superoperator:
     return Superoperator(total, model.n_qubits)
 
 
-def qswift_channel(model: HamiltonianModel, t: float, n_segments: int, order: int) -> Superoperator:
-    """Order-K corrected channel: the qDRIFT product plus every correction.
+def qswift_levels(
+    model: HamiltonianModel, t: float, n_segments: int, order: int, moments=None
+) -> np.ndarray:
+    """Order-K corrections by total moment order: the first block column of
+    M^N, M with the qDRIFT segment channel E on its 2K - 1 diagonal blocks
+    (one per xi) and tau^n / n! L^(n) at every block (xi + n, xi).
 
-    Sums the qDRIFT segment channel E^N with tau^n / n! L^(n) moment
-    corrections placed into ordered slots, over total moment order
-    xi = n_1 + ... + n_k <= 2K - 2 (every n_j >= 2). That is the sum of the
-    first block column of M^N, M with E on its 2K - 1 diagonal blocks (one
-    per xi) and tau^n / n! L^(n) at every block (xi + n, xi). order = 1 is
-    the plain qDRIFT product channel.
+    Level xi sums E^N with tau^n / n! L^(n) moment corrections placed into
+    ordered slots, over n_1 + ... + n_k = xi (every n_j >= 2). M is block
+    lower-triangular, so the first 2K' - 1 levels are the order-K' column
+    for every K' <= K. `moments` maps n to the tau-free L^(n) matrix, so
+    callers at many N build each once; by default they are built here.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -222,10 +225,18 @@ def qswift_channel(model: HamiltonianModel, t: float, n_segments: int, order: in
     n_levels = 2 * order - 1
     below = {}
     for n in range(2, n_levels):
-        moment = tau_angle**n / factorial(n) * script_l_n(model, n).matrix
+        l_n = script_l_n(model, n).matrix if moments is None else moments[n]
+        moment = tau_angle**n / factorial(n) * l_n
         below.update({(j + n, j): moment for j in range(n_levels - n)})
-    column = _block_power_column(base.matrix, below, n_levels, n_segments)
-    return Superoperator(column.sum(axis=0), model.n_qubits)
+    return _block_power_column(base.matrix, below, n_levels, n_segments)
+
+
+def qswift_channel(model: HamiltonianModel, t: float, n_segments: int, order: int) -> Superoperator:
+    """Order-K corrected channel: the qDRIFT product plus every correction
+    of total moment order xi <= 2K - 2, the sum of `qswift_levels`. order = 1
+    is the plain qDRIFT product channel.
+    """
+    return Superoperator(qswift_levels(model, t, n_segments, order).sum(axis=0), model.n_qubits)
 
 
 def random_pure_density(n_qubits: int, rng) -> np.ndarray:

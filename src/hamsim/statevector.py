@@ -197,9 +197,9 @@ class Kernel:
         Tiles of at most ROW_SCHEDULE_AMPS amplitudes take the per-row
         schedule: each column gathers, multiplies and adds every row at
         once from the table rows (`_row_tables`) of the codes the tile
-        holds, themselves gathered for a block of columns at a time, at
-        most ROW_BLOCK_BYTES (256 KiB) of them. Larger tiles take the
-        grouped one: column by column, a stable radix argsort of the int16
+        holds, themselves gathered by `take` for a block of columns at a
+        time, at most ROW_BLOCK_BYTES (256 KiB) of them. Larger tiles take
+        the grouped one: column by column, a stable radix argsort of the int16
         codes groups the rows that share an op, each group is copied into
         its contiguous slot of the partner buffer (`partner`, of the
         states' shape and dtype, or a new one), gets one row-function call
@@ -222,8 +222,10 @@ class Kernel:
             step = max(1, ROW_BLOCK_BYTES // (40 * states.size))
             for lo in range(0, len(cols), step):
                 blk = cols[lo : lo + step]
-                pb = p[blk] + offsets
-                cb, ab = c[blk], a[blk]
+                # take: one gather per table, without fancy indexing's set-up
+                pb = p.take(blk, axis=0)
+                pb += offsets
+                cb, ab = c.take(blk, axis=0), a.take(blk, axis=0)
                 for j in range(len(blk)):
                     gathered = states.reshape(-1)[pb[j]]
                     gathered *= cb[j]

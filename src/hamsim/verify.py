@@ -25,11 +25,13 @@ from .estimator import (
     plan_budget,
 )
 from .exact_channels import (
+    Superoperator,
     ideal_channel,
     mixture,
     plus_input_expectation,
     qdrift_channel,
     qswift_channel,
+    qswift_levels,
     random_pure_density,
     script_l_n,
     term_unitary,
@@ -198,11 +200,11 @@ def check_qdrift_bias() -> CheckResult:
     lambda_t = model.lam * t
     ok = True
     details = []
+    exact = plus_input_expectation(ideal_channel(model, t))
     for n_seg in (16, 64):
         approx = plus_input_expectation(
             qdrift_channel(model, tau(model, t, n_seg)).power(n_seg)
         )
-        exact = plus_input_expectation(ideal_channel(model, t))
         bias = abs(approx - exact)
         limit = 2.0 * qdrift_bound(lambda_t, n_seg)
         ok = ok and bias <= limit
@@ -287,20 +289,25 @@ def fitted_slopes(max_order: int = 3) -> dict[int, float]:
 
     The systematic error of the order-K construction decays as N^(-K), so
     the fitted slope should sit near -K for each order (N >= 32 here).
+    Every order K <= max_order reads its channel as the first 2K - 1
+    levels of one `qswift_levels` column per N, and the tau-free moment
+    generators L^(n) are built once for the whole grid.
     """
     model = _reference_model()
     t = 1.25
     grid = np.array([32, 64, 128, 256])
     exact = plus_input_expectation(ideal_channel(model, t))
-    slopes = {}
-    for order in range(1, max_order + 1):
-        errs = []
-        for n_seg in grid:
-            approx = plus_input_expectation(qswift_channel(model, t, int(n_seg), order))
-            errs.append(abs(approx - exact))
-        slope = float(np.polyfit(np.log(grid), np.log(errs), 1)[0])
-        slopes[order] = slope
-    return slopes
+    moments = {n: script_l_n(model, n).matrix for n in range(2, 2 * max_order - 1)}
+    errs = {order: [] for order in range(1, max_order + 1)}
+    for n_seg in grid:
+        levels = qswift_levels(model, t, int(n_seg), max_order, moments)
+        for order, order_errs in errs.items():
+            channel = Superoperator(levels[: 2 * order - 1].sum(axis=0), model.n_qubits)
+            order_errs.append(abs(plus_input_expectation(channel) - exact))
+    return {
+        order: float(np.polyfit(np.log(grid), np.log(order_errs), 1)[0])
+        for order, order_errs in errs.items()
+    }
 
 
 def run_slopes_suite(max_order: int = 3) -> list[CheckResult]:

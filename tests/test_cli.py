@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import hamsim
-from hamsim import load_hamiltonian
+from hamsim import cli, load_hamiltonian
 from hamsim.cli import main
 
 
@@ -335,6 +335,48 @@ def test_simulate_writes_output_file(model_file, tmp_path, capsys):
     assert rc == 0
     assert out == ""
     assert json.loads(out_path.read_text())["method"] == "QDRIFT"
+
+
+def test_main_reuses_one_parser(model_file, tmp_path, capsys, monkeypatch):
+    # one process, one parser: each call's exit code, output and written
+    # file equal a freshly built parser's, and --out does not carry over
+    out_path = tmp_path / "report.json"
+    sim = ["simulate", "--hamiltonian", model_file, "--segments", "4",
+           "--samples", "10", "--shots", "10"]
+    calls = [
+        sim + ["--method", "trotter"],
+        ["simulate", "--hamiltonian", model_file, "--method", "bogus"],
+        ["verify", "--suite", "core"],
+        ["analyze", "--lambda", "1.0", "--Lambda", "0.5", "--L", "4", "--t-grid", "log:1:100:3"],
+        sim + ["--method", "rtrotter", "--order", "2", "--seed", "7", "--observable", "x",
+               "--out", str(out_path)],
+        sim + ["--method", "trotter"],
+    ]
+
+    def outcome(run, argv):
+        try:
+            rc = run(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        captured = capsys.readouterr()
+        written = out_path.read_text() if out_path.exists() else None
+        out_path.unlink(missing_ok=True)
+        return rc, captured.out, captured.err, written
+
+    def fresh(argv):
+        args = build_parser().parse_args(argv)
+        return args.fn(args)
+
+    build_parser = cli.build_parser
+    want = [outcome(fresh, argv) for argv in calls]
+    assert [w[0] for w in want] == [0, 2, 0, 0, 0, 0]
+    assert want[4][1] == "" and want[4][3] is not None and want[5] == want[0]
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    cli._parser.cache_clear()
+    got = [outcome(main, argv) for argv in calls]
+    assert len(built) == 1
+    assert got == want
 
 
 def test_simulate_missing_file_exits_two(capsys):

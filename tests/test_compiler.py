@@ -30,6 +30,7 @@ from hamsim.compiler import (
     SwiftDraw,
     SwiftOp,
     TimeOp,
+    _identity_rows,
     all_order_categories,
     draw_all_order_codes,
     draw_categorical,
@@ -172,7 +173,9 @@ def trotter_terms_loop(n_terms: int, r: int, order: int, rng) -> np.ndarray:
 
 @pytest.mark.parametrize("order", [1, 2])
 def test_draw_trotter_terms_matches_permutation_loop(order):
-    # the same terms, and the generator left in the same state
+    # the same terms, and the generator left in the same state, from one
+    # segment (r = 1) and a one-term model up; the five seeds at each shape
+    # permute one shared identity table in turn
     for n_terms in (1, 2, 3, 7, 23):
         model = parse_hamiltonian("\n".join(
             f"0.{i % 9 + 1} " + "".join("IXYZ"[(i >> (2 * q)) & 3] for q in range(3))
@@ -185,6 +188,25 @@ def test_draw_trotter_terms_matches_permutation_loop(order):
                 want = trotter_terms_loop(n_terms, r, order, theirs)
                 assert got.dtype == want.dtype and np.array_equal(got, want)
                 assert ours.random() == theirs.random()
+
+
+def test_trotter_identity_table_is_shared_read_only():
+    # every draw at one (n_terms, r) permutes the same read-only table, and
+    # returns a fresh array that does not share its memory
+    model = parse_hamiltonian("0.5 XI\n0.3 ZZ\n0.2 IY")
+    r = 4
+    table = _identity_rows(model.n_terms, r)
+    assert table is _identity_rows(model.n_terms, r)
+    assert np.array_equal(table, np.tile(np.arange(model.n_terms), (r, 1)))
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 1
+    rng = np.random.default_rng(5)
+    for order in (1, 2):
+        terms = draw_trotter_terms(model, r, order, rng)
+        assert terms.flags.writeable
+        assert not np.shares_memory(terms, table)
+        terms[:] = 0
+    assert np.array_equal(table, np.tile(np.arange(model.n_terms), (r, 1)))
 
 
 def test_randomized_trotter_rejects_higher_orders():

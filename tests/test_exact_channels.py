@@ -29,6 +29,7 @@ from hamsim.exact_channels import (
     dense_hamiltonian,
     liouvillian_term,
     mean_liouvillian,
+    qswift_levels,
     swift_unitary,
 )
 from oracle_helpers import (
@@ -322,6 +323,22 @@ def test_qswift_channel_large_n_within_bound():
     for order in range(1, 5):
         dist = channel_distance_surrogate(ideal, qswift_channel(REF, t, n_seg, order))
         assert dist <= qswift_bound(REF.lam * t, n_seg, order), order
+
+
+def test_qswift_levels_partial_sums_are_every_lower_order():
+    # the slopes suite's reading: one order-3 column per N, its moment
+    # generators built once, gives every order K' <= 3 as the sum of its
+    # first 2K' - 1 levels
+    t = 1.25
+    moments = {n: script_l_n(REF, n).matrix for n in range(2, 5)}
+    for n_seg in (32, 64, 128, 256):
+        levels = qswift_levels(REF, t, n_seg, 3, moments)
+        assert levels.shape == (5, 4, 4)
+        assert np.array_equal(levels, qswift_levels(REF, t, n_seg, 3))
+        for order in (1, 2, 3):
+            want = qswift_channel(REF, t, n_seg, order).matrix
+            got = levels[: 2 * order - 1].sum(axis=0)
+            assert np.abs(got - want).max() <= 1e-14, (n_seg, order)
 
 
 def test_qswift_channel_guards():

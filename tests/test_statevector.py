@@ -253,6 +253,24 @@ def test_kernel_schedules_give_identical_states(name, monkeypatch):
             monkeypatch.setattr(statevector, "ROW_SCHEDULE_AMPS", bound)
             with pytest.raises(ValueError, match="^swift operators need the ancilla$"):
                 kernel.evolve(kernel.fresh(m, ancilla=False), mixed, thetas)
+    # A randomized-Trotter tile as the benchmark runs it: 200 plans of 224
+    # time-only columns on 2^n amplitudes, which chain_4q gathers in 112
+    # table blocks of 2 columns, and one column more, so that the last
+    # block is short
+    width = 1 << model.n_qubits
+    # columns per table block, as Kernel.evolve takes them
+    step = max(1, statevector.ROW_BLOCK_BYTES // (40 * 200 * width))
+    assert 225 % step != 0
+    for cols in (224, 225):
+        codes = rng.integers(0, n_terms, size=(200, cols))
+        start = rng.normal(size=(200, width)) + 1j * rng.normal(size=(200, width))
+        rows = {}
+        for bound in (0, 1 << 40):
+            monkeypatch.setattr(statevector, "ROW_SCHEDULE_AMPS", bound)
+            rows[bound] = start.copy()
+            kernel.evolve(rows[bound], codes, thetas)
+        assert not np.array_equal(rows[0], start)
+        assert np.array_equal(rows[0], rows[1 << 40])
     # The grouped schedule's edge cases, on 4 (reference_1q), 16 and 32
     # (chain_4q) amplitudes per row: no columns, all-PAD columns, columns
     # that are one whole-tile group (evolved in place), one-row tiles, and

@@ -1,9 +1,9 @@
-"""Seed derivation for reproducible, worker-count-independent sampling.
+"""Seed derivation for reproducible, schedule-independent sampling.
 
 Every random draw in the package flows through a Generator built from an
 explicit integer entropy tuple, so per-sample streams are pure functions of
-(master seed, stream labels, sample index) and parallel scheduling cannot
-change results.
+(master seed, stream labels, sample index) and the order in which units
+are drawn cannot change results.
 
 `derived_rng` builds one such Generator. `derived_states` derives the
 streams of many indices under one label tuple at once: it replays NumPy's

@@ -11,12 +11,13 @@ one reused tile buffer and its ping-pong partner per readout call, and
 shots are simulated binomially from the exact expectations, each unit's
 shots from its own stream after its draws. Tiles only schedule rows: every
 row's arithmetic is the same in any tile, and reduction order is fixed by
-variant and chunk index, so reports are bit-identical for any tile size and
-worker count. The qDRIFT baseline is the k = 0 bucket `BASELINE`: one
-loop estimates it and every correction bucket, the baseline on its own
-streams and on 2^n amplitudes (its ancilla stays idle). The exhaustive
-*_exact oracles evolve every draw of a bucket's support, the baseline's
-included, as a weighted row through the same `Kernel.evolve`.
+variant and chunk index, so reports are bit-identical for any tile size.
+Every estimate runs on the calling thread. The qDRIFT baseline is the
+k = 0 bucket `BASELINE`: one loop estimates it and every correction bucket,
+the baseline on its own streams and on 2^n amplitudes (its ancilla stays
+idle). The exhaustive *_exact oracles evolve every draw of a bucket's
+support, the baseline's included, as a weighted row through the same
+`Kernel.evolve`.
 
 Every circuit starts from |+>^(n+1); a run chooses only N, K, the budgets,
 the seed and the observable (`EstimatorConfig`).
@@ -24,8 +25,6 @@ the seed and the observable (`EstimatorConfig`).
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import ceil, comb, prod, sqrt
@@ -71,24 +70,6 @@ _TILE_ROWS = 1 << 13
 _TILE_BYTES = 2 << 20
 
 
-def _worker_count(explicit: int | None) -> int:
-    if explicit is not None:
-        return max(1, explicit)
-    env = os.environ.get("HAMSIM_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
-def _map_ordered(fn, items: list, threads: int) -> list:
-    """[fn(item) for item in items], optionally on worker threads."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 @dataclass(frozen=True)
 class EstimatorConfig:
     """Budgets, seed, and readout selection for one estimation run.
@@ -97,7 +78,8 @@ class EstimatorConfig:
     corrections read it dressed with ancilla X, baselines read it bare.
     bucket_samples overrides n_sample_0 per correction n_vec and must be
     >= 1; the baseline (n_vec = ()) always takes n_sample_0. Every row
-    reads n_shot_0 shots per circuit.
+    reads n_shot_0 shots per circuit. threads is accepted and has no
+    effect: every estimate runs on the calling thread.
     """
 
     n_segments: int
@@ -238,8 +220,8 @@ def _eval_correction_stats(
     buckets, the system observable for the baseline (k = 0). Each (variant,
     stream chunk) unit draws its rows and then its shots from its own
     derived stream; consecutive units pack into batches of a few tiles,
-    which may run on worker threads. The reduction follows unit order, so
-    reports do not depend on tiling or thread count.
+    run in unit order, which is also the reduction order, so reports do
+    not depend on tiling.
     """
     n_sample = config.n_sample(term.n_vec)
     n_shot = config.n_shot_0
@@ -279,8 +261,7 @@ def _eval_correction_stats(
         ends = np.cumsum([size for _, _, size in batch])[:-1]
         return [_shot_means(v, n_shot, rng) for v, rng in zip(np.split(vals, ends), rngs)]
 
-    # about four tiles per batch: few partial tiles, yet several batches
-    # for the pool and small code arrays
+    # about four tiles per batch: few partial tiles and small code arrays
     batch_rows = 4 * _tile_rows(2 << model.n_qubits)
     batches, rows = [[]], 0
     for unit in units:
@@ -289,8 +270,7 @@ def _eval_correction_stats(
             rows = 0
         batches[-1].append(unit)
         rows += unit[2]
-    results = _map_ordered(one_batch, batches, _worker_count(config.threads))
-    shot_means = [arr for out in results for arr in out]
+    shot_means = [arr for batch in batches for arr in one_batch(batch)]
     per_variant = len(units) // len(variants)
     signed_sum = 0.0
     var_sum = 0.0
@@ -506,8 +486,8 @@ def all_order_stats(
     swift block of size n with probability beta(n)/B; trajectory signs
     track the s draws and the mean is rescaled by B^N, the baseline row's
     coeff; AllOrderOverflow when B^N is not finite. Expectations are read
-    exactly per trajectory, so no shots are simulated. Chunks run on
-    HAMSIM_THREADS worker threads and reduce in chunk order.
+    exactly per trajectory, so no shots are simulated. Chunks run and
+    reduce in chunk order.
     """
     if n_sample < 1 or n_segments < 1:
         raise ValueError("need n_sample >= 1 and N >= 1")
@@ -518,8 +498,7 @@ def all_order_stats(
     thetas = signed_angles(model, tau_angle)
     b_norm, block_sizes, cat_probs = all_order_categories(tau_angle)
 
-    def one_chunk(args):
-        chunk_idx, _, m = args
+    def one_chunk(chunk_idx: int, m: int) -> np.ndarray:
         rng = derived_rng(int(rng_seed), _STREAM_ALL_ORDER, chunk_idx)
         codes, signs = draw_all_order_codes(model, n_segments, block_sizes, cat_probs, m, rng)
         return signs * _evolve_read(kernel, codes, thetas, ancilla_x=True)
@@ -528,8 +507,8 @@ def all_order_stats(
         b_power = b_norm**n_segments
     except OverflowError:
         raise AllOrderOverflow(f"B^N = {b_norm!r}^{n_segments} overflows") from None
-    chunks = _map_ordered(one_chunk, list(_chunk_sizes(n_sample)), _worker_count(None))
-    mean, var, _ = _pooled_stats(chunks)
+    mean, var, _ = _pooled_stats(
+        one_chunk(idx, m) for idx, _, m in _chunk_sizes(n_sample))
     value = b_power * mean
     return EstimateReport(
         method="ALLORDER",

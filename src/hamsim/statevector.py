@@ -202,11 +202,11 @@ class Kernel:
         the grouped one: column by column, a stable radix argsort of the int16
         codes groups the rows that share an op, each group is copied into
         its contiguous slot of the partner buffer (`partner`, of the
-        states' shape and dtype, or a new one), gets one row-function call
-        there, and the buffers swap; a column with one code for every row
-        runs in place. After the last column one scatter restores input
-        row order in `states`. Coefficients are built once per code per
-        call. Both schedules give bit-identical states.
+        states' shape and dtype, or a new one) by one gather of the whole
+        column, gets one row-function call there, and the buffers swap.
+        After the last column one scatter restores input row order in
+        `states`. Coefficients are built once per code per call. Both
+        schedules give bit-identical states.
         """
         codes = np.asarray(codes, dtype=CODE_DTYPE)
         m, width = states.shape
@@ -250,20 +250,17 @@ class Kernel:
 
         # src row i is input row where[i] (None: src is states, unsorted);
         # dst is the partner buffer
-        src, dst, where = states, partner, None
+        src, where = states, None
+        dst = np.empty_like(states) if partner is None else partner
         for col in codes.T.copy():
-            if (col == col[0]).all():  # one whole-tile group, in place
-                apply(int(col[0]), src)
-                continue
             current = col if where is None else col[where]
             order = np.argsort(current, kind="stable")
             ranked = current[order]
             cuts = (np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist()
-            if dst is None:
-                dst = np.empty_like(states)
+            # every group lands in its contiguous slot; mode="clip" takes
+            # straight into out, "raise" buffers
+            np.take(src, order, axis=0, out=dst, mode="clip")
             for lo, hi in zip([0, *cuts], [*cuts, m]):
-                # mode="clip" takes straight into out; "raise" buffers
-                np.take(src, order[lo:hi], axis=0, out=dst[lo:hi], mode="clip")
                 apply(int(ranked[lo]), dst[lo:hi])
             where = order if where is None else where[order]
             src, dst = dst, src

@@ -4,8 +4,9 @@ Each check is independent and returns a CheckResult; the CLI `verify`
 command runs a suite and reports one line per check. The checks rebuild
 channels from the statevector executor where possible, and the gate checks
 evolve through `Kernel.evolve` on both of its schedules, the ones that
-produce reports, so a sign slip in the gate implementations shows up here
-even when the dense oracle is internally consistent.
+produce reports, the grouped one with its sort, copies and final scatter,
+so a sign slip in the gate implementations shows up here even when the
+dense oracle is internally consistent.
 """
 
 from __future__ import annotations
@@ -100,7 +101,8 @@ def check_qswift2_unroll() -> CheckResult:
 def _kernel_matrices(model: HamiltonianModel, codes, thetas) -> list[np.ndarray]:
     """Full-register unitary of one row of op codes, rebuilt column by column
     by Kernel.evolve from the basis rows, once per schedule: the basis rows
-    alone are a per-row tile, tiled past ROW_SCHEDULE_AMPS a grouped one."""
+    alone are a per-row tile, tiled past ROW_SCHEDULE_AMPS a grouped one,
+    which sorts and copies its one-code columns like any other."""
     kernel = Kernel(model)
     dim = 2 << model.n_qubits
     mats = []

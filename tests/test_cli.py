@@ -29,11 +29,13 @@ def run_cli(argv, capsys):
     return rc, captured.out, captured.err
 
 
-def test_import_leaves_scipy_unloaded():
-    # only the dense oracle needs SciPy; the package and its CLI load without it
+def test_cli_import_stays_light():
+    # only the dense oracle needs SciPy, and estimates run on the calling
+    # thread: the CLI loads without SciPy or concurrent.futures
     script = (
-        "import sys, hamsim, hamsim.cli\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        "import sys, hamsim.cli\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.startswith(('scipy', 'concurrent.futures'))))"
     )
     src = str(Path(hamsim.__file__).resolve().parents[1])
     out = subprocess.run(

@@ -193,17 +193,6 @@ def test_qswift_report_decomposition_and_determinism():
     assert other.value != report.value
 
 
-def test_qswift_report_independent_of_worker_count():
-    base = EstimatorConfig(n_segments=5, order=3, n_sample_0=40, n_shot_0=10, seed=9)
-    threaded = EstimatorConfig(
-        n_segments=5, order=3, n_sample_0=40, n_shot_0=10, seed=9, threads=4
-    )
-    a = estimate_qswift(REF, 1.1, base)
-    b = estimate_qswift(REF, 1.1, threaded)
-    assert a.value == b.value
-    assert a.bucket_values == b.bucket_values
-
-
 def test_qswift_order_one_reduces_to_qdrift():
     config = EstimatorConfig(n_segments=4, order=1, n_sample_0=30, n_shot_0=10, seed=5)
     report = estimate_qswift(REF, 1.0, config)
@@ -568,10 +557,9 @@ def test_batched_rows_replay_as_plans(m):
     )
 
 
-def _tiled_reports(threads: int) -> tuple:
-    """Every batched estimator and both oracles on chain_4q at small sizes;
-    all-order takes its worker count from HAMSIM_THREADS."""
-    base = dict(n_segments=4, n_sample_0=40, n_shot_0=10, seed=11, threads=threads)
+def _tiled_reports() -> tuple:
+    """Every batched estimator and both oracles on chain_4q at small sizes."""
+    base = dict(n_segments=4, n_sample_0=40, n_shot_0=10, seed=11)
     buckets = {(2,): 5, (3,): 3, (4,): 2, (2, 2): 2}
     return (
         estimate_qdrift(CHAIN, 1.0, EstimatorConfig(**base)),
@@ -583,22 +571,18 @@ def _tiled_reports(threads: int) -> tuple:
     )
 
 
-def test_reports_independent_of_tiles_and_threads(monkeypatch):
+def test_reports_independent_of_tiles(monkeypatch):
     # tiles, tile batches and the evolve schedule only schedule rows: any
-    # tile bound, worker count and ROW_SCHEDULE_AMPS (0: every tile
-    # grouped, 2^40: every tile per row) gives == reports, the exhaustive
-    # oracles included. 16-row stream chunks give every sampled estimator
-    # several chunks for the workers
+    # tile bound and ROW_SCHEDULE_AMPS (0: every tile grouped, 2^40: every
+    # tile per row) gives == reports, the exhaustive oracles included.
+    # 16-row stream chunks give every sampled estimator several chunks
     monkeypatch.setattr(estimator, "_STREAM_CHUNK", 16)
-    monkeypatch.setenv("HAMSIM_THREADS", "1")
-    want = _tiled_reports(threads=1)
+    want = _tiled_reports()
     for row_amps in (0, 1 << 40):
         monkeypatch.setattr(statevector, "ROW_SCHEDULE_AMPS", row_amps)
         for tile_rows in (1, 3, estimator._TILE_ROWS):
             monkeypatch.setattr(estimator, "_TILE_ROWS", tile_rows)
-            for threads in (1, 2):
-                monkeypatch.setenv("HAMSIM_THREADS", str(threads))
-                assert _tiled_reports(threads) == want, (row_amps, tile_rows, threads)
+            assert _tiled_reports() == want, (row_amps, tile_rows)
 
 
 def test_wide_register_memory_stays_tiled():

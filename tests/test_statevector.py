@@ -230,6 +230,7 @@ def test_kernel_schedules_give_identical_states(name, monkeypatch):
     # rows without the ancilla. The per-row schedule gathers its table
     # rows for blocks of columns; the 40 x 300 tiles and the one-row tiles
     # of 8,000 columns (a deterministic plan's shape) span several blocks
+    row_amps = statevector.ROW_SCHEDULE_AMPS
     model = SCHEDULE_MODELS[name]
     kernel = Kernel(model)
     n_terms = model.n_terms
@@ -273,11 +274,13 @@ def test_kernel_schedules_give_identical_states(name, monkeypatch):
         assert np.array_equal(rows[0], rows[1 << 40])
     # The grouped schedule's edge cases, on 4 (reference_1q), 16 and 32
     # (chain_4q) amplitudes per row: no columns, all-PAD columns, columns
-    # that are one whole-tile group (evolved in place), one-row tiles, and
-    # one, two or three sorted columns, so that the rows end in the caller's
-    # array or in the partner buffer. The caller's array holds the result
+    # that are one whole-tile group, one-row tiles, and one, two or three
+    # sorted columns, so that the rows end in the caller's array or in the
+    # partner buffer; and, as verify's gate checks evolve, one code row
+    # tiled over a tile above ROW_SCHEDULE_AMPS, every column one group.
+    # The caller's array holds the result
     for width, top in ((2 << model.n_qubits, 3 * n_terms), (1 << model.n_qubits, n_terms)):
-        for m in (1, 50):
+        for m in (1, 50, row_amps // width + 1):
             mixed = rng.integers(PAD, top, size=(m, 3))
             same, pad = np.full((m, 1), top - 1), np.full((m, 1), PAD)
             cases = {
@@ -287,6 +290,7 @@ def test_kernel_schedules_give_identical_states(name, monkeypatch):
                 "one sorted": np.hstack([pad, mixed[:, :1], same]),
                 "two sorted": np.hstack([mixed[:, :1], same, mixed[:, 1:2]]),
                 "three sorted": np.hstack([mixed[:, :1], pad, mixed[:, 1:], same]),
+                "one row tiled": np.tile(mixed[:1], (m, 1)),
             }
             for case, codes in cases.items():
                 start = rng.normal(size=(m, width)) + 1j * rng.normal(size=(m, width))

@@ -1,7 +1,9 @@
-"""The package's public surface: the README example, the root exports, and
-the module attributes the benchmark's span tracer wraps by name."""
+"""The package's public surface: the README example, the root exports, the
+module attributes the benchmark's span tracer wraps by name, and the
+`EstimatorConfig` keywords the benchmark's workloads pass."""
 
 import importlib
+import importlib.resources
 import importlib.util
 import re
 from pathlib import Path
@@ -39,3 +41,16 @@ def test_span_boundaries_resolve():
         for part in attr.split("."):
             owner = getattr(owner, part)
         assert callable(owner), (module, attr)
+
+
+def test_benchmark_config_keywords_construct():
+    # benchmarks/workloads.py builds its configs with these keywords;
+    # threads is accepted and has no effect, so a report with threads=2
+    # is == to the one without it
+    model = hamsim.load_hamiltonian(
+        str(importlib.resources.files("hamsim").joinpath("data/chain_4q.txt")))
+    base = dict(n_segments=5, order=3, n_sample_0=40, n_shot_0=10, seed=9,
+                bucket_samples={(2,): 12, (2, 2): 3})
+    want = hamsim.estimate_qswift(model, 1.1, hamsim.EstimatorConfig(**base))
+    got = hamsim.estimate_qswift(model, 1.1, hamsim.EstimatorConfig(threads=2, **base))
+    assert got == want

@@ -12,12 +12,14 @@ shots are simulated binomially from the exact expectations, each unit's
 shots from its own stream after its draws. Tiles only schedule rows: every
 row's arithmetic is the same in any tile, and reduction order is fixed by
 variant and chunk index, so reports are bit-identical for any tile size.
-Every estimate runs on the calling thread. The qDRIFT baseline is the
-k = 0 bucket `BASELINE`: one loop estimates it and every correction bucket,
-the baseline on its own streams and on 2^n amplitudes (its ancilla stays
-idle). The exhaustive *_exact oracles evolve every draw of a bucket's
-support, the baseline's included, as a weighted row through the same
-`Kernel.evolve`.
+The qDRIFT baseline is the k = 0 bucket `BASELINE`: one map of jobs
+estimates it and every correction bucket, the baseline on its own streams
+and on 2^n amplitudes (its ancilla stays idle). A job (a bucket's batch of
+units, an all-order or randomized Trotter chunk) rebuilds the `Kernel` and
+returns per-row arrays; jobs holding more amplitudes than one batch of four
+tiles map over a pool of one forked process per usable CPU (`taskset`
+limits it), and the caller reduces in job order, so reports are the same
+for any worker count. The *_exact oracles run through `Kernel.evolve` too.
 
 Every circuit starts from |+>^(n+1); a run chooses only N, K, the budgets,
 the seed and the observable (`EstimatorConfig`).
@@ -25,8 +27,12 @@ the seed and the observable (`EstimatorConfig`).
 
 from __future__ import annotations
 
+import atexit
+import os
+import threading
 from dataclasses import dataclass, field
-from itertools import combinations
+from functools import cache
+from itertools import combinations, islice
 from math import ceil, comb, prod, sqrt
 
 import numpy as np
@@ -79,7 +85,8 @@ class EstimatorConfig:
     bucket_samples overrides n_sample_0 per correction n_vec and must be
     >= 1; the baseline (n_vec = ()) always takes n_sample_0. Every row
     reads n_shot_0 shots per circuit. threads is accepted and has no
-    effect: every estimate runs on the calling thread.
+    effect: bucket batches map over a pool of one process per CPU in the
+    affinity mask, and any worker count gives the same report.
     """
 
     n_segments: int
@@ -194,6 +201,39 @@ def _evolve_read(kernel: Kernel, codes: np.ndarray, thetas, ancilla_x: bool) -> 
     return vals
 
 
+@cache
+def _pool():
+    """The estimates' process pool, started on first use with one worker
+    per usable CPU (CPU affinity, else the CPU count), shut down at exit.
+    None with one CPU, without fork, or while another thread runs: forked
+    workers start at once and re-run no script; no held lock is copied."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    affinity = getattr(os, "sched_getaffinity", None)
+    workers = len(affinity(0)) if affinity else os.cpu_count() or 1
+    if (workers < 2 or threading.active_count() > 1
+            or "fork" not in multiprocessing.get_all_start_methods()):
+        return None
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    atexit.register(pool.shutdown)
+    return pool
+
+
+def _map_jobs(fn, jobs: list, amps: int):
+    """fn(*job) for every job, in job order: on `_pool()` when several hold
+    more amplitudes (`amps`) than a batch of four tiles (less work does not
+    pay for the trip), else here, lazily. Job errors keep their type."""
+    pool = _pool() if len(jobs) > 1 and 16 * amps > 4 * _TILE_BYTES else None
+    if pool is not None and pool._broken:  # a worker died: replace the pool
+        pool.shutdown()
+        _pool.cache_clear()
+        pool = _pool()
+    if pool is None:
+        return (fn(*job) for job in jobs)
+    return pool.map(fn, *zip(*jobs))
+
+
 def _pooled_stats(chunks) -> tuple[float, float, int]:
     """(mean, variance of the mean, count) over per-chunk value arrays."""
     total = 0.0
@@ -210,78 +250,73 @@ def _pooled_stats(chunks) -> tuple[float, float, int]:
     return mean, 0.0, count
 
 
+def _bucket_job(model, axes, thetas, n_segments, n_shot, term, units) -> list:
+    """Per-row shot means of every unit of one batch of a bucket, each unit
+    (stream labels, s_vec, b_vecs, rows) drawing its rows and then its
+    shots from its own derived stream."""
+    rngs, codes = [], []
+    for stream, s_vec, b_vecs, size in units:
+        rng = derived_rng(*stream)
+        draw = draw_swift_variant(model, n_segments, term, s_vec, size, rng)
+        codes.append(draw.codes(b_vecs, model.n_terms))
+        rngs.append(rng)
+    vals = _evolve_read(Kernel(model, axes), np.concatenate(codes), thetas, term.k > 0)
+    ends = np.cumsum([unit[-1] for unit in units])[:-1]
+    return [_shot_means(v, n_shot, rng) for v, rng in zip(np.split(vals, ends), rngs)]
+
+
 def _eval_correction_stats(
-    model: HamiltonianModel, t: float, term: CorrectionTerm, config: EstimatorConfig
-):
-    """(value, variance, plan_count, shot_count) for one bucket.
+    model: HamiltonianModel, t: float, terms: list, config: EstimatorConfig
+) -> list:
+    """(value, variance) of each bucket of terms.
 
-    The bucket value is coeff times the signed sum over all (s, b)
+    A bucket value is coeff times the signed sum over all (s, b)
     combinations of averaged expectations: ancilla-dressed for correction
-    buckets, the system observable for the baseline (k = 0). Each (variant,
-    stream chunk) unit draws its rows and then its shots from its own
-    derived stream; consecutive units pack into batches of a few tiles,
-    run in unit order, which is also the reduction order, so reports do
-    not depend on tiling.
+    buckets, the system observable for the baseline (k = 0). Consecutive
+    (variant, stream chunk) units of a bucket pack into batches of a few
+    tiles, one `_map_jobs` runs every bucket's batches, and shot means
+    reduce in unit order, so reports depend neither on tiling nor on
+    where the batches ran.
     """
-    n_sample = config.n_sample(term.n_vec)
-    n_shot = config.n_shot_0
-    total_circuits = term.n_variants * n_sample
-    if term.k and total_circuits > CIRCUIT_CAP:
-        raise BudgetOverflow(
-            f"bucket {term.n_vec} needs {total_circuits} circuits, cap {CIRCUIT_CAP}"
-        )
-    kernel = Kernel(model, config.observable_axes(model))
+    axes = config.observable_axes(model)
     thetas = signed_angles(model, tau(model, t, config.n_segments))
-    variants = [
-        (s_vec, b_vecs)
-        for s_vec in term.sign_vectors()
-        for b_vecs in term.b_vector_sets()
-    ]
-    if term.k:
-        streams = [(_STREAM_BUCKET, term.k, term.xi, *term.n_vec, vid)
-                   for vid in range(len(variants))]
-    else:
-        streams = [(_STREAM_BASELINE,)]
-
-    units = [
-        (vid, idx, size)
-        for vid in range(len(variants))
-        for idx, _, size in _chunk_sizes(n_sample)
-    ]
-
-    def one_batch(batch) -> list:
-        rngs, codes = [], []
-        for vid, idx, size in batch:
-            s_vec, b_vecs = variants[vid]
-            rng = derived_rng(config.seed, *streams[vid], idx)
-            draw = draw_swift_variant(model, config.n_segments, term, s_vec, size, rng)
-            codes.append(draw.codes(b_vecs, model.n_terms))
-            rngs.append(rng)
-        vals = _evolve_read(kernel, np.concatenate(codes), thetas, ancilla_x=term.k > 0)
-        ends = np.cumsum([size for _, _, size in batch])[:-1]
-        return [_shot_means(v, n_shot, rng) for v, rng in zip(np.split(vals, ends), rngs)]
-
     # about four tiles per batch: few partial tiles and small code arrays
     batch_rows = 4 * _tile_rows(2 << model.n_qubits)
-    batches, rows = [[]], 0
-    for unit in units:
-        if rows >= batch_rows:
-            batches.append([])
-            rows = 0
-        batches[-1].append(unit)
-        rows += unit[2]
-    shot_means = [arr for batch in batches for arr in one_batch(batch)]
-    per_variant = len(units) // len(variants)
-    signed_sum = 0.0
-    var_sum = 0.0
-    for vid, (s_vec, _) in enumerate(variants):
-        mean, var, _ = _pooled_stats(shot_means[vid * per_variant : (vid + 1) * per_variant])
-        sign = -1.0 if sum(s_vec) % 2 else 1.0
-        signed_sum += sign * mean
-        var_sum += var
-    value = term.coeff * signed_sum
-    variance = term.coeff**2 * var_sum
-    return value, variance, total_circuits, total_circuits * n_shot
+    jobs, parities, circuits = [], [], 0
+    for term in terms:
+        n_sample = config.n_sample(term.n_vec)
+        circuits += term.n_variants * n_sample
+        if term.k and term.n_variants * n_sample > CIRCUIT_CAP:
+            raise BudgetOverflow(f"bucket {term.n_vec} needs "
+                                 f"{term.n_variants * n_sample} circuits, cap {CIRCUIT_CAP}")
+        variants = [(s_vec, b_vecs) for s_vec in term.sign_vectors()
+                    for b_vecs in term.b_vector_sets()]
+        parities.append([sum(s_vec) % 2 for s_vec, _ in variants])
+        batches, rows = [[]], 0
+        for vid, (s_vec, b_vecs) in enumerate(variants):
+            stream = ((config.seed, _STREAM_BUCKET, term.k, term.xi, *term.n_vec, vid)
+                      if term.k else (config.seed, _STREAM_BASELINE))
+            for idx, _, size in _chunk_sizes(n_sample):
+                if rows >= batch_rows:
+                    batches.append([])
+                    rows = 0
+                batches[-1].append(((*stream, idx), s_vec, b_vecs, size))
+                rows += size
+        jobs += [(model, axes, thetas, config.n_segments, config.n_shot_0, term, batch)
+                 for batch in batches]
+    # every unit's shot means in unit order, each variant's chunks in turn
+    mapped = _map_jobs(_bucket_job, jobs, circuits << (model.n_qubits + 1))
+    means = (arr for batch in mapped for arr in batch)
+    stats = []
+    for term, odd in zip(terms, parities):
+        chunks = len(range(0, config.n_sample(term.n_vec), _STREAM_CHUNK))
+        signed_sum = var_sum = 0.0
+        for negative in odd:
+            mean, var, _ = _pooled_stats(islice(means, chunks))
+            signed_sum += -mean if negative else mean
+            var_sum += var
+        stats.append((term.coeff * signed_sum, term.coeff**2 * var_sum))
+    return stats
 
 
 def _estimate(
@@ -290,24 +325,23 @@ def _estimate(
     """The baseline plus every bucket in terms, each from its own streams."""
     values, budgets = {}, {}
     var_total = 0.0
-    plan_count = shot_count = 0
-    for term in [BASELINE, *terms]:
-        value, variance, plans, shots = _eval_correction_stats(model, t, term, config)
+    plan_count = 0
+    terms = [BASELINE, *terms]
+    for term, (value, variance) in zip(terms, _eval_correction_stats(model, t, terms, config)):
         values[term.n_vec] = value
         var_total += variance
-        plan_count += plans
-        shot_count += shots
+        plan_count += term.n_variants * config.n_sample(term.n_vec)
         budget = {"n_sample": config.n_sample(term.n_vec), "n_shot": config.n_shot_0}
         budgets[term.label] = {**budget, "coeff": term.coeff} if term.k else budget
     baseline = values.pop(BASELINE.n_vec)
     return EstimateReport(
-        method=f"QSWIFT{config.order}" if terms else "QDRIFT",
+        method=f"QSWIFT{config.order}" if len(terms) > 1 else "QDRIFT",
         value=baseline + sum(values.values()),
         baseline=baseline,
         bucket_values=values,
         stderr=sqrt(var_total),
         plan_count=plan_count,
-        shot_count=shot_count,
+        shot_count=plan_count * config.n_shot_0,
         seed=config.seed,
         budgets=budgets,
     )
@@ -327,6 +361,26 @@ def estimate_qswift(model: HamiltonianModel, t: float, config: EstimatorConfig) 
     return _estimate(model, t, config, correction_terms(model, t, config.n_segments, config.order))
 
 
+def _trotter_job(model, axes, r, order, thetas, n_shot, seed, first, size) -> np.ndarray:
+    """Shot means of randomized Trotter plans first.. first + size - 1, plan
+    i drawn from its own plan stream and read from its own shot stream."""
+    plan_ids = range(first, first + size)
+    streams = (seed, _STREAM_TROTTER)
+    terms = np.stack([
+        draw_trotter_terms(model, r, order, rng)
+        for rng in derived_rngs(streams, plan_ids, (_SUB_PLAN,))
+    ])
+    vals = _evolve_read(Kernel(model, axes), terms, thetas, ancilla_x=False)
+    # _shot_means over the chunk, each plan's binomial drawn as a scalar
+    # from its own shot stream
+    p_plus = np.clip(0.5 * (1.0 + vals), 0.0, 1.0).tolist()
+    hits = np.array([
+        rng.binomial(n_shot, p)
+        for rng, p in zip(derived_rngs(streams, plan_ids, (_SUB_SHOT,)), p_plus)
+    ])
+    return 2.0 * hits / n_shot - 1.0
+
+
 def estimate_trotter(
     model: HamiltonianModel,
     t: float,
@@ -342,31 +396,18 @@ def estimate_trotter(
     Deterministic: one plan, a batch of one, pools n_sample_0 * n_shot_0
     shots; stderr is the binomial sqrt((1 - v^2) / shots).
     """
-    kernel = Kernel(model, config.observable_axes(model))
     seed = config.seed
+    axes = config.observable_axes(model)
     if randomized:
         thetas = trotter_thetas(model, t, r, order)
-        streams = (seed, _STREAM_TROTTER)
-        chunks = []
-        for _, first, size in _chunk_sizes(config.n_sample_0):
-            plan_ids = range(first, first + size)
-            terms = np.stack([
-                draw_trotter_terms(model, r, order, rng)
-                for rng in derived_rngs(streams, plan_ids, (_SUB_PLAN,))
-            ])
-            vals = _evolve_read(kernel, terms, thetas, ancilla_x=False)
-            # _shot_means over the chunk, each plan's binomial drawn as a
-            # scalar from its own shot stream
-            p_plus = np.clip(0.5 * (1.0 + vals), 0.0, 1.0).tolist()
-            hits = np.array([
-                rng.binomial(config.n_shot_0, p)
-                for rng, p in zip(derived_rngs(streams, plan_ids, (_SUB_SHOT,)), p_plus)
-            ])
-            chunks.append(2.0 * hits / config.n_shot_0 - 1.0)
+        jobs = [(model, axes, r, order, thetas, config.n_shot_0, seed, first, size)
+                for _, first, size in _chunk_sizes(config.n_sample_0)]
+        chunks = list(_map_jobs(_trotter_job, jobs, config.n_sample_0 << model.n_qubits))
         value, var, plans = _pooled_stats([np.concatenate(chunks)])
         method, stderr, shots = f"RTS{order}", sqrt(var), config.n_shot_0
     else:
         plan = trotter_plan(model, t, r, order)
+        kernel = Kernel(model, axes)
         states = kernel.fresh(1, ancilla=False)
         for codes, thetas in plan_codes(plan, model.n_terms):
             kernel.evolve(states, codes, thetas)
@@ -472,6 +513,14 @@ def exact_qswift_value(
 # ---------------------------------------------------------------------------
 # All-order estimator (zero systematic error), batched over trajectories.
 
+def _all_order_job(model, axes, n_segments, thetas, sizes, probs, seed, chunk, m) -> np.ndarray:
+    """Signed exact readouts of the m trajectories of one all-order chunk,
+    drawn from the chunk's own derived stream."""
+    rng = derived_rng(seed, _STREAM_ALL_ORDER, chunk)
+    codes, signs = draw_all_order_codes(model, n_segments, sizes, probs, m, rng)
+    return signs * _evolve_read(Kernel(model, axes), codes, thetas, ancilla_x=True)
+
+
 def all_order_stats(
     model: HamiltonianModel,
     t: float,
@@ -486,29 +535,27 @@ def all_order_stats(
     swift block of size n with probability beta(n)/B; trajectory signs
     track the s draws and the mean is rescaled by B^N, the baseline row's
     coeff; AllOrderOverflow when B^N is not finite. Expectations are read
-    exactly per trajectory, so no shots are simulated. Chunks run and
-    reduce in chunk order.
+    exactly per trajectory, so no shots are simulated. Several chunks of
+    32,768 trajectories holding more than one batch of amplitudes map over
+    the process pool (one worker per usable CPU); they reduce here in chunk
+    order, so the report is the same on any worker count.
     """
     if n_sample < 1 or n_segments < 1:
         raise ValueError("need n_sample >= 1 and N >= 1")
     if not isinstance(rng_seed, (int, np.integer)):
         raise TypeError("all-order sampling derives per-chunk streams, pass an int seed")
-    kernel = Kernel(model, observable_axes)
+    axes = system_observable(observable_axes, model.n_qubits)
     tau_angle = tau(model, t, n_segments)
     thetas = signed_angles(model, tau_angle)
     b_norm, block_sizes, cat_probs = all_order_categories(tau_angle)
-
-    def one_chunk(chunk_idx: int, m: int) -> np.ndarray:
-        rng = derived_rng(int(rng_seed), _STREAM_ALL_ORDER, chunk_idx)
-        codes, signs = draw_all_order_codes(model, n_segments, block_sizes, cat_probs, m, rng)
-        return signs * _evolve_read(kernel, codes, thetas, ancilla_x=True)
-
     try:
         b_power = b_norm**n_segments
     except OverflowError:
         raise AllOrderOverflow(f"B^N = {b_norm!r}^{n_segments} overflows") from None
+    jobs = [(model, axes, n_segments, thetas, block_sizes, cat_probs,
+             int(rng_seed), idx, m) for idx, _, m in _chunk_sizes(n_sample)]
     mean, var, _ = _pooled_stats(
-        one_chunk(idx, m) for idx, _, m in _chunk_sizes(n_sample))
+        _map_jobs(_all_order_job, jobs, n_sample << (model.n_qubits + 1)))
     value = b_power * mean
     return EstimateReport(
         method="ALLORDER",

@@ -203,10 +203,10 @@ class Kernel:
         codes groups the rows that share an op, each group is copied into
         its contiguous slot of the partner buffer (`partner`, of the
         states' shape and dtype, or a new one) by one gather of the whole
-        column, gets one row-function call there, and the buffers swap.
-        After the last column one scatter restores input row order in
-        `states`. Coefficients are built once per code per call. Both
-        schedules give bit-identical states.
+        column, gets one row-function call there, and the buffers swap;
+        one scatter then restores input row order in `states`, and one row
+        takes every code in place. Coefficients are built once per code per
+        call. Both schedules give bit-identical states.
         """
         codes = np.asarray(codes, dtype=CODE_DTYPE)
         m, width = states.shape
@@ -248,6 +248,10 @@ class Kernel:
             else:
                 raise ValueError("swift operators need the ancilla")
 
+        if m == 1:  # nothing to group: every code applies in place
+            for code in codes[0].tolist():
+                apply(code, states)
+            return
         # src row i is input row where[i] (None: src is states, unsorted);
         # dst is the partner buffer
         src, where = states, None

@@ -30,12 +30,13 @@ def run_cli(argv, capsys):
 
 
 def test_cli_import_stays_light():
-    # only the dense oracle needs SciPy, and estimates run on the calling
-    # thread: the CLI loads without SciPy or concurrent.futures
+    # only the dense oracle needs SciPy, and the estimators' process pool
+    # imports its modules when it starts: the CLI loads without SciPy,
+    # concurrent.futures or multiprocessing
     script = (
         "import sys, hamsim.cli\n"
         "print(sorted(m for m in sys.modules\n"
-        "             if m.startswith(('scipy', 'concurrent.futures'))))"
+        "             if m.startswith(('scipy', 'concurrent.futures', 'multiprocessing'))))"
     )
     src = str(Path(hamsim.__file__).resolve().parents[1])
     out = subprocess.run(

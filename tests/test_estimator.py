@@ -1,9 +1,12 @@
 """Sampled estimators against exhaustive enumeration and the dense oracle."""
 
 import os
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -50,6 +53,7 @@ from hamsim.compiler import (
     trotter_thetas,
 )
 from hamsim import estimator, statevector
+from hamsim.cli import main as cli_main
 from hamsim._rng import derived_rng
 from hamsim.estimator import _shot_means, exact_qswift_value
 from hamsim.exact_channels import plus_input_expectation
@@ -575,14 +579,124 @@ def test_reports_independent_of_tiles(monkeypatch):
     # tiles, tile batches and the evolve schedule only schedule rows: any
     # tile bound and ROW_SCHEDULE_AMPS (0: every tile grouped, 2^40: every
     # tile per row) gives == reports, the exhaustive oracles included.
-    # 16-row stream chunks give every sampled estimator several chunks
+    # 16-row stream chunks give every sampled estimator several chunks; the
+    # jobs run in this process, where the patched tile bounds apply
     monkeypatch.setattr(estimator, "_STREAM_CHUNK", 16)
+    monkeypatch.setattr(estimator, "_pool", lambda: None)
     want = _tiled_reports()
     for row_amps in (0, 1 << 40):
         monkeypatch.setattr(statevector, "ROW_SCHEDULE_AMPS", row_amps)
         for tile_rows in (1, 3, estimator._TILE_ROWS):
             monkeypatch.setattr(estimator, "_TILE_ROWS", tile_rows)
             assert _tiled_reports() == want, (row_amps, tile_rows)
+
+
+def _pooled_and_in_process(monkeypatch, estimate) -> tuple:
+    """estimate() with its jobs on the process pool, then in this process;
+    skips where the pool does not start (one usable CPU, no fork)."""
+    if estimator._pool() is None:
+        pytest.skip("no process pool on this host")
+    pooled = estimate()
+    with monkeypatch.context() as patch:
+        patch.setattr(estimator, "_pool", lambda: None)
+        return pooled, estimate()
+
+
+def test_pooled_reports_equal_in_process(monkeypatch):
+    # every job is a function of its arguments and the reduction runs here
+    # in job order, so the pool changes no report. Each call holds more
+    # amplitudes than one batch of four 2 MiB tiles, and 1,000-row stream
+    # chunks split all-order and randomized Trotter; the (2,) and (2, 2)
+    # buckets take two batches each
+    monkeypatch.setattr(estimator, "_STREAM_CHUNK", 1000)
+    config = EstimatorConfig(n_segments=16, order=3, n_sample_0=2000, n_shot_0=100, seed=5,
+                             bucket_samples={(2,): 2500, (3,): 300, (4,): 100, (2, 2): 300})
+    cases = {
+        "qswift3": lambda: estimate_qswift(CHAIN, 1.0, config),
+        "all_order": lambda: all_order_stats(CHAIN, 1.0, 16, 20000, 5),
+        "rtrotter": lambda: estimate_trotter(CHAIN, 1.0, 1, 1, True,
+                                             replace(config, n_sample_0=33000)),
+    }
+    for name, estimate in cases.items():
+        pooled, in_process = _pooled_and_in_process(monkeypatch, estimate)
+        assert pooled.to_json_dict() == in_process.to_json_dict(), name
+
+
+def test_worker_errors_keep_their_type(monkeypatch, capsys, tmp_path):
+    # a model whose op codes overflow is refused inside the jobs: the
+    # worker's ValueError reaches the caller as a ValueError, chained to the
+    # worker's traceback, and the CLI exits 2 with the same message
+    if estimator._pool() is None:
+        pytest.skip("no process pool on this host")
+    over = parse_hamiltonian("\n".join(
+        f"0.001 {''.join('IXYZ'[(i >> (2 * q)) & 3] for q in range(7))}"
+        for i in range(1, 10924)))
+    # 2,700 qSWIFT circuits and 2,100 trajectories pass one batch of 7-qubit
+    # rows (2,048); 1,000-row stream chunks split them
+    monkeypatch.setattr(estimator, "_STREAM_CHUNK", 1000)
+    config = EstimatorConfig(n_segments=4, order=2, n_sample_0=300, n_shot_0=1, seed=1)
+    for estimate in (
+        lambda: estimate_qswift(over, 0.1, config),
+        lambda: all_order_stats(over, 0.1, 4, 2100, 1),
+    ):
+        with pytest.raises(ValueError, match="^10923 terms overflow the op codes$") as caught:
+            estimate()
+        assert type(caught.value.__cause__).__name__ == "_RemoteTraceback"
+    path = tmp_path / "over.txt"
+    path.write_text("\n".join(f"{term.coefficient} {term.axes}" for term in over.terms))
+    argv = ["simulate", "--hamiltonian", str(path), "--samples", "300", "--shots", "1"]
+
+    def simulate():
+        rc = cli_main(argv)
+        return rc, capsys.readouterr()
+
+    pooled, in_process = _pooled_and_in_process(monkeypatch, simulate)
+    assert pooled == in_process
+    assert pooled[0] == 2 and "overflow the op codes" in pooled[1].err
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_pool_workers_exit_with_the_interpreter():
+    # 360 circuits fit one batch of four 4,096-row tiles and run here;
+    # 36,000 start the pool. At exit its workers are joined and nothing is
+    # printed, so no worker outlives the interpreter
+    script = """
+import multiprocessing
+from importlib import resources
+from hamsim import EstimatorConfig, estimate_qswift, load_hamiltonian
+model = load_hamiltonian(str(resources.files("hamsim").joinpath("data/chain_4q.txt")))
+for n_sample in (40, 4000):
+    estimate_qswift(model, 1.0, EstimatorConfig(n_segments=4, order=2, n_sample_0=n_sample))
+    print(*sorted(proc.pid for proc in multiprocessing.active_children()))
+"""
+    src = str(Path(estimator.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (out.returncode, out.stderr) == (0, "")
+    small, large = out.stdout.split("\n")[:2]
+    assert small == ""
+    pids = [int(pid) for pid in large.split()]
+    assert bool(pids) == (estimator._pool() is not None)
+    assert not [pid for pid in pids if Path(f"/proc/{pid}").exists()]
+
+
+def test_pool_restarts_after_a_worker_dies():
+    # a worker killed between estimates (a signal, the OOM killer) breaks
+    # its pool; the next pooled estimate starts a new pool and reports ==
+    if estimator._pool() is None:
+        pytest.skip("no process pool on this host")
+    config = EstimatorConfig(n_segments=4, order=2, n_sample_0=4000, seed=1)
+    want = estimate_qswift(CHAIN, 1.0, config).to_json_dict()
+    pool = estimator._pool()
+    os.kill(next(iter(pool._processes)), signal.SIGKILL)
+    deadline = time.monotonic() + 30
+    while not pool._broken and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert pool._broken
+    assert estimate_qswift(CHAIN, 1.0, config).to_json_dict() == want
+    assert estimator._pool() not in (None, pool)
 
 
 def test_wide_register_memory_stays_tiled():
@@ -650,30 +764,32 @@ def _traced_peak_mib(fn) -> float:
         tracemalloc.stop()
 
 
-def test_bucket_memory_peak():
+def test_bucket_memory_peak(monkeypatch):
     # criterion 10's (2,) bucket: 8 variants x 12,000 rows in batches of
     # about four 4,096-row tiles. One reused 4 MiB buffer (a 2 MiB tile and
     # its ping-pong partner), int16 draws and 512 KiB readout blocks bound
     # the peak: 8.1 MiB (9.1 MiB with one 4 MiB 8,192-row tile and
     # per-group copies, 15.7 MiB with a fresh tile per tile and 8 MiB
-    # blocks)
+    # blocks). tracemalloc sees only this process, so the batches run here
     term = next(b for b in correction_terms(CHAIN, 1.0, 16, 2) if b.n_vec == (2,))
     config = EstimatorConfig(n_segments=16, order=2, bucket_samples={(2,): 12000},
                              seed=3, threads=1)
     # one untraced tiny run first, so kernel and model caches built on first
     # use count in no test order
     warm = EstimatorConfig(n_segments=16, order=2, bucket_samples={(2,): 8}, seed=3, threads=1)
-    estimator._eval_correction_stats(CHAIN, 1.0, term, warm)
-    peak = _traced_peak_mib(lambda: estimator._eval_correction_stats(CHAIN, 1.0, term, config))
+    monkeypatch.setattr(estimator, "_pool", lambda: None)
+    estimator._eval_correction_stats(CHAIN, 1.0, [term], warm)
+    peak = _traced_peak_mib(lambda: estimator._eval_correction_stats(CHAIN, 1.0, [term], config))
     print(f"traced peak {peak:.2f} MiB")
     assert peak < 11
 
 
-def test_all_order_memory_peak():
+def test_all_order_memory_peak(monkeypatch):
     # 20,000 trajectories of 16 segments, packed in place into one code
     # array: 6.9 MiB with 2 MiB tiles and their partners (7.3 MiB with 4 MiB
     # tiles and per-group copies, 17.2 MiB with padded per-segment arrays
-    # joined afterwards); warmed untraced like the bucket peak
+    # joined afterwards); warmed untraced and run here like the bucket peak
+    monkeypatch.setattr(estimator, "_pool", lambda: None)
     all_order_stats(CHAIN, 1.0, 16, 8, 3)
     peak = _traced_peak_mib(lambda: all_order_stats(CHAIN, 1.0, 16, 20000, 3))
     print(f"traced peak {peak:.2f} MiB")

@@ -219,6 +219,10 @@ SCHEDULE_MODELS = {
     "chain_4q": load_hamiltonian(str(resources.files("hamsim").joinpath("data/chain_4q.txt"))),
     "reference_1q": parse_hamiltonian("0.5 X\n0.3 Z"),
 }
+# a 12-qubit XX+Z chain: one full-register row holds 2^13 amplitudes
+CHAIN_12Q = parse_hamiltonian("\n".join(
+    [f"0.45 {'I' * i}XX{'I' * (10 - i)}" for i in range(11)]
+    + [f"0.375 {'I' * i}Z{'I' * (11 - i)}" for i in range(12)]))
 
 
 @pytest.mark.parametrize("name", sorted(SCHEDULE_MODELS))
@@ -302,3 +306,19 @@ def test_kernel_schedules_give_identical_states(name, monkeypatch):
                 moved = (codes != PAD).any()
                 assert moved != np.array_equal(rows[0], start), (width, m, case)
                 assert np.array_equal(rows[0], rows[1 << 40]), (width, m, case)
+    # One row wider than ROW_SCHEDULE_AMPS, as deterministic Trotter plans
+    # and run_plan evolve at 12 qubits and up: the grouped schedule applies
+    # every code to the row in place, == the per-row schedule
+    wide = Kernel(CHAIN_12Q)
+    top = 3 * CHAIN_12Q.n_terms
+    codes = rng.integers(PAD, top, size=(1, 40))
+    wide_thetas = rng.uniform(-np.pi, np.pi, CHAIN_12Q.n_terms).tolist()
+    start = rng.normal(size=(1, 2 << 12)) + 1j * rng.normal(size=(1, 2 << 12))
+    assert start.size > row_amps
+    rows = {}
+    for bound in (row_amps, 1 << 40):
+        monkeypatch.setattr(statevector, "ROW_SCHEDULE_AMPS", bound)
+        rows[bound] = start.copy()
+        wide.evolve(rows[bound], codes, wide_thetas)
+    assert not np.array_equal(rows[row_amps], start)
+    assert np.array_equal(rows[row_amps], rows[1 << 40])

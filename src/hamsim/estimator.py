@@ -5,21 +5,15 @@ returns one `EstimateReport`.
 
 Estimators own streams, budgets, shot readout and reduction. The `compiler`
 draw layer fills rows from streams derived as (seed, stream labels, variant,
-chunk of 32,768 rows) and turns them into op codes; `Kernel.evolve` runs the
-codes in execution tiles of at most 8,192 rows and 2 MiB of amplitudes,
-one reused tile buffer and its ping-pong partner per readout call, and
-shots are simulated binomially from the exact expectations, each unit's
-shots from its own stream after its draws. Tiles only schedule rows: every
-row's arithmetic is the same in any tile, and reduction order is fixed by
-variant and chunk index, so reports are bit-identical for any tile size.
-The qDRIFT baseline is the k = 0 bucket `BASELINE`: one map of jobs
-estimates it and every correction bucket, the baseline on its own streams
-and on 2^n amplitudes (its ancilla stays idle). A job (a bucket's batch of
-units, an all-order or randomized Trotter chunk) rebuilds the `Kernel` and
-returns per-row arrays; jobs holding more amplitudes than one batch of four
-tiles map over a pool of one forked process per usable CPU (`taskset`
+chunk of 32,768 rows) and turns them into op codes; `Kernel.evolve` runs
+them in tiles of at most 8,192 rows and 2 MiB of amplitudes, and each
+unit's shots are drawn binomially from the exact expectations on its own
+stream. The qDRIFT baseline is the k = 0 bucket `BASELINE`, on 2^n
+amplitudes. Jobs (a bucket's batch of units, an all-order or randomized
+Trotter chunk) return per-row arrays; jobs holding more than one batch of
+amplitudes map over a pool of one forked process per usable CPU (`taskset`
 limits it), and the caller reduces in job order, so reports are the same
-for any worker count. The *_exact oracles run through `Kernel.evolve` too.
+for any tile size and worker count. The *_exact oracles use `Kernel` too.
 
 Every circuit starts from |+>^(n+1); a run chooses only N, K, the budgets,
 the seed and the observable (`EstimatorConfig`).
@@ -31,7 +25,7 @@ import atexit
 import os
 import threading
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, lru_cache
 from itertools import combinations, islice
 from math import ceil, comb, prod, sqrt
 
@@ -67,10 +61,9 @@ _SUB_SHOT = 1
 
 ENUMERATION_CAP = 10**6
 CIRCUIT_CAP = 10**7
-# Rows per derived stream; tiles bound the rows evolved at once. A row's
-# arithmetic is the same in any tile, so reports do not depend on tiling.
-# 2 MiB tiles were the fastest of 512 KiB to 4 MiB for the grouped
-# schedule, a tile and its partner buffer (see the README's "Library")
+# Rows per derived stream; tiles bound the rows evolved at once. 2 MiB
+# tiles were the fastest of 512 KiB to 4 MiB for the grouped schedule, a
+# tile and its partner buffer (see the README's "Library")
 _STREAM_CHUNK = 1 << 15
 _TILE_ROWS = 1 << 13
 _TILE_BYTES = 2 << 20
@@ -84,9 +77,8 @@ class EstimatorConfig:
     corrections read it dressed with ancilla X, baselines read it bare.
     bucket_samples overrides n_sample_0 per correction n_vec and must be
     >= 1; the baseline (n_vec = ()) always takes n_sample_0. Every row
-    reads n_shot_0 shots per circuit. threads is accepted and has no
-    effect: bucket batches map over a pool of one process per CPU in the
-    affinity mask, and any worker count gives the same report.
+    reads n_shot_0 shots per circuit. threads has no effect: the jobs map
+    over one process per CPU in the affinity mask, with the same report.
     """
 
     n_segments: int
@@ -179,8 +171,7 @@ def _chunk_sizes(total: int):
 
 
 def _tile_rows(amps: int) -> int:
-    """Rows of `amps` amplitudes evolved at once: at most _TILE_ROWS and
-    _TILE_BYTES, and at least one."""
+    """Rows of `amps` amplitudes per tile: <= _TILE_ROWS and _TILE_BYTES, >= 1."""
     return max(1, min(_TILE_ROWS, _TILE_BYTES // (16 * amps)))
 
 
@@ -203,29 +194,47 @@ def _evolve_read(kernel: Kernel, codes: np.ndarray, thetas, ancilla_x: bool) -> 
 
 @cache
 def _pool():
-    """The estimates' process pool, started on first use with one worker
-    per usable CPU (CPU affinity, else the CPU count), shut down at exit.
-    None with one CPU, without fork, or while another thread runs: forked
-    workers start at once and re-run no script; no held lock is copied."""
+    """One worker per usable CPU (CPU affinity, else the CPU count), started
+    on first use. None with one CPU, without fork, while another thread runs
+    (a fork copies no held lock), or in a multiprocessing child or a process
+    forked after import, whose pool could block its exit or outlive it."""
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     affinity = getattr(os, "sched_getaffinity", None)
     workers = len(affinity(0)) if affinity else os.cpu_count() or 1
-    if (workers < 2 or threading.active_count() > 1
+    if (workers < 2 or threading.active_count() > 1 or os.getpid() != _IMPORT_PID
+            or multiprocessing.parent_process() is not None
             or "fork" not in multiprocessing.get_all_start_methods()):
         return None
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-    atexit.register(pool.shutdown)
-    return pool
+    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+
+
+_IMPORT_PID = os.getpid()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
+@atexit.register
+def _shutdown_pool(pool=_pool):  # join the workers of this process's pool, if any
+    if pool.cache_info().currsize and pool() is not None:
+        pool().shutdown()
+
+
+@lru_cache(maxsize=1)
+def _kernel(model: HamiltonianModel, axes: str) -> Kernel:
+    """The jobs' Kernel: each process builds it once per model and observable."""
+    return Kernel(model, axes)
 
 
 def _map_jobs(fn, jobs: list, amps: int):
     """fn(*job) for every job, in job order: on `_pool()` when several hold
-    more amplitudes (`amps`) than a batch of four tiles (less work does not
-    pay for the trip), else here, lazily. Job errors keep their type."""
+    more amplitudes (`amps`) than a batch of four tiles (less does not pay
+    for the trip), else here, lazily. Job errors keep their type. A pool that
+    lost a worker between calls (`_broken`, private CPython API checked on
+    3.11) is replaced; a worker lost during a call raises BrokenProcessPool."""
     pool = _pool() if len(jobs) > 1 and 16 * amps > 4 * _TILE_BYTES else None
-    if pool is not None and pool._broken:  # a worker died: replace the pool
+    if pool is not None and pool._broken:
         pool.shutdown()
         _pool.cache_clear()
         pool = _pool()
@@ -236,8 +245,7 @@ def _map_jobs(fn, jobs: list, amps: int):
 
 def _pooled_stats(chunks) -> tuple[float, float, int]:
     """(mean, variance of the mean, count) over per-chunk value arrays."""
-    total = 0.0
-    total_sq = 0.0
+    total = total_sq = 0.0
     count = 0
     for vals in chunks:
         total += float(vals.sum())
@@ -260,7 +268,7 @@ def _bucket_job(model, axes, thetas, n_segments, n_shot, term, units) -> list:
         draw = draw_swift_variant(model, n_segments, term, s_vec, size, rng)
         codes.append(draw.codes(b_vecs, model.n_terms))
         rngs.append(rng)
-    vals = _evolve_read(Kernel(model, axes), np.concatenate(codes), thetas, term.k > 0)
+    vals = _evolve_read(_kernel(model, axes), np.concatenate(codes), thetas, term.k > 0)
     ends = np.cumsum([unit[-1] for unit in units])[:-1]
     return [_shot_means(v, n_shot, rng) for v, rng in zip(np.split(vals, ends), rngs)]
 
@@ -272,11 +280,10 @@ def _eval_correction_stats(
 
     A bucket value is coeff times the signed sum over all (s, b)
     combinations of averaged expectations: ancilla-dressed for correction
-    buckets, the system observable for the baseline (k = 0). Consecutive
-    (variant, stream chunk) units of a bucket pack into batches of a few
-    tiles, one `_map_jobs` runs every bucket's batches, and shot means
-    reduce in unit order, so reports depend neither on tiling nor on
-    where the batches ran.
+    buckets, the system observable for the baseline (k = 0). A bucket's
+    (variant, stream chunk) units pack into batches of a few tiles, one
+    `_map_jobs` runs every bucket's batches, and shot means reduce here in
+    unit order.
     """
     axes = config.observable_axes(model)
     thetas = signed_angles(model, tau(model, t, config.n_segments))
@@ -324,8 +331,7 @@ def _estimate(
 ) -> EstimateReport:
     """The baseline plus every bucket in terms, each from its own streams."""
     values, budgets = {}, {}
-    var_total = 0.0
-    plan_count = 0
+    var_total, plan_count = 0.0, 0
     terms = [BASELINE, *terms]
     for term, (value, variance) in zip(terms, _eval_correction_stats(model, t, terms, config)):
         values[term.n_vec] = value
@@ -370,7 +376,7 @@ def _trotter_job(model, axes, r, order, thetas, n_shot, seed, first, size) -> np
         draw_trotter_terms(model, r, order, rng)
         for rng in derived_rngs(streams, plan_ids, (_SUB_PLAN,))
     ])
-    vals = _evolve_read(Kernel(model, axes), terms, thetas, ancilla_x=False)
+    vals = _evolve_read(_kernel(model, axes), terms, thetas, ancilla_x=False)
     # _shot_means over the chunk, each plan's binomial drawn as a scalar
     # from its own shot stream
     p_plus = np.clip(0.5 * (1.0 + vals), 0.0, 1.0).tolist()
@@ -454,12 +460,7 @@ def eval_correction_exact(
     n_terms = model.n_terms
     slots = np.array(list(combinations(range(n_segments), k)), dtype=np.intp)
     n_slots = comb(n_segments, k)
-    size_est = (
-        term.n_variants
-        * n_slots
-        * n_terms ** (n_segments - k)
-        * n_terms ** sum(term.n_vec)
-    )
+    size_est = term.n_variants * n_slots * n_terms ** (n_segments - k + sum(term.n_vec))
     if size_est > ENUMERATION_CAP:
         raise CombinatorialCap(f"exhaustive bucket would enumerate ~{size_est} circuits")
     kernel = Kernel(model, observable_axes)
@@ -518,7 +519,7 @@ def _all_order_job(model, axes, n_segments, thetas, sizes, probs, seed, chunk, m
     drawn from the chunk's own derived stream."""
     rng = derived_rng(seed, _STREAM_ALL_ORDER, chunk)
     codes, signs = draw_all_order_codes(model, n_segments, sizes, probs, m, rng)
-    return signs * _evolve_read(Kernel(model, axes), codes, thetas, ancilla_x=True)
+    return signs * _evolve_read(_kernel(model, axes), codes, thetas, ancilla_x=True)
 
 
 def all_order_stats(
@@ -535,10 +536,9 @@ def all_order_stats(
     swift block of size n with probability beta(n)/B; trajectory signs
     track the s draws and the mean is rescaled by B^N, the baseline row's
     coeff; AllOrderOverflow when B^N is not finite. Expectations are read
-    exactly per trajectory, so no shots are simulated. Several chunks of
-    32,768 trajectories holding more than one batch of amplitudes map over
-    the process pool (one worker per usable CPU); they reduce here in chunk
-    order, so the report is the same on any worker count.
+    exactly per trajectory, so no shots are simulated. Chunks of 32,768
+    trajectories map over the process pool (`_map_jobs`) and reduce here in
+    chunk order, so the report is the same for any worker count.
     """
     if n_sample < 1 or n_segments < 1:
         raise ValueError("need n_sample >= 1 and N >= 1")

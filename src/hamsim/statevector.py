@@ -21,8 +21,7 @@ column as A * psi + C * psi[P], from one (A, C, P) table row per code.
 Every entry of A and C has one exactly zero component, so each product
 rounds as the row functions' do and both schedules give bit-identical
 states: reports do not depend on which one runs. Rows whose ancilla stays
-idle (qDRIFT baselines, Trotter) evolve on 2^n amplitudes instead of
-2^(n+1).
+idle (qDRIFT baselines, Trotter) evolve on 2^n amplitudes, not 2^(n+1).
 `Kernel.read` is the one exact readout, in cache-sized blocks. Every circuit
 runs through `Kernel.evolve`: the single-state functions take and return
 plain amplitude arrays and evolve them as batches of one, a plan as the

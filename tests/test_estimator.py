@@ -682,6 +682,52 @@ for n_sample in (40, 4000):
     assert not [pid for pid in pids if Path(f"/proc/{pid}").exists()]
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="forks children")
+def test_estimates_in_forked_children():
+    # a sweep over a fork Pool runs each estimate in a daemonic worker, and a
+    # forked Process child is not daemonic: both run their jobs in-process,
+    # before and after the parent started its pool. None waits on the
+    # parent's copied pool or blocks its exit on its own, and all report ==
+    script = """
+import multiprocessing
+from importlib import resources
+from hamsim import EstimatorConfig, estimate_qswift, estimator, load_hamiltonian
+model = load_hamiltonian(str(resources.files("hamsim").joinpath("data/chain_4q.txt")))
+config = EstimatorConfig(n_segments=4, order=2, n_sample_0=4000, seed=1)
+
+def report(conn=None):
+    out = estimate_qswift(model, 1.0, config).to_json_dict()
+    return conn.send(out) if conn else out
+
+def in_children():
+    ctx = multiprocessing.get_context("fork")
+    workers = ctx.Pool(1)
+    reports = [workers.apply_async(report).get(60)]
+    workers.close()
+    workers.join()
+    recv, send = ctx.Pipe(False)
+    child = ctx.Process(target=report, args=(send,))
+    child.start()
+    reports.append(recv.recv() if recv.poll(60) else None)
+    child.join(60)
+    return reports, child.exitcode
+
+before, before_exit = in_children()
+parent = report()
+after, after_exit = in_children()
+print(estimator._pool() is not None, before_exit, after_exit,
+      all(got == parent for got in before + after))
+"""
+    src = str(Path(estimator.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (out.returncode, out.stderr) == (0, "")
+    pooled = len(os.sched_getaffinity(0)) > 1
+    assert out.stdout.split() == [str(pooled), "0", "0", "True"]
+
+
 def test_pool_restarts_after_a_worker_dies():
     # a worker killed between estimates (a signal, the OOM killer) breaks
     # its pool; the next pooled estimate starts a new pool and reports ==

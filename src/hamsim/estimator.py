@@ -10,10 +10,10 @@ them in tiles of at most 8,192 rows and 2 MiB of amplitudes, and each
 unit's shots are drawn binomially from the exact expectations on its own
 stream. The qDRIFT baseline is the k = 0 bucket `BASELINE`, on 2^n
 amplitudes. Jobs (a bucket's batch of units, an all-order or randomized
-Trotter chunk) return per-row arrays; jobs holding more than one batch of
-amplitudes map over a pool of one forked process per usable CPU (`taskset`
-limits it), and the caller reduces in job order, so reports are the same
-for any tile size and worker count. The *_exact oracles use `Kernel` too.
+Trotter chunk) return per-row arrays. Work of more than one batch of
+amplitudes maps over a pool of one forked process per usable CPU (`taskset`
+limits it), as jobs or, within one evolve, as runs of whole tiles; the
+caller reduces in order, so reports are the same for any tiles and workers.
 
 Every circuit starts from |+>^(n+1); a run chooses only N, K, the budgets,
 the seed and the observable (`EstimatorConfig`).
@@ -175,12 +175,18 @@ def _tile_rows(amps: int) -> int:
     return max(1, min(_TILE_ROWS, _TILE_BYTES // (16 * amps)))
 
 
-def _evolve_read(kernel: Kernel, codes: np.ndarray, thetas, ancilla_x: bool) -> np.ndarray:
+def _evolve_read(model, axes, codes: np.ndarray, thetas, ancilla_x: bool) -> np.ndarray:
     """Exact readout of every row of op codes, evolved tile by tile in one
-    reused buffer, allocated together with the grouped schedule's partner.
-    Rows read as I (x) Q evolve on 2^n amplitudes."""
-    m = codes.shape[0]
-    step = _tile_rows((2 if ancilla_x else 1) << kernel.n_qubits)
+    reused buffer with the grouped schedule's partner; rows read as I (x) Q
+    evolve on 2^n amplitudes. On `_big_pool`, runs of whole tiles map, one
+    per usable CPU: a row's arithmetic does not depend on its tile."""
+    m, amps = codes.shape[0], (2 if ancilla_x else 1) << model.n_qubits
+    step = _tile_rows(amps)
+    run = step * -(-m // (step * _cpus()))
+    if run < m and (pool := _big_pool(m * amps)) is not None:
+        jobs = [(model, axes, codes[lo : lo + run], thetas, ancilla_x) for lo in range(0, m, run)]
+        return np.concatenate(list(pool.map(_evolve_read, *zip(*jobs))))
+    kernel = _kernel(model, axes)
     init = kernel.fresh(1, ancilla=ancilla_x)
     tile, partner = np.empty((2, min(step, m), init.shape[1]), dtype=init.dtype)
     vals = np.empty(m)
@@ -192,22 +198,26 @@ def _evolve_read(kernel: Kernel, codes: np.ndarray, thetas, ancilla_x: bool) -> 
     return vals
 
 
+def _cpus() -> int:
+    """Usable CPUs: the affinity mask (`taskset` limits it), else the CPU count."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 @cache
 def _pool():
-    """One worker per usable CPU (CPU affinity, else the CPU count), started
-    on first use. None with one CPU, without fork, while another thread runs
-    (a fork copies no held lock), or in a multiprocessing child or a process
-    forked after import, whose pool could block its exit or outlive it."""
+    """One worker per usable CPU, started on first use. None with one CPU,
+    without fork, while another thread runs (a fork copies no held lock),
+    or in a multiprocessing child or a process forked after import, whose
+    pool could block its exit or outlive it."""
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    affinity = getattr(os, "sched_getaffinity", None)
-    workers = len(affinity(0)) if affinity else os.cpu_count() or 1
-    if (workers < 2 or threading.active_count() > 1 or os.getpid() != _IMPORT_PID
+    if (_cpus() < 2 or threading.active_count() > 1 or os.getpid() != _IMPORT_PID
             or multiprocessing.parent_process() is not None
             or "fork" not in multiprocessing.get_all_start_methods()):
         return None
-    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    return ProcessPoolExecutor(_cpus(), mp_context=multiprocessing.get_context("fork"))
 
 
 _IMPORT_PID = os.getpid()
@@ -227,17 +237,22 @@ def _kernel(model: HamiltonianModel, axes: str) -> Kernel:
     return Kernel(model, axes)
 
 
-def _map_jobs(fn, jobs: list, amps: int):
-    """fn(*job) for every job, in job order: on `_pool()` when several hold
-    more amplitudes (`amps`) than a batch of four tiles (less does not pay
-    for the trip), else here, lazily. Job errors keep their type. A pool that
-    lost a worker between calls (`_broken`, private CPython API checked on
-    3.11) is replaced; a worker lost during a call raises BrokenProcessPool."""
-    pool = _pool() if len(jobs) > 1 and 16 * amps > 4 * _TILE_BYTES else None
+def _big_pool(amps: int):
+    """`_pool()` for more amplitudes than a batch of four tiles (less does not
+    pay for the trip), else None; replaced if it lost a worker between calls
+    (`_broken`, private CPython API checked on 3.11)."""
+    pool = _pool() if 16 * amps > 4 * _TILE_BYTES else None
     if pool is not None and pool._broken:
         pool.shutdown()
         _pool.cache_clear()
         pool = _pool()
+    return pool
+
+
+def _map_jobs(fn, jobs: list, amps: int):
+    """fn(*job) per job in order: on `_big_pool(amps)` if there are several,
+    else here, lazily. Errors keep their type (a lost worker: BrokenProcessPool)."""
+    pool = _big_pool(amps) if len(jobs) > 1 else None
     if pool is None:
         return (fn(*job) for job in jobs)
     return pool.map(fn, *zip(*jobs))
@@ -268,7 +283,7 @@ def _bucket_job(model, axes, thetas, n_segments, n_shot, term, units) -> list:
         draw = draw_swift_variant(model, n_segments, term, s_vec, size, rng)
         codes.append(draw.codes(b_vecs, model.n_terms))
         rngs.append(rng)
-    vals = _evolve_read(_kernel(model, axes), np.concatenate(codes), thetas, term.k > 0)
+    vals = _evolve_read(model, axes, np.concatenate(codes), thetas, term.k > 0)
     ends = np.cumsum([unit[-1] for unit in units])[:-1]
     return [_shot_means(v, n_shot, rng) for v, rng in zip(np.split(vals, ends), rngs)]
 
@@ -376,7 +391,7 @@ def _trotter_job(model, axes, r, order, thetas, n_shot, seed, first, size) -> np
         draw_trotter_terms(model, r, order, rng)
         for rng in derived_rngs(streams, plan_ids, (_SUB_PLAN,))
     ])
-    vals = _evolve_read(_kernel(model, axes), terms, thetas, ancilla_x=False)
+    vals = _evolve_read(model, axes, terms, thetas, ancilla_x=False)
     # _shot_means over the chunk, each plan's binomial drawn as a scalar
     # from its own shot stream
     p_plus = np.clip(0.5 * (1.0 + vals), 0.0, 1.0).tolist()
@@ -463,7 +478,7 @@ def eval_correction_exact(
     size_est = term.n_variants * n_slots * n_terms ** (n_segments - k + sum(term.n_vec))
     if size_est > ENUMERATION_CAP:
         raise CombinatorialCap(f"exhaustive bucket would enumerate ~{size_est} circuits")
-    kernel = Kernel(model, observable_axes)
+    axes = system_observable(observable_axes, model.n_qubits)
     thetas = signed_angles(model, tau(model, t, n_segments))
     probs = model.probs
     total = 0.0
@@ -485,7 +500,7 @@ def eval_correction_exact(
             draw.fillers[draw.filler_slots()] = digits[:, col:].ravel()
             for b_vecs in term.b_vector_sets():
                 codes = draw.codes(b_vecs, n_terms)
-                vals = _evolve_read(kernel, codes, thetas, ancilla_x=k > 0)
+                vals = _evolve_read(model, axes, codes, thetas, ancilla_x=k > 0)
                 total += sign * float(weights @ vals)
     return term.coeff * total / n_slots
 
@@ -519,7 +534,7 @@ def _all_order_job(model, axes, n_segments, thetas, sizes, probs, seed, chunk, m
     drawn from the chunk's own derived stream."""
     rng = derived_rng(seed, _STREAM_ALL_ORDER, chunk)
     codes, signs = draw_all_order_codes(model, n_segments, sizes, probs, m, rng)
-    return signs * _evolve_read(_kernel(model, axes), codes, thetas, ancilla_x=True)
+    return signs * _evolve_read(model, axes, codes, thetas, ancilla_x=True)
 
 
 def all_order_stats(
@@ -537,8 +552,8 @@ def all_order_stats(
     track the s draws and the mean is rescaled by B^N, the baseline row's
     coeff; AllOrderOverflow when B^N is not finite. Expectations are read
     exactly per trajectory, so no shots are simulated. Chunks of 32,768
-    trajectories map over the process pool (`_map_jobs`) and reduce here in
-    chunk order, so the report is the same for any worker count.
+    trajectories, or one chunk's tile runs, map over the process pool and
+    reduce here in order, so the report is the same for any worker count.
     """
     if n_sample < 1 or n_segments < 1:
         raise ValueError("need n_sample >= 1 and N >= 1")

@@ -71,7 +71,7 @@ def rotate_rows(rows: np.ndarray, perm, coef: np.ndarray, cos: float) -> None:
     if perm is None:
         gathered = halves * coef
     else:
-        gathered = np.take(halves, perm, axis=1)
+        gathered = halves.take(perm, axis=1)
         gathered *= coef
     rows *= cos
     rows += gathered.reshape(rows.shape)
@@ -91,7 +91,7 @@ def swift_rows(rows: np.ndarray, perm, coef: np.ndarray, b: int) -> None:
     part = rows[:, half:] if b == 0 else rows[:, :half]
     if b:
         rows[:, half:] *= -1j
-    gathered = part if perm is None else np.take(part, perm, axis=1)
+    gathered = part if perm is None else part.take(perm, axis=1)
     np.multiply(gathered, coef, out=part)
 
 
@@ -262,7 +262,7 @@ class Kernel:
             cuts = (np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist()
             # every group lands in its contiguous slot; mode="clip" takes
             # straight into out, "raise" buffers
-            np.take(src, order, axis=0, out=dst, mode="clip")
+            src.take(order, axis=0, out=dst, mode="clip")
             for lo, hi in zip([0, *cuts], [*cuts, m]):
                 apply(int(ranked[lo]), dst[lo:hi])
             where = order if where is None else where[order]

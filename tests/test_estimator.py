@@ -575,20 +575,66 @@ def _tiled_reports() -> tuple:
     )
 
 
+class InProcessPool:
+    """Stand-in for the process pool: map runs here (builtin map) and is
+    recorded as (function name, number of calls)."""
+
+    _broken = False
+
+    def __init__(self):
+        self.maps = []
+
+    def map(self, fn, *iterables):
+        calls = list(zip(*iterables))
+        self.maps.append((fn.__name__, len(calls)))
+        return map(fn, *zip(*calls))
+
+
 def test_reports_independent_of_tiles(monkeypatch):
     # tiles, tile batches and the evolve schedule only schedule rows: any
     # tile bound and ROW_SCHEDULE_AMPS (0: every tile grouped, 2^40: every
     # tile per row) gives == reports, the exhaustive oracles included.
     # 16-row stream chunks give every sampled estimator several chunks; the
-    # jobs run in this process, where the patched tile bounds apply
+    # jobs run in this process, where the patched tile bounds apply. Then
+    # the same with the in-process pool, 3 CPUs and 1 KiB tiles: every call
+    # of more than 256 amplitudes maps its jobs or its runs of tiles
     monkeypatch.setattr(estimator, "_STREAM_CHUNK", 16)
     monkeypatch.setattr(estimator, "_pool", lambda: None)
     want = _tiled_reports()
-    for row_amps in (0, 1 << 40):
-        monkeypatch.setattr(statevector, "ROW_SCHEDULE_AMPS", row_amps)
-        for tile_rows in (1, 3, estimator._TILE_ROWS):
-            monkeypatch.setattr(estimator, "_TILE_ROWS", tile_rows)
-            assert _tiled_reports() == want, (row_amps, tile_rows)
+    pool = InProcessPool()
+    for pooled in (False, True):
+        if pooled:
+            monkeypatch.setattr(estimator, "_pool", lambda: pool)
+            monkeypatch.setattr(estimator, "_cpus", lambda: 3)
+            monkeypatch.setattr(estimator, "_TILE_BYTES", 1 << 10)
+        for row_amps in (0, 1 << 40):
+            monkeypatch.setattr(statevector, "ROW_SCHEDULE_AMPS", row_amps)
+            for tile_rows in (1, 3, estimator._TILE_ROWS):
+                monkeypatch.setattr(estimator, "_TILE_ROWS", tile_rows)
+                assert _tiled_reports() == want, (pooled, row_amps, tile_rows)
+    assert {name for name, _ in pool.maps} == {
+        "_bucket_job", "_all_order_job", "_trotter_job", "_evolve_read"}
+
+
+def test_one_large_evolve_splits_its_rows(monkeypatch):
+    # the one-chunk all-order estimate draws here and maps its 20,000 rows
+    # as runs of whole 4,096-row tiles, one per CPU; a qSWIFT estimate of
+    # two jobs (baseline and (2,) bucket, each under a batch of amplitudes)
+    # maps only its jobs. Both report as without the pool
+    monkeypatch.setattr(estimator, "_cpus", lambda: 3)
+    config = EstimatorConfig(n_segments=16, order=2, n_sample_0=2000, seed=5,
+                             bucket_samples={(2,): 2000})
+    cases = (
+        (lambda: all_order_stats(CHAIN, 1.0, 16, 20000, 5), [("_evolve_read", 3)]),
+        (lambda: estimate_qswift(CHAIN, 1.0, config), [("_bucket_job", 2)]),
+    )
+    for estimate, maps in cases:
+        monkeypatch.setattr(estimator, "_pool", lambda: None)
+        want = estimate().to_json_dict()
+        pool = InProcessPool()
+        monkeypatch.setattr(estimator, "_pool", lambda: pool)
+        assert estimate().to_json_dict() == want
+        assert pool.maps == maps
 
 
 def _pooled_and_in_process(monkeypatch, estimate) -> tuple:
@@ -605,21 +651,29 @@ def _pooled_and_in_process(monkeypatch, estimate) -> tuple:
 def test_pooled_reports_equal_in_process(monkeypatch):
     # every job is a function of its arguments and the reduction runs here
     # in job order, so the pool changes no report. Each call holds more
-    # amplitudes than one batch of four 2 MiB tiles, and 1,000-row stream
-    # chunks split all-order and randomized Trotter; the (2,) and (2, 2)
-    # buckets take two batches each
-    monkeypatch.setattr(estimator, "_STREAM_CHUNK", 1000)
+    # amplitudes than one batch of four 2 MiB tiles. 1,000-row stream
+    # chunks split all-order and randomized Trotter into jobs, and the (2,)
+    # and (2, 2) buckets take two batches each. At the default chunk the
+    # 20,000-trajectory all-order estimate is one job, and the 5-qubit
+    # exhaustive bucket enumerates 13,122-row chunks (13.4 MB of
+    # amplitudes): both split their rows over the pool
     config = EstimatorConfig(n_segments=16, order=3, n_sample_0=2000, n_shot_0=100, seed=5,
                              bucket_samples={(2,): 2500, (3,): 300, (4,): 100, (2, 2): 300})
+    five = parse_hamiltonian("0.45 XXIII\n0.375 ZIIII\n0.45 IXXII")
+    bucket = next(b for b in correction_terms(five, 1.0, 6, 2) if b.n_vec == (2,))
     cases = {
-        "qswift3": lambda: estimate_qswift(CHAIN, 1.0, config),
-        "all_order": lambda: all_order_stats(CHAIN, 1.0, 16, 20000, 5),
-        "rtrotter": lambda: estimate_trotter(CHAIN, 1.0, 1, 1, True,
-                                             replace(config, n_sample_0=33000)),
+        ("qswift3", 1000): lambda: estimate_qswift(CHAIN, 1.0, config).to_json_dict(),
+        ("all_order", 1000): lambda: all_order_stats(CHAIN, 1.0, 16, 20000, 5).to_json_dict(),
+        ("rtrotter", 1000): lambda: estimate_trotter(
+            CHAIN, 1.0, 1, 1, True, replace(config, n_sample_0=33000)).to_json_dict(),
+        ("all_order", estimator._STREAM_CHUNK):
+            lambda: all_order_stats(CHAIN, 1.0, 16, 20000, 5).to_json_dict(),
+        ("exhaustive", estimator._STREAM_CHUNK): lambda: eval_correction_exact(five, 1.0, 6, bucket),
     }
-    for name, estimate in cases.items():
+    for (name, chunk), estimate in cases.items():
+        monkeypatch.setattr(estimator, "_STREAM_CHUNK", chunk)
         pooled, in_process = _pooled_and_in_process(monkeypatch, estimate)
-        assert pooled.to_json_dict() == in_process.to_json_dict(), name
+        assert pooled == in_process, (name, chunk)
 
 
 def test_worker_errors_keep_their_type(monkeypatch, capsys, tmp_path):

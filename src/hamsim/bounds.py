@@ -68,9 +68,8 @@ def solve_min_n(
     lambda_t: float,
     epsilon: float,
     order: int | None = None,
-    n_cap: int = N_CAP,
 ) -> int:
-    """Smallest integer N with bound(N) <= epsilon.
+    """Smallest integer N <= N_CAP with bound(N) <= epsilon.
 
     Exponential bracketing from the first non-vacuous N, then integer
     bisection; both bounds are monotone decreasing there, so the result
@@ -81,15 +80,15 @@ def solve_min_n(
     if lambda_t <= 0:
         raise ValueError("lambda_t must be positive")
     lo, fn = _bound_fn(method, lambda_t, order)
-    if lo > n_cap:
-        raise NoSolutionBelowCap(f"bound vacuous for all N <= {n_cap}")
+    if lo > N_CAP:
+        raise NoSolutionBelowCap(f"bound vacuous for all N <= {N_CAP}")
     if fn(lo) <= epsilon:
         return lo
     hi = lo
     while fn(hi) > epsilon:
-        if hi >= n_cap:
-            raise NoSolutionBelowCap(f"no N <= {n_cap} reaches epsilon = {epsilon}")
-        hi = min(hi * 2, n_cap)
+        if hi >= N_CAP:
+            raise NoSolutionBelowCap(f"no N <= {N_CAP} reaches epsilon = {epsilon}")
+        hi = min(hi * 2, N_CAP)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if fn(mid) <= epsilon:

@@ -53,10 +53,11 @@ def _parse_t_grid(spec: str) -> list[float]:
 
 
 def _write_output(text: str, path: str | None) -> None:
+    """Write text, ending in one newline, to stdout or to the file at path."""
+    if not text.endswith("\n"):
+        text += "\n"
     if path is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -83,14 +83,6 @@ class GatePlan:
     n_segments: int
     method_tag: str
 
-    @property
-    def n_time_ops(self) -> int:
-        return sum(isinstance(op, TimeOp) for op in self.ops)
-
-    @property
-    def n_swift_ops(self) -> int:
-        return sum(isinstance(op, SwiftOp) for op in self.ops)
-
 
 def validate_plan(plan: GatePlan, model: HamiltonianModel):
     """Raise if any instruction is not executable against the model:
@@ -114,9 +106,10 @@ def plan_to_text(plan: GatePlan) -> str:
     return "\n".join(lines) + "\n"
 
 
-def plan_from_text(text: str, n_segments: int, method_tag: str = "REPLAY") -> GatePlan:
-    """Parse plan_to_text output. Raises ValueError naming the line for an
-    unknown instruction, a field that does not parse or a non-finite angle."""
+def plan_from_text(text: str, n_segments: int) -> GatePlan:
+    """Parse plan_to_text output into a plan tagged "REPLAY". Raises
+    ValueError naming the line for an unknown instruction, a field that
+    does not parse or a non-finite angle."""
     ops = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         fields = raw.split()
@@ -134,7 +127,7 @@ def plan_from_text(text: str, n_segments: int, method_tag: str = "REPLAY") -> Ga
                 raise ValueError("bad plan instruction")
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc} in {raw!r}") from None
-    return GatePlan(ops=tuple(ops), n_segments=n_segments, method_tag=method_tag)
+    return GatePlan(ops=tuple(ops), n_segments=n_segments, method_tag="REPLAY")
 
 
 def plan_from_codes(

@@ -512,20 +512,6 @@ def exact_qdrift_value(
     return eval_correction_exact(model, t, n_segments, BASELINE, observable_axes)
 
 
-def exact_qswift_value(
-    model: HamiltonianModel,
-    t: float,
-    n_segments: int,
-    order: int,
-    observable_axes: str | None = None,
-) -> float:
-    """Exhaustive order-K value: enumerated baseline plus enumerated buckets."""
-    return sum(
-        eval_correction_exact(model, t, n_segments, term, observable_axes)
-        for term in [BASELINE, *correction_terms(model, t, n_segments, order)]
-    )
-
-
 # ---------------------------------------------------------------------------
 # All-order estimator (zero systematic error), batched over trajectories.
 

@@ -52,21 +52,14 @@ class Superoperator:
         out = self.matrix @ vec
         return out.reshape((self.dim, self.dim), order="F")
 
-    def compose(self, other: "Superoperator") -> "Superoperator":
+    def __matmul__(self, other: "Superoperator") -> "Superoperator":
         """self after other (matrix product)."""
         return Superoperator(self.matrix @ other.matrix, self.n_qubits)
-
-    def __matmul__(self, other: "Superoperator") -> "Superoperator":
-        return self.compose(other)
 
     def power(self, exponent: int) -> "Superoperator":
         return Superoperator(
             np.linalg.matrix_power(self.matrix, exponent), self.n_qubits
         )
-
-    @classmethod
-    def identity(cls, n_qubits: int) -> "Superoperator":
-        return cls(np.eye(4**n_qubits, dtype=complex), n_qubits)
 
 
 def dense_hamiltonian(model: HamiltonianModel) -> np.ndarray:
@@ -83,22 +76,6 @@ def term_unitary(term: PauliTerm, theta: float) -> np.ndarray:
     _check_width(term.n_qubits)
     p = term.sign * pauli_matrix(term.axes)
     return np.cos(theta) * np.eye(p.shape[0]) + 1j * np.sin(theta) * p
-
-
-def swift_unitary(term: PauliTerm, b: int) -> np.ndarray:
-    """Dense swift operator on the (n+1)-qubit register, ancilla first.
-
-    Ancilla-block form: S^(0) = diag(I, i H_ell); S^(1) = diag(H_ell, -i I).
-    """
-    _check_width(term.n_qubits)
-    if b not in (0, 1):
-        raise ValueError("swift branch b must be 0 or 1")
-    h = term.sign * pauli_matrix(term.axes)
-    eye = np.eye(h.shape[0])
-    zero = np.zeros_like(h)
-    if b == 0:
-        return np.block([[eye, zero], [zero, 1j * h]])
-    return np.block([[h, zero], [zero, -1j * eye]])
 
 
 def conjugation(u: np.ndarray, n_qubits: int) -> Superoperator:
@@ -137,15 +114,13 @@ def qdrift_channel(model: HamiltonianModel, tau_angle: float) -> Superoperator:
     return Superoperator(total, model.n_qubits)
 
 
-def ideal_channel(model: HamiltonianModel, t: float, n_segments: int = 1) -> Superoperator:
-    """Conjugation by e^{iHt/N}; N = 1 is the full target evolution."""
+def ideal_channel(model: HamiltonianModel, t: float) -> Superoperator:
+    """Conjugation by e^{iHt}, the target evolution."""
     # imported here so that importing the package does not load SciPy
     from scipy.linalg import expm
 
     _check_width(model.n_qubits)
-    if n_segments < 1:
-        raise ValueError("segment count must be positive")
-    u = expm(1j * dense_hamiltonian(model) * (t / n_segments))
+    u = expm(1j * dense_hamiltonian(model) * t)
     return conjugation(u, model.n_qubits)
 
 

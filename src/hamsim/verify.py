@@ -286,23 +286,24 @@ def run_core_suite() -> list[CheckResult]:
     return [check() for check in CORE_CHECKS]
 
 
-def fitted_slopes(max_order: int = 3) -> dict[int, float]:
+def fitted_slopes() -> dict[int, float]:
     """Log-log slope of the exact-channel error |q - q^(K)| against N.
 
     The systematic error of the order-K construction decays as N^(-K), so
     the fitted slope should sit near -K for each order (N >= 32 here).
-    Every order K <= max_order reads its channel as the first 2K - 1
-    levels of one `qswift_levels` column per N, and the tau-free moment
-    generators L^(n) are built once for the whole grid.
+    Every order K <= 3 reads its channel as the first 2K - 1 levels of one
+    `qswift_levels` column per N, and the tau-free moment generators L^(n)
+    are built once for the whole grid.
     """
     model = _reference_model()
     t = 1.25
+    k_max = 3
     grid = np.array([32, 64, 128, 256])
     exact = plus_input_expectation(ideal_channel(model, t))
-    moments = {n: script_l_n(model, n).matrix for n in range(2, 2 * max_order - 1)}
-    errs = {order: [] for order in range(1, max_order + 1)}
+    moments = {n: script_l_n(model, n).matrix for n in range(2, 2 * k_max - 1)}
+    errs = {order: [] for order in range(1, k_max + 1)}
     for n_seg in grid:
-        levels = qswift_levels(model, t, int(n_seg), max_order, moments)
+        levels = qswift_levels(model, t, int(n_seg), k_max, moments)
         for order, order_errs in errs.items():
             channel = Superoperator(levels[: 2 * order - 1].sum(axis=0), model.n_qubits)
             order_errs.append(abs(plus_input_expectation(channel) - exact))
@@ -312,9 +313,9 @@ def fitted_slopes(max_order: int = 3) -> dict[int, float]:
     }
 
 
-def run_slopes_suite(max_order: int = 3) -> list[CheckResult]:
+def run_slopes_suite() -> list[CheckResult]:
     results = []
-    for order, slope in fitted_slopes(max_order).items():
+    for order, slope in fitted_slopes().items():
         results.append(
             CheckResult(
                 f"error-slope-order-{order}",

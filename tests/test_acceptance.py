@@ -31,8 +31,8 @@ from hamsim import (
     sweep_table,
     tau,
 )
-from hamsim.exact_channels import liouvillian_term, swift_unitary
-from oracle_helpers import channel_distance_surrogate
+from hamsim.exact_channels import liouvillian_term
+from oracle_helpers import channel_distance_surrogate, swift_unitary
 
 REF = parse_hamiltonian("0.5 X\n0.3 Z\n")
 REF_T = 1.25  # lambda = 0.8, so lambda * t = 1

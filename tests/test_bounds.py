@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hamsim import bounds
 from hamsim import (
     NoSolutionBelowCap,
     VacuousRegion,
@@ -125,21 +126,24 @@ def test_solve_min_n_qswift_boundary_property(lambda_t, epsilon, order):
         assert qswift_bound(lambda_t, n - 1, order) > epsilon
 
 
-def test_solve_min_n_cap_and_validation():
+def test_solve_min_n_cap_and_validation(monkeypatch):
+    monkeypatch.setattr(bounds, "N_CAP", 10**6)
     with pytest.raises(NoSolutionBelowCap):
-        solve_min_n("qswift", 1e9, 0.5, order=2, n_cap=10**6)
+        solve_min_n("qswift", 1e9, 0.5, order=2)
+    monkeypatch.setattr(bounds, "N_CAP", 100)
     with pytest.raises(NoSolutionBelowCap):
-        solve_min_n("qdrift", 10.0, 1e-9, n_cap=100)
+        solve_min_n("qdrift", 10.0, 1e-9)
 
 
-def test_solve_min_n_finds_solution_between_last_bracket_and_cap():
+def test_solve_min_n_finds_solution_between_last_bracket_and_cap(monkeypatch):
     # the answer lies above the last power-of-two bracket but under the cap,
     # so the bracketing must clamp to the cap instead of giving up
     n = solve_min_n("qdrift", 2e8, 0.1)
     assert qdrift_bound(2e8, n) <= 0.1 < qdrift_bound(2e8, n - 1)
     assert n <= 10**18
+    monkeypatch.setattr(bounds, "N_CAP", n - 1)
     with pytest.raises(NoSolutionBelowCap):
-        solve_min_n("qdrift", 2e8, 0.1, n_cap=n - 1)
+        solve_min_n("qdrift", 2e8, 0.1)
     with pytest.raises(ValueError):
         solve_min_n("qdrift", 1.0, 0.0)
     with pytest.raises(ValueError):

@@ -326,18 +326,17 @@ def test_simulate_all_order_at_large_tau(capsys):
 
 
 def test_simulate_writes_output_file(model_file, tmp_path, capsys):
+    # --out writes the bytes the same command prints, final newline included
     out_path = tmp_path / "report.json"
-    rc, out, _ = run_cli(
-        [
-            "simulate", "--hamiltonian", model_file, "--method", "qdrift",
-            "--segments", "2", "--samples", "5", "--shots", "5",
-            "--out", str(out_path),
-        ],
-        capsys,
-    )
+    argv = ["simulate", "--hamiltonian", model_file, "--method", "qdrift",
+            "--segments", "2", "--samples", "5", "--shots", "5"]
+    rc, out, _ = run_cli(argv + ["--out", str(out_path)], capsys)
     assert rc == 0
     assert out == ""
     assert json.loads(out_path.read_text())["method"] == "QDRIFT"
+    rc, printed, _ = run_cli(argv, capsys)
+    assert rc == 0
+    assert out_path.read_bytes() == printed.encode()
 
 
 def test_main_reuses_one_parser(model_file, tmp_path, capsys, monkeypatch):

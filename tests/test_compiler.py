@@ -102,8 +102,8 @@ def all_order_row(model, tau_angle, seed) -> tuple:
 def test_trotter_op_counts(order, per_segment):
     r = 3
     plan = trotter_plan(MODEL, 1.0, r, order)
-    assert plan.n_time_ops == per_segment * r * MODEL.n_terms
-    assert plan.n_swift_ops == 0
+    assert sum(isinstance(op, TimeOp) for op in plan.ops) == per_segment * r * MODEL.n_terms
+    assert sum(isinstance(op, SwiftOp) for op in plan.ops) == 0
     assert plan.method_tag == f"TS{order}"
     assert plan.n_segments == r
 
@@ -218,7 +218,7 @@ def test_qdrift_plan_shape_and_angles():
     n_seg = 50
     plan = qdrift_row_plan(MODEL, 1.3, n_seg, 5)
     assert plan.method_tag == "QDRIFT"
-    assert plan.n_time_ops == n_seg
+    assert sum(isinstance(op, TimeOp) for op in plan.ops) == n_seg
     tau_angle = tau(MODEL, 1.3, n_seg)
     for op in plan.ops:
         assert abs(op.angle) == pytest.approx(tau_angle, abs=1e-15)
@@ -281,8 +281,8 @@ op_strategy = st.one_of(
 @settings(max_examples=60, deadline=None)
 @given(st.lists(op_strategy, min_size=0, max_size=40))
 def test_plan_text_roundtrip(ops):
-    plan = GatePlan(ops=tuple(ops), n_segments=max(1, len(ops)), method_tag="ANY")
-    again = plan_from_text(plan_to_text(plan), n_segments=plan.n_segments, method_tag="ANY")
+    plan = GatePlan(ops=tuple(ops), n_segments=max(1, len(ops)), method_tag="REPLAY")
+    again = plan_from_text(plan_to_text(plan), n_segments=plan.n_segments)
     assert again == plan
 
 
@@ -438,8 +438,8 @@ def test_sample_swift_plan_structure():
     )
     plan = swift_row_plan(MODEL, 1.0, n_seg, term, (1, 1), ((0, 1), (1, 1)), 17)
     assert plan == swift_row_plan(MODEL, 1.0, n_seg, term, (1, 1), ((0, 1), (1, 1)), 17)
-    assert plan.n_time_ops == n_seg - term.k
-    assert plan.n_swift_ops == term.xi
+    assert sum(isinstance(op, TimeOp) for op in plan.ops) == n_seg - term.k
+    assert sum(isinstance(op, SwiftOp) for op in plan.ops) == term.xi
     # s = 1 blocks repeat a single index
     swift_ells = [op.ell for op in plan.ops if isinstance(op, SwiftOp)]
     assert swift_ells[0] == swift_ells[1]

@@ -55,10 +55,10 @@ from hamsim.compiler import (
 from hamsim import estimator, statevector
 from hamsim.cli import main as cli_main
 from hamsim._rng import derived_rng
-from hamsim.estimator import _shot_means, exact_qswift_value
+from hamsim.estimator import _shot_means
 from hamsim.exact_channels import plus_input_expectation
 from hamsim.statevector import Kernel, expectation, prepare_plus_input
-from oracle_helpers import THREE_QUBIT, TWO_QUBIT
+from oracle_helpers import THREE_QUBIT, TWO_QUBIT, exact_qswift_value
 
 REF = parse_hamiltonian("0.5 X\n0.3 Z")
 PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
@@ -656,7 +656,8 @@ def test_pooled_reports_equal_in_process(monkeypatch):
     # and (2, 2) buckets take two batches each. At the default chunk the
     # 20,000-trajectory all-order estimate is one job, and the 5-qubit
     # exhaustive bucket enumerates 13,122-row chunks (13.4 MB of
-    # amplitudes): both split their rows over the pool
+    # amplitudes): both split their rows over the pool. A 40,000-sample
+    # qDRIFT estimate is two jobs of unequal size, 32,768 and 7,232 rows
     config = EstimatorConfig(n_segments=16, order=3, n_sample_0=2000, n_shot_0=100, seed=5,
                              bucket_samples={(2,): 2500, (3,): 300, (4,): 100, (2, 2): 300})
     five = parse_hamiltonian("0.45 XXIII\n0.375 ZIIII\n0.45 IXXII")
@@ -669,6 +670,8 @@ def test_pooled_reports_equal_in_process(monkeypatch):
         ("all_order", estimator._STREAM_CHUNK):
             lambda: all_order_stats(CHAIN, 1.0, 16, 20000, 5).to_json_dict(),
         ("exhaustive", estimator._STREAM_CHUNK): lambda: eval_correction_exact(five, 1.0, 6, bucket),
+        ("qdrift", estimator._STREAM_CHUNK):
+            lambda: estimate_qdrift(CHAIN, 1.0, replace(config, n_sample_0=40000)).to_json_dict(),
     }
     for (name, chunk), estimate in cases.items():
         monkeypatch.setattr(estimator, "_STREAM_CHUNK", chunk)

@@ -16,8 +16,9 @@ from hamsim import (
 )
 from hamsim import statevector
 from hamsim.compiler import PAD, GatePlan, SwiftOp, TimeOp, plan_codes, trotter_plan
-from hamsim.exact_channels import swift_unitary, term_unitary
+from hamsim.exact_channels import term_unitary
 from hamsim.statevector import Kernel, apply_pauli_rotation, expectation, prepare_plus_input
+from oracle_helpers import swift_unitary
 
 PAULI_1Q = {
     "I": np.eye(2, dtype=complex),

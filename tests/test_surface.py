@@ -1,10 +1,13 @@
 """The package's public surface: the README example, the root exports, the
-module attributes the benchmark's span tracer wraps by name, and the
-`EstimatorConfig` keywords the benchmark's workloads pass."""
+module attributes the benchmark's span tracer wraps by name, the
+`EstimatorConfig` keywords the benchmark's workloads pass, and a caller
+outside the tests for every public function and class."""
 
 import importlib
 import importlib.resources
 import importlib.util
+import inspect
+import pkgutil
 import re
 from pathlib import Path
 
@@ -54,3 +57,26 @@ def test_benchmark_config_keywords_construct():
     want = hamsim.estimate_qswift(model, 1.1, hamsim.EstimatorConfig(**base))
     got = hamsim.estimate_qswift(model, 1.1, hamsim.EstimatorConfig(threads=2, **base))
     assert got == want
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    # a public function or class that only tests use belongs in
+    # tests/oracle_helpers.py: each must be named in src/hamsim/*.py or
+    # benchmarks/*.py other than on its own def or class line, and an
+    # export from __init__.py does not count as a use
+    sources = [*(ROOT / "src" / "hamsim").glob("*.py"), *(ROOT / "benchmarks").glob("*.py")]
+    lines = [line for path in sources if path.name != "__init__.py"
+             for line in path.read_text().splitlines()]
+    unused = []
+    for info in pkgutil.iter_modules(hamsim.__path__):
+        module = importlib.import_module(f"hamsim.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or not (inspect.isfunction(obj) or inspect.isclass(obj)):
+                continue
+            if obj.__module__ != module.__name__:
+                continue
+            named = re.compile(rf"\b{name}\b")
+            own = re.compile(rf"\s*(def|class) {name}\b")
+            if not any(named.search(line) and not own.match(line) for line in lines):
+                unused.append(f"{module.__name__}.{name}")
+    assert unused == []

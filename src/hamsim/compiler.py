@@ -80,8 +80,6 @@ class SwiftOp:
 @dataclass(frozen=True)
 class GatePlan:
     ops: tuple
-    n_segments: int
-    method_tag: str
 
 
 def validate_plan(plan: GatePlan, model: HamiltonianModel):
@@ -106,8 +104,8 @@ def plan_to_text(plan: GatePlan) -> str:
     return "\n".join(lines) + "\n"
 
 
-def plan_from_text(text: str, n_segments: int) -> GatePlan:
-    """Parse plan_to_text output into a plan tagged "REPLAY". Raises
+def plan_from_text(text: str) -> GatePlan:
+    """Parse plan_to_text output into the plan it serialized. Raises
     ValueError naming the line for an unknown instruction, a field that
     does not parse or a non-finite angle."""
     ops = []
@@ -127,12 +125,10 @@ def plan_from_text(text: str, n_segments: int) -> GatePlan:
                 raise ValueError("bad plan instruction")
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc} in {raw!r}") from None
-    return GatePlan(ops=tuple(ops), n_segments=n_segments, method_tag="REPLAY")
+    return GatePlan(ops=tuple(ops))
 
 
-def plan_from_codes(
-    model: HamiltonianModel, codes_row, thetas, n_segments: int, method_tag: str
-) -> GatePlan:
+def plan_from_codes(model: HamiltonianModel, codes_row, thetas) -> GatePlan:
     """One row of op codes as a plan: code ell < T is TimeOp(ell + 1,
     thetas[ell]), code T + b T + ell is SwiftOp(ell + 1, b), PAD is skipped."""
     ops = []
@@ -141,7 +137,7 @@ def plan_from_codes(
             continue
         kind, ell = divmod(code, model.n_terms)
         ops.append(TimeOp(ell + 1, float(thetas[ell])) if kind == 0 else SwiftOp(ell + 1, kind - 1))
-    return GatePlan(ops=tuple(ops), n_segments=n_segments, method_tag=method_tag)
+    return GatePlan(ops=tuple(ops))
 
 
 def plan_codes(plan: GatePlan, n_terms: int) -> list[tuple]:
@@ -204,9 +200,7 @@ def trotter_plan(model: HamiltonianModel, t: float, r: int, order: int) -> GateP
     if order != 1 and (order < 2 or order % 2):
         raise ValueError("order must be 1 or an even integer")
     step = finite_time(t) / r
-    segment = _segment_ops(model, step, order)
-    tag = f"TS{order}"
-    return GatePlan(ops=tuple(segment * r), n_segments=r, method_tag=tag)
+    return GatePlan(ops=tuple(_segment_ops(model, step, order) * r))
 
 
 @lru_cache(maxsize=1)
@@ -245,7 +239,7 @@ def randomized_trotter_plan(
 ) -> GatePlan:
     """Product-formula plan with an independent term permutation per segment."""
     terms = draw_trotter_terms(model, r, order, np.random.default_rng(rng_seed))
-    return plan_from_codes(model, terms, trotter_thetas(model, t, r, order), r, f"RTS{order}")
+    return plan_from_codes(model, terms, trotter_thetas(model, t, r, order))
 
 
 def draw_categorical(p, size, rng) -> np.ndarray:

@@ -425,7 +425,7 @@ def estimate_trotter(
                 for _, first, size in _chunk_sizes(config.n_sample_0)]
         chunks = list(_map_jobs(_trotter_job, jobs, config.n_sample_0 << model.n_qubits))
         value, var, plans = _pooled_stats([np.concatenate(chunks)])
-        method, stderr, shots = f"RTS{order}", sqrt(var), config.n_shot_0
+        stderr, shots = sqrt(var), config.n_shot_0
     else:
         plan = trotter_plan(model, t, r, order)
         kernel = Kernel(model, axes)
@@ -436,9 +436,8 @@ def estimate_trotter(
         rng = derived_rng(seed, _STREAM_TROTTER, 0, _SUB_SHOT)
         value = float(_shot_means(kernel.read(states, ancilla_x=False), shots, rng)[0])
         stderr = sqrt(max(1.0 - value**2, 0.0) / shots)
-        method = plan.method_tag
     return EstimateReport(
-        method=method,
+        method=f"RTS{order}" if randomized else f"TS{order}",
         value=value,
         baseline=value,
         bucket_values={},

@@ -92,7 +92,6 @@ def parse_hamiltonian(text: str) -> HamiltonianModel:
     negative coefficients fold into the term sign. Identity strings are kept.
     """
     coeffs: dict[str, float] = {}
-    order: list[str] = []
     width: int | None = None
     raw_sum = 0.0
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -118,14 +117,10 @@ def parse_hamiltonian(text: str) -> HamiltonianModel:
                 f"line {lineno}: width {len(axes)} != earlier width {width}"
             )
         raw_sum += abs(coeff)
-        if axes not in coeffs:
-            coeffs[axes] = 0.0
-            order.append(axes)
-        coeffs[axes] += coeff
+        coeffs[axes] = coeffs.get(axes, 0.0) + coeff
 
     terms = []
-    for axes in order:
-        c = coeffs[axes]
+    for axes, c in coeffs.items():
         if abs(c) <= MERGE_ZERO_RTOL * raw_sum:
             continue
         terms.append(PauliTerm(axes=axes, strength=abs(c), sign=1 if c > 0 else -1))

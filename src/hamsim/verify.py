@@ -255,14 +255,15 @@ def check_plan_replay() -> CheckResult:
 
     model = _reference_model()
     codes = draw_qdrift(model, 8, 1, np.random.default_rng(3))
-    plan = plan_from_codes(model, codes[0], signed_angles(model, tau(model, 1.25, 8)), 8, "QDRIFT")
-    replayed = plan_from_text(plan_to_text(plan), plan.n_segments)
+    plan = plan_from_codes(model, codes[0], signed_angles(model, tau(model, 1.25, 8)))
+    replayed = plan_from_text(plan_to_text(plan))
     rng = np.random.default_rng(8)
     dim = 2 ** (model.n_qubits + 1)
     vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     vec /= np.linalg.norm(vec)
     err = float(np.abs(run_plan(vec, plan, model) - run_plan(vec, replayed, model)).max())
-    return CheckResult("plan-serialization", err == 0.0, f"replay deviation {err:.2e}")
+    ok = replayed == plan and err == 0.0
+    return CheckResult("plan-serialization", ok, f"replay deviation {err:.2e}")
 
 
 CORE_CHECKS = (

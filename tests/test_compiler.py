@@ -80,13 +80,13 @@ MODEL = parse_hamiltonian("0.5 XZ\n-0.3 ZI\n0.2 YY")
 def qdrift_row_plan(model, t, n_seg, seed) -> GatePlan:
     codes = draw_qdrift(model, n_seg, 1, np.random.default_rng(seed))
     thetas = signed_angles(model, tau(model, t, n_seg))
-    return plan_from_codes(model, codes[0], thetas, n_seg, "QDRIFT")
+    return plan_from_codes(model, codes[0], thetas)
 
 
 def swift_row_plan(model, t, n_seg, term, s_vec, b_vecs, seed) -> GatePlan:
     draw = draw_swift_variant(model, n_seg, term, s_vec, 1, np.random.default_rng(seed))
     thetas = signed_angles(model, tau(model, t, n_seg))
-    return plan_from_codes(model, draw.codes(b_vecs, model.n_terms)[0], thetas, n_seg, "QSWIFT")
+    return plan_from_codes(model, draw.codes(b_vecs, model.n_terms)[0], thetas)
 
 
 def all_order_row(model, tau_angle, seed) -> tuple:
@@ -94,7 +94,7 @@ def all_order_row(model, tau_angle, seed) -> tuple:
     _, sizes, cat_probs = all_order_categories(tau_angle)
     codes, signs = draw_all_order_codes(
         model, 1, sizes, cat_probs, 1, np.random.default_rng(seed))
-    plan = plan_from_codes(model, codes[0], signed_angles(model, tau_angle), 1, "ALLORDER")
+    plan = plan_from_codes(model, codes[0], signed_angles(model, tau_angle))
     return int(signs[0]), plan.ops
 
 
@@ -104,8 +104,6 @@ def test_trotter_op_counts(order, per_segment):
     plan = trotter_plan(MODEL, 1.0, r, order)
     assert sum(isinstance(op, TimeOp) for op in plan.ops) == per_segment * r * MODEL.n_terms
     assert sum(isinstance(op, SwiftOp) for op in plan.ops) == 0
-    assert plan.method_tag == f"TS{order}"
-    assert plan.n_segments == r
 
 
 @pytest.mark.parametrize("order", [1, 2, 4, 6])
@@ -148,7 +146,6 @@ def test_randomized_trotter_structure_and_determinism():
     plan_a = randomized_trotter_plan(MODEL, 1.0, 4, 1, rng_seed=9)
     plan_b = randomized_trotter_plan(MODEL, 1.0, 4, 1, rng_seed=9)
     assert plan_a == plan_b
-    assert plan_a.method_tag == "RTS1"
     for seg in range(4):
         ells = [op.ell for op in plan_a.ops[seg * 3 : (seg + 1) * 3]]
         assert sorted(ells) == [1, 2, 3]
@@ -217,7 +214,6 @@ def test_randomized_trotter_rejects_higher_orders():
 def test_qdrift_plan_shape_and_angles():
     n_seg = 50
     plan = qdrift_row_plan(MODEL, 1.3, n_seg, 5)
-    assert plan.method_tag == "QDRIFT"
     assert sum(isinstance(op, TimeOp) for op in plan.ops) == n_seg
     tau_angle = tau(MODEL, 1.3, n_seg)
     for op in plan.ops:
@@ -240,32 +236,32 @@ def test_qdrift_plan_validation():
 
 
 def test_validate_plan_errors():
-    good = GatePlan(ops=(TimeOp(1, 0.1), SwiftOp(2, 1)), n_segments=2, method_tag="X")
+    good = GatePlan(ops=(TimeOp(1, 0.1), SwiftOp(2, 1)))
     validate_plan(good, MODEL)
     with pytest.raises(ValueError):
-        validate_plan(GatePlan(ops=(TimeOp(4, 0.1),), n_segments=1, method_tag="X"), MODEL)
+        validate_plan(GatePlan(ops=(TimeOp(4, 0.1),)), MODEL)
     with pytest.raises(ValueError):
-        validate_plan(GatePlan(ops=(SwiftOp(1, 2),), n_segments=1, method_tag="X"), MODEL)
+        validate_plan(GatePlan(ops=(SwiftOp(1, 2),)), MODEL)
 
 
 def test_plan_text_bad_line():
     with pytest.raises(ValueError):
-        plan_from_text("T 1 0.5\nQ 2 3\n", n_segments=2)
+        plan_from_text("T 1 0.5\nQ 2 3\n")
 
 
 @pytest.mark.parametrize("bad", ["T x 0.1", "T 1 0.5x", "T 1 nan", "T 1 inf", "T 1 -inf",
                                  "S 1 y", "S 1.5 0", "T 1", "S 1 0 0"])
 def test_plan_text_bad_field_names_its_line(bad):
     with pytest.raises(ValueError, match="^line 2: "):
-        plan_from_text(f"T 1 0.5\n{bad}\nS 2 1\n", n_segments=2)
+        plan_from_text(f"T 1 0.5\n{bad}\nS 2 1\n")
 
 
 def test_validate_plan_refuses_what_cannot_run():
     for angle in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError, match="not finite"):
-            validate_plan(GatePlan(ops=(TimeOp(1, angle),), n_segments=1, method_tag="X"), MODEL)
+            validate_plan(GatePlan(ops=(TimeOp(1, angle),)), MODEL)
     with pytest.raises(TypeError, match="unknown instruction"):
-        validate_plan(GatePlan(ops=(TimeOp(1, 0.1), (1, 0.1)), n_segments=1, method_tag="X"), MODEL)
+        validate_plan(GatePlan(ops=(TimeOp(1, 0.1), (1, 0.1))), MODEL)
 
 
 op_strategy = st.one_of(
@@ -281,9 +277,8 @@ op_strategy = st.one_of(
 @settings(max_examples=60, deadline=None)
 @given(st.lists(op_strategy, min_size=0, max_size=40))
 def test_plan_text_roundtrip(ops):
-    plan = GatePlan(ops=tuple(ops), n_segments=max(1, len(ops)), method_tag="REPLAY")
-    again = plan_from_text(plan_to_text(plan), n_segments=plan.n_segments)
-    assert again == plan
+    plan = GatePlan(ops=tuple(ops))
+    assert plan_from_text(plan_to_text(plan)) == plan
 
 
 def _code_rows(model, rng):
@@ -310,13 +305,13 @@ def test_plan_codes_inverts_plan_from_codes():
     for tag, codes, thetas in _code_rows(MODEL, rng):
         for row in codes:
             seen_pad |= bool((row == PAD).any())
-            plan = plan_from_codes(MODEL, row, thetas, 1, tag)
+            plan = plan_from_codes(MODEL, row, thetas)
             [(got, got_thetas)] = plan_codes(plan, MODEL.n_terms)
             assert got.dtype == CODE_DTYPE
             assert np.array_equal(got, row[row != PAD][None, :]), tag
             for ell in set(row[(row >= 0) & (row < MODEL.n_terms)].tolist()):
                 assert got_thetas[ell] == thetas[ell]
-            assert plan_from_codes(MODEL, got[0], got_thetas, 1, tag) == plan
+            assert plan_from_codes(MODEL, got[0], got_thetas) == plan
     assert seen_pad
 
 
@@ -324,12 +319,11 @@ def test_plan_codes_split_where_an_angle_changes():
     plan = GatePlan(
         ops=(TimeOp(1, 0.1), SwiftOp(2, 1), TimeOp(3, 0.2), TimeOp(1, 0.1),
              TimeOp(1, -0.4), TimeOp(3, 0.2), SwiftOp(1, 0)),
-        n_segments=1, method_tag="X",
     )
     rows = plan_codes(plan, MODEL.n_terms)
     assert [row.tolist() for row, _ in rows] == [[[0, 7, 2, 0]], [[0, 2, 3]]]
     assert [thetas for _, thetas in rows] == [[0.1, 0.0, 0.2], [-0.4, 0.0, 0.2]]
-    empty = plan_codes(GatePlan(ops=(), n_segments=1, method_tag="X"), MODEL.n_terms)
+    empty = plan_codes(GatePlan(ops=()), MODEL.n_terms)
     assert [row.shape for row, _ in empty] == [(1, 0)]
     # Suzuki order 4 rescales every term between its five order-2 pieces
     assert len(plan_codes(trotter_plan(MODEL, 1.0, 2, 2), MODEL.n_terms)) == 1
@@ -418,7 +412,7 @@ def test_swift_draw_decodes_to_layout():
     tau_angle = tau(MODEL, 1.0, n_seg)
     codes = draw.codes(((0, 1), (1, 0)), MODEL.n_terms)
     assert codes.shape == (1, n_seg - term.k + term.xi)
-    plan = plan_from_codes(MODEL, codes[0], signed_angles(MODEL, tau_angle), n_seg, "QSWIFT")
+    plan = plan_from_codes(MODEL, codes[0], signed_angles(MODEL, tau_angle))
     want = (
         TimeOp(3, MODEL.term(3).sign * tau_angle),
         SwiftOp(1, 0),
@@ -428,7 +422,6 @@ def test_swift_draw_decodes_to_layout():
         SwiftOp(2, 0),
     )
     assert plan.ops == want
-    assert plan.method_tag == "QSWIFT"
 
 
 def test_sample_swift_plan_structure():

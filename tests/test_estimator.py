@@ -6,18 +6,22 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from importlib import resources
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from hamsim import (
     AllOrderOverflow,
     BudgetOverflow,
     CombinatorialCap,
     EstimatorConfig,
+    HamiltonianModel,
     all_order_b,
     all_order_stats,
     correction_terms,
@@ -490,7 +494,7 @@ def test_all_order_power_overflow_is_refused():
 
 
 def _replayed(model, ops, axes, ancilla_x) -> float:
-    plan = GatePlan(ops=tuple(ops), n_segments=1, method_tag="REPLAY")
+    plan = GatePlan(ops=tuple(ops))
     state = run_plan(prepare_plus_input(model.n_qubits), plan, model)
     return expectation(state, axes, ancilla_x)
 
@@ -530,7 +534,7 @@ def test_batched_rows_replay_as_plans(m):
     # one draw call, so row 0 of any batch is the m = 1 draw
     assert np.array_equal(draw_qdrift(CHAIN, n_seg, 1, np.random.default_rng(5)), codes[:1])
     for row in range(m):
-        plan = plan_from_codes(CHAIN, codes[row], thetas, n_seg, "QDRIFT")
+        plan = plan_from_codes(CHAIN, codes[row], thetas)
         assert abs(_replayed(CHAIN, plan.ops, axes, False) - vals[row]) <= 1e-12
 
     term = next(b for b in correction_terms(CHAIN, t, n_seg, 3) if b.n_vec == (2, 2))
@@ -541,7 +545,7 @@ def test_batched_rows_replay_as_plans(m):
     kernel.evolve(states, codes, thetas)
     vals = kernel.read(states, ancilla_x=True)
     for row in range(m):
-        plan = plan_from_codes(CHAIN, codes[row], thetas, n_seg, "QSWIFT")
+        plan = plan_from_codes(CHAIN, codes[row], thetas)
         assert abs(_replayed(CHAIN, plan.ops, axes, True) - vals[row]) <= 1e-12
 
     big_tau = 0.6  # blocks are drawn often enough to appear in a few rows
@@ -552,139 +556,206 @@ def test_batched_rows_replay_as_plans(m):
     kernel.evolve(states, codes, big_thetas)
     vals = signs * kernel.read(states, ancilla_x=True)
     for row in range(m):
-        plan = plan_from_codes(CHAIN, codes[row], big_thetas, 1, "ALLORDER")
+        plan = plan_from_codes(CHAIN, codes[row], big_thetas)
         assert abs(signs[row] * _replayed(CHAIN, plan.ops, axes, True) - vals[row]) <= 1e-12
 
     terms = draw_trotter_terms(CHAIN, 3, 2, np.random.default_rng(m))
     assert randomized_trotter_plan(CHAIN, t, 3, 2, np.random.default_rng(m)) == (
-        plan_from_codes(CHAIN, terms, trotter_thetas(CHAIN, t, 3, 2), 3, "RTS2")
+        plan_from_codes(CHAIN, terms, trotter_thetas(CHAIN, t, 3, 2))
     )
 
 
-def _tiled_reports() -> tuple:
-    """Every batched estimator and both oracles on chain_4q at small sizes."""
-    base = dict(n_segments=4, n_sample_0=40, n_shot_0=10, seed=11)
-    buckets = {(2,): 5, (3,): 3, (4,): 2, (2, 2): 2}
-    return (
-        estimate_qdrift(CHAIN, 1.0, EstimatorConfig(**base)),
-        estimate_qswift(CHAIN, 1.0, EstimatorConfig(order=3, bucket_samples=buckets, **base)),
-        all_order_stats(CHAIN, 1.0, 4, 50, 11),
-        estimate_trotter(CHAIN, 1.0, 4, 2, True, EstimatorConfig(**base)),
-        estimate_trotter(CHAIN, 1.0, 4, 1, False, EstimatorConfig(**base)),
-        exact_qswift_value(CHAIN, 0.5, 2, 2, "ZIII"),
-    )
+@pytest.fixture
+def pool_settings(monkeypatch):
+    """set_pool(cpus, tile_rows, tile_bytes, row_amps) shuts the process pool
+    down and patches these values, so the next map forks workers that read
+    them: a forked worker keeps the module values it was forked with. With
+    no arguments: the defaults on one CPU, where every job runs here. The
+    pool the test leaves is shut down at teardown, before the patches are
+    undone."""
+
+    def fresh_pool():
+        estimator._shutdown_pool()
+        estimator._pool.cache_clear()
+
+    def set_pool(cpus=1, tile_rows=estimator._TILE_ROWS, tile_bytes=estimator._TILE_BYTES,
+                 row_amps=statevector.ROW_SCHEDULE_AMPS):
+        fresh_pool()
+        monkeypatch.setattr(estimator, "_cpus", lambda: cpus)
+        monkeypatch.setattr(estimator, "_TILE_ROWS", tile_rows)
+        monkeypatch.setattr(estimator, "_TILE_BYTES", tile_bytes)
+        monkeypatch.setattr(statevector, "ROW_SCHEDULE_AMPS", row_amps)
+
+    yield set_pool
+    fresh_pool()
 
 
-class InProcessPool:
-    """Stand-in for the process pool: map runs here (builtin map) and is
-    recorded as (function name, number of calls)."""
+@dataclass(frozen=True)
+class Case:
+    """Estimates on one model at time t and N = n_seg segments, each with its
+    own count (0 skips it): qDRIFT and order-K qSWIFT samples, qSWIFT bucket
+    overrides, all-order trajectories, and randomized Trotter plans (r = N,
+    order min(K, 2)), which also give the deterministic order-1 Trotter
+    estimate its n_sample_0. exhaustive = (t, N) runs both oracles there:
+    the qDRIFT enumeration and that of the first correction bucket, if N > 1."""
 
-    _broken = False
+    model: HamiltonianModel
+    t: float
+    n_seg: int
+    order: int
+    seed: int
+    shots: int = 10
+    qdrift: int = 0
+    qswift: int = 0
+    buckets: tuple = ()
+    all_order: int = 0
+    trotter: int = 0
+    exhaustive: tuple = ()
 
-    def __init__(self):
-        self.maps = []
+    def reports(self) -> list:
+        """Every report's to_json_dict(), then the oracles' floats."""
+        model, t = self.model, self.t
+        config = EstimatorConfig(n_segments=self.n_seg, order=self.order, n_shot_0=self.shots,
+                                 seed=self.seed, bucket_samples=dict(self.buckets))
+        reports = []
+        if self.qdrift:
+            reports.append(estimate_qdrift(model, t, replace(config, n_sample_0=self.qdrift)))
+        if self.qswift:
+            reports.append(estimate_qswift(model, t, replace(config, n_sample_0=self.qswift)))
+        if self.all_order:
+            reports.append(all_order_stats(model, t, self.n_seg, self.all_order, self.seed))
+        if self.trotter:
+            plans = replace(config, n_sample_0=self.trotter)
+            reports += [estimate_trotter(model, t, self.n_seg, min(self.order, 2), True, plans),
+                        estimate_trotter(model, t, self.n_seg, 1, False, plans)]
+        values = [report.to_json_dict() for report in reports]
+        if self.exhaustive:
+            t_ex, n_ex = self.exhaustive
+            values.append(exact_qdrift_value(model, t_ex, n_ex))
+            values += [eval_correction_exact(model, t_ex, n_ex, term)
+                       for term in correction_terms(model, t_ex, n_ex, min(n_ex, 2))[:1]]
+        return values
 
-    def map(self, fn, *iterables):
-        calls = list(zip(*iterables))
-        self.maps.append((fn.__name__, len(calls)))
-        return map(fn, *zip(*calls))
+
+@st.composite
+def small_cases(draw) -> Case:
+    """A 1-3 qubit model of 1-4 distinct Pauli terms, t, N <= 3, K <= N,
+    small budgets for every estimator and both oracles at (t, N)."""
+    strings = ["".join(axes) for axes in product("IXYZ", repeat=draw(st.integers(1, 3)))]
+    axes = draw(st.permutations(strings))[: draw(st.integers(1, 4))]
+    coeffs = draw(st.lists(st.sampled_from((-0.7, -0.25, 0.3, 0.45, 1.0)),
+                           min_size=len(axes), max_size=len(axes)))
+    model = parse_hamiltonian("\n".join(f"{c} {a}" for c, a in zip(coeffs, axes)))
+    t = draw(st.sampled_from((0.3, 1.0, 1.7)))
+    n_seg = draw(st.integers(1, 3))
+    order = draw(st.integers(1, n_seg))
+    return Case(model, t, n_seg, order, seed=draw(st.integers(0, 2**64 - 1)),
+                shots=draw(st.integers(1, 20)), qdrift=draw(st.integers(1, 40)),
+                qswift=draw(st.integers(1, 8)), all_order=draw(st.integers(1, 60)),
+                trotter=draw(st.integers(1, 40)), exhaustive=(t, n_seg))
 
 
-def test_reports_independent_of_tiles(monkeypatch):
-    # tiles, tile batches and the evolve schedule only schedule rows: any
-    # tile bound and ROW_SCHEDULE_AMPS (0: every tile grouped, 2^40: every
-    # tile per row) gives == reports, the exhaustive oracles included.
-    # 16-row stream chunks give every sampled estimator several chunks; the
-    # jobs run in this process, where the patched tile bounds apply. Then
-    # the same with the in-process pool, 3 CPUs and 1 KiB tiles: every call
-    # of more than 256 amplitudes maps its jobs or its runs of tiles
+DEFAULT_CHUNK = estimator._STREAM_CHUNK
+# chain_4q at small sizes, 16-row chunks giving every sampled estimator
+# several chunks
+SMALL_CHAIN = Case(CHAIN, 1.0, 4, 3, seed=11, qdrift=40, qswift=40,
+                   buckets=(((2,), 5), ((3,), 3), ((4,), 2), ((2, 2), 2)),
+                   all_order=50, trotter=40, exhaustive=(0.5, 2))
+# each estimate holds more amplitudes than one batch of four 2 MiB tiles.
+# 1,000-row chunks split all-order and randomized Trotter into jobs, and
+# the (2,) and (2, 2) buckets take two batches each. At the default chunk
+# the 20,000-trajectory all-order estimate is one job, and the 5-qubit (2,)
+# bucket enumerates 13,122-row chunks (13.4 MB of amplitudes): both split
+# their rows over the pool. 40,000 qDRIFT samples are two jobs of unequal
+# size, 32,768 and 7,232 rows
+LARGE_QSWIFT = Case(CHAIN, 1.0, 16, 3, seed=5, shots=100, qswift=2000,
+                    buckets=(((2,), 2500), ((3,), 300), ((4,), 100), ((2, 2), 300)))
+LARGE_ALL_ORDER = Case(CHAIN, 1.0, 16, 1, seed=5, all_order=20000)
+LARGE_RTROTTER = Case(CHAIN, 1.0, 1, 1, seed=5, shots=100, trotter=33000)
+FIVE_QUBIT = Case(parse_hamiltonian("0.45 XXIII\n0.375 ZIIII\n0.45 IXXII"), 1.0, 6, 1, seed=5,
+                  exhaustive=(1.0, 6))
+LARGE_QDRIFT = Case(CHAIN, 1.0, 16, 1, seed=5, shots=100, qdrift=40000)
+# a baseline and a (2,) bucket job, each under one batch of amplitudes
+TWO_JOB_QSWIFT = Case(CHAIN, 1.0, 16, 2, seed=5, shots=100, qswift=2000, buckets=(((2,), 2000),))
+DEFAULT_TILES = dict(tile_rows=estimator._TILE_ROWS, tile_bytes=estimator._TILE_BYTES,
+                     row_amps=statevector.ROW_SCHEDULE_AMPS)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=small_cases(), chunk=st.sampled_from((16, DEFAULT_CHUNK)),
+       cpus=st.sampled_from((1, 2, 3)), tile_rows=st.sampled_from((1, 3, estimator._TILE_ROWS)),
+       tile_bytes=st.sampled_from((1 << 10, estimator._TILE_BYTES)),
+       row_amps=st.sampled_from((0, statevector.ROW_SCHEDULE_AMPS, 1 << 40)))
+@example(case=SMALL_CHAIN, chunk=16, cpus=1, tile_rows=1, tile_bytes=estimator._TILE_BYTES,
+         row_amps=1 << 40)
+@example(case=SMALL_CHAIN, chunk=16, cpus=1, tile_rows=3, tile_bytes=estimator._TILE_BYTES,
+         row_amps=0)
+@example(case=SMALL_CHAIN, chunk=16, cpus=3, tile_rows=1, tile_bytes=1 << 10, row_amps=0)
+@example(case=SMALL_CHAIN, chunk=16, cpus=3, tile_rows=3, tile_bytes=1 << 10, row_amps=1 << 40)
+@example(case=TWO_JOB_QSWIFT, chunk=DEFAULT_CHUNK, cpus=3, **DEFAULT_TILES)
+@example(case=LARGE_QSWIFT, chunk=1000, cpus=2, **DEFAULT_TILES)
+@example(case=LARGE_ALL_ORDER, chunk=1000, cpus=2, **DEFAULT_TILES)
+@example(case=LARGE_RTROTTER, chunk=1000, cpus=2, **DEFAULT_TILES)
+@example(case=LARGE_ALL_ORDER, chunk=DEFAULT_CHUNK, cpus=2, **DEFAULT_TILES)
+@example(case=FIVE_QUBIT, chunk=DEFAULT_CHUNK, cpus=2, **DEFAULT_TILES)
+@example(case=LARGE_QDRIFT, chunk=DEFAULT_CHUNK, cpus=2, **DEFAULT_TILES)
+def test_reports_independent_of_workers_and_tiles(
+    pool_settings, monkeypatch, case, chunk, cpus, tile_rows, tile_bytes, row_amps
+):
+    # streams fix every draw; workers, tiles, tile runs and the evolve
+    # schedule (ROW_SCHEDULE_AMPS 0: every tile grouped, 2^40: every tile
+    # per row) only schedule rows, and the caller reduces in job order. So
+    # every report, the exhaustive oracles included, is == the one-CPU run
+    # at the default tiles, with the same stream chunk. 1 KiB tiles map every
+    # call of more than 256 amplitudes over the pool
+    monkeypatch.setattr(estimator, "_STREAM_CHUNK", chunk)
+    pool_settings()
+    want = case.reports()
+    pool_settings(cpus, tile_rows, tile_bytes, row_amps)
+    assert case.reports() == want
+
+
+def test_pool_maps_jobs_and_splits_large_evolves(pool_settings, monkeypatch):
+    # with 3 CPUs the one-chunk all-order estimate draws here and maps its
+    # 20,000 rows as runs of whole 4,096-row tiles, one per CPU; the qSWIFT
+    # estimate of two jobs maps only its jobs. With 1 KiB tiles and 16-row
+    # chunks the small chain_4q case maps each of the four job functions
+    def recorded_maps(**settings) -> list:
+        """(function name, calls) of every map on a new pool with settings."""
+        pool_settings(cpus=3, **settings)
+        pool = estimator._pool()
+        if pool is None:
+            pytest.skip("no process pool without fork")
+        maps, real_map = [], pool.map
+
+        def recording_map(fn, *iterables):
+            calls = list(zip(*iterables))
+            maps.append((fn.__name__, len(calls)))
+            return real_map(fn, *zip(*calls))
+
+        monkeypatch.setattr(pool, "map", recording_map)
+        return maps
+
+    maps = recorded_maps()
+    LARGE_ALL_ORDER.reports()
+    TWO_JOB_QSWIFT.reports()
+    assert maps == [("_evolve_read", 3), ("_bucket_job", 2)]
+    maps = recorded_maps(tile_bytes=1 << 10)
     monkeypatch.setattr(estimator, "_STREAM_CHUNK", 16)
-    monkeypatch.setattr(estimator, "_pool", lambda: None)
-    want = _tiled_reports()
-    pool = InProcessPool()
-    for pooled in (False, True):
-        if pooled:
-            monkeypatch.setattr(estimator, "_pool", lambda: pool)
-            monkeypatch.setattr(estimator, "_cpus", lambda: 3)
-            monkeypatch.setattr(estimator, "_TILE_BYTES", 1 << 10)
-        for row_amps in (0, 1 << 40):
-            monkeypatch.setattr(statevector, "ROW_SCHEDULE_AMPS", row_amps)
-            for tile_rows in (1, 3, estimator._TILE_ROWS):
-                monkeypatch.setattr(estimator, "_TILE_ROWS", tile_rows)
-                assert _tiled_reports() == want, (pooled, row_amps, tile_rows)
-    assert {name for name, _ in pool.maps} == {
+    SMALL_CHAIN.reports()
+    assert {name for name, _ in maps} == {
         "_bucket_job", "_all_order_job", "_trotter_job", "_evolve_read"}
 
 
-def test_one_large_evolve_splits_its_rows(monkeypatch):
-    # the one-chunk all-order estimate draws here and maps its 20,000 rows
-    # as runs of whole 4,096-row tiles, one per CPU; a qSWIFT estimate of
-    # two jobs (baseline and (2,) bucket, each under a batch of amplitudes)
-    # maps only its jobs. Both report as without the pool
-    monkeypatch.setattr(estimator, "_cpus", lambda: 3)
-    config = EstimatorConfig(n_segments=16, order=2, n_sample_0=2000, seed=5,
-                             bucket_samples={(2,): 2000})
-    cases = (
-        (lambda: all_order_stats(CHAIN, 1.0, 16, 20000, 5), [("_evolve_read", 3)]),
-        (lambda: estimate_qswift(CHAIN, 1.0, config), [("_bucket_job", 2)]),
-    )
-    for estimate, maps in cases:
-        monkeypatch.setattr(estimator, "_pool", lambda: None)
-        want = estimate().to_json_dict()
-        pool = InProcessPool()
-        monkeypatch.setattr(estimator, "_pool", lambda: pool)
-        assert estimate().to_json_dict() == want
-        assert pool.maps == maps
-
-
-def _pooled_and_in_process(monkeypatch, estimate) -> tuple:
-    """estimate() with its jobs on the process pool, then in this process;
-    skips where the pool does not start (one usable CPU, no fork)."""
-    if estimator._pool() is None:
-        pytest.skip("no process pool on this host")
-    pooled = estimate()
-    with monkeypatch.context() as patch:
-        patch.setattr(estimator, "_pool", lambda: None)
-        return pooled, estimate()
-
-
-def test_pooled_reports_equal_in_process(monkeypatch):
-    # every job is a function of its arguments and the reduction runs here
-    # in job order, so the pool changes no report. Each call holds more
-    # amplitudes than one batch of four 2 MiB tiles. 1,000-row stream
-    # chunks split all-order and randomized Trotter into jobs, and the (2,)
-    # and (2, 2) buckets take two batches each. At the default chunk the
-    # 20,000-trajectory all-order estimate is one job, and the 5-qubit
-    # exhaustive bucket enumerates 13,122-row chunks (13.4 MB of
-    # amplitudes): both split their rows over the pool. A 40,000-sample
-    # qDRIFT estimate is two jobs of unequal size, 32,768 and 7,232 rows
-    config = EstimatorConfig(n_segments=16, order=3, n_sample_0=2000, n_shot_0=100, seed=5,
-                             bucket_samples={(2,): 2500, (3,): 300, (4,): 100, (2, 2): 300})
-    five = parse_hamiltonian("0.45 XXIII\n0.375 ZIIII\n0.45 IXXII")
-    bucket = next(b for b in correction_terms(five, 1.0, 6, 2) if b.n_vec == (2,))
-    cases = {
-        ("qswift3", 1000): lambda: estimate_qswift(CHAIN, 1.0, config).to_json_dict(),
-        ("all_order", 1000): lambda: all_order_stats(CHAIN, 1.0, 16, 20000, 5).to_json_dict(),
-        ("rtrotter", 1000): lambda: estimate_trotter(
-            CHAIN, 1.0, 1, 1, True, replace(config, n_sample_0=33000)).to_json_dict(),
-        ("all_order", estimator._STREAM_CHUNK):
-            lambda: all_order_stats(CHAIN, 1.0, 16, 20000, 5).to_json_dict(),
-        ("exhaustive", estimator._STREAM_CHUNK): lambda: eval_correction_exact(five, 1.0, 6, bucket),
-        ("qdrift", estimator._STREAM_CHUNK):
-            lambda: estimate_qdrift(CHAIN, 1.0, replace(config, n_sample_0=40000)).to_json_dict(),
-    }
-    for (name, chunk), estimate in cases.items():
-        monkeypatch.setattr(estimator, "_STREAM_CHUNK", chunk)
-        pooled, in_process = _pooled_and_in_process(monkeypatch, estimate)
-        assert pooled == in_process, (name, chunk)
-
-
-def test_worker_errors_keep_their_type(monkeypatch, capsys, tmp_path):
+def test_worker_errors_keep_their_type(pool_settings, monkeypatch, capsys, tmp_path):
     # a model whose op codes overflow is refused inside the jobs: the
     # worker's ValueError reaches the caller as a ValueError, chained to the
-    # worker's traceback, and the CLI exits 2 with the same message
+    # worker's traceback, and the CLI exits 2 with the same message as on
+    # one CPU
+    pool_settings(cpus=2)
     if estimator._pool() is None:
-        pytest.skip("no process pool on this host")
+        pytest.skip("no process pool without fork")
     over = parse_hamiltonian("\n".join(
         f"0.001 {''.join('IXYZ'[(i >> (2 * q)) & 3] for q in range(7))}"
         for i in range(1, 10924)))
@@ -707,8 +778,9 @@ def test_worker_errors_keep_their_type(monkeypatch, capsys, tmp_path):
         rc = cli_main(argv)
         return rc, capsys.readouterr()
 
-    pooled, in_process = _pooled_and_in_process(monkeypatch, simulate)
-    assert pooled == in_process
+    pooled = simulate()
+    pool_settings()
+    assert simulate() == pooled
     assert pooled[0] == 2 and "overflow the op codes" in pooled[1].err
 
 
@@ -785,11 +857,12 @@ print(estimator._pool() is not None, before_exit, after_exit,
     assert out.stdout.split() == [str(pooled), "0", "0", "True"]
 
 
-def test_pool_restarts_after_a_worker_dies():
+def test_pool_restarts_after_a_worker_dies(pool_settings):
     # a worker killed between estimates (a signal, the OOM killer) breaks
     # its pool; the next pooled estimate starts a new pool and reports ==
+    pool_settings(cpus=2)
     if estimator._pool() is None:
-        pytest.skip("no process pool on this host")
+        pytest.skip("no process pool without fork")
     config = EstimatorConfig(n_segments=4, order=2, n_sample_0=4000, seed=1)
     want = estimate_qswift(CHAIN, 1.0, config).to_json_dict()
     pool = estimator._pool()

@@ -59,7 +59,7 @@ def test_prepare_plus_input_width_limits():
 def test_state_shape_validation():
     # every single-state entry point wants the 2^(n+1) amplitudes
     model = parse_hamiltonian("0.5 XZ")
-    plan = GatePlan(ops=(TimeOp(1, 0.1),), n_segments=1, method_tag="TEST")
+    plan = GatePlan(ops=(TimeOp(1, 0.1),))
     for amps in (np.zeros(4, dtype=complex), np.zeros((1, 8), dtype=complex)):
         with pytest.raises(ValueError, match="amplitude vector has shape"):
             run_plan(amps, plan, model)
@@ -136,8 +136,6 @@ def test_run_plan_matches_dense_product():
             SwiftOp(ell=1, b=1),
             TimeOp(ell=2, angle=0.4),
         ),
-        n_segments=5,
-        method_tag="TEST",
     )
     dim = 1 << model.n_qubits
     total = np.eye(2 * dim, dtype=complex)
@@ -167,7 +165,6 @@ SPLIT_PLANS = {
     "hand": GatePlan(
         ops=(TimeOp(2, 0.3), SwiftOp(1, 0), TimeOp(2, 0.3), TimeOp(1, 0.2),
              TimeOp(2, -0.5), SwiftOp(3, 1), TimeOp(1, 0.2), TimeOp(2, 0.3)),
-        n_segments=1, method_tag="TEST",
     ),
 }
 
@@ -194,7 +191,7 @@ def test_run_plan_refuses_plans_that_cannot_run():
     model = parse_hamiltonian("0.5 XZ")
     state = random_state(2, seed=3)
     for op in (TimeOp(1, float("nan")), TimeOp(1, float("inf")), "T 1 0.1"):
-        plan = GatePlan(ops=(op,), n_segments=1, method_tag="TEST")
+        plan = GatePlan(ops=(op,))
         with pytest.raises((TypeError, ValueError)):
             run_plan(state, plan, model)
 
@@ -202,7 +199,7 @@ def test_run_plan_refuses_plans_that_cannot_run():
 def test_run_plan_time_op_angle_is_bare():
     # the sign lives in the stored angle, not in run_plan
     model = parse_hamiltonian("-0.5 X")
-    plan = GatePlan(ops=(TimeOp(ell=1, angle=0.3),), n_segments=1, method_tag="TEST")
+    plan = GatePlan(ops=(TimeOp(ell=1, angle=0.3),))
     state = random_state(1, seed=1)
     got = run_plan(state, plan, model)
     want = apply_pauli_rotation(state, "X", 0.3)

@@ -687,16 +687,9 @@ DEFAULT_TILES = dict(tile_rows=estimator._TILE_ROWS, tile_bytes=estimator._TILE_
        cpus=st.sampled_from((1, 2, 3)), tile_rows=st.sampled_from((1, 3, estimator._TILE_ROWS)),
        tile_bytes=st.sampled_from((1 << 10, estimator._TILE_BYTES)),
        row_amps=st.sampled_from((0, statevector.ROW_SCHEDULE_AMPS, 1 << 40)))
-@example(case=SMALL_CHAIN, chunk=16, cpus=1, tile_rows=1, tile_bytes=estimator._TILE_BYTES,
-         row_amps=1 << 40)
-@example(case=SMALL_CHAIN, chunk=16, cpus=1, tile_rows=3, tile_bytes=estimator._TILE_BYTES,
-         row_amps=0)
 @example(case=SMALL_CHAIN, chunk=16, cpus=3, tile_rows=1, tile_bytes=1 << 10, row_amps=0)
 @example(case=SMALL_CHAIN, chunk=16, cpus=3, tile_rows=3, tile_bytes=1 << 10, row_amps=1 << 40)
 @example(case=TWO_JOB_QSWIFT, chunk=DEFAULT_CHUNK, cpus=3, **DEFAULT_TILES)
-@example(case=LARGE_QSWIFT, chunk=1000, cpus=2, **DEFAULT_TILES)
-@example(case=LARGE_ALL_ORDER, chunk=1000, cpus=2, **DEFAULT_TILES)
-@example(case=LARGE_RTROTTER, chunk=1000, cpus=2, **DEFAULT_TILES)
 @example(case=LARGE_ALL_ORDER, chunk=DEFAULT_CHUNK, cpus=2, **DEFAULT_TILES)
 @example(case=FIVE_QUBIT, chunk=DEFAULT_CHUNK, cpus=2, **DEFAULT_TILES)
 @example(case=LARGE_QDRIFT, chunk=DEFAULT_CHUNK, cpus=2, **DEFAULT_TILES)
@@ -714,6 +707,35 @@ def test_reports_independent_of_workers_and_tiles(
     want = case.reports()
     pool_settings(cpus, tile_rows, tile_bytes, row_amps)
     assert case.reports() == want
+
+
+def test_reports_independent_of_tiles(pool_settings, monkeypatch):
+    # on one CPU, tiles and the evolve schedule only schedule rows: any tile
+    # bound and ROW_SCHEDULE_AMPS (0: every tile grouped, 2^40: every tile
+    # per row) gives == reports, the exhaustive oracles included. 16-row
+    # stream chunks give every sampled estimator several chunks
+    monkeypatch.setattr(estimator, "_STREAM_CHUNK", 16)
+    pool_settings()
+    want = SMALL_CHAIN.reports()
+    for row_amps in (0, 1 << 40):
+        for tile_rows in (1, 3, estimator._TILE_ROWS):
+            pool_settings(tile_rows=tile_rows, row_amps=row_amps)
+            assert SMALL_CHAIN.reports() == want, (row_amps, tile_rows)
+
+
+def test_pooled_reports_equal_in_process(pool_settings, monkeypatch):
+    # every job is a function of its arguments and the reduction runs here
+    # in job order, so a pool of two workers changes no report. 1,000-row
+    # stream chunks split all-order and randomized Trotter into jobs
+    monkeypatch.setattr(estimator, "_STREAM_CHUNK", 1000)
+    for name, case in (("qswift3", LARGE_QSWIFT), ("all_order", LARGE_ALL_ORDER),
+                       ("rtrotter", LARGE_RTROTTER)):
+        pool_settings()
+        in_process = case.reports()
+        pool_settings(cpus=2)
+        if estimator._pool() is None:
+            pytest.skip("no process pool without fork")
+        assert case.reports() == in_process, name
 
 
 def test_pool_maps_jobs_and_splits_large_evolves(pool_settings, monkeypatch):

@@ -58,9 +58,13 @@ def _write_output(text: str, path: str | None) -> None:
         text += "\n"
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        raise SystemExit(2)
 
 
 def _load_model(path: str):

@@ -217,8 +217,6 @@ def draw_trotter_terms(model: HamiltonianModel, r: int, order: int, rng) -> np.n
     segment, which order 2 mirrors to keep the second-order cancellation."""
     if order not in (1, 2):
         raise ValueError("randomized variant supports orders 1 and 2")
-    if r < 1:
-        raise ValueError("repetition count must be >= 1")
     # one permuted() call draws the same r rows, and leaves rng in the same
     # state, as r permutation() calls; it permutes a copy of the shared table
     perms = rng.permuted(_identity_rows(model.n_terms, r), axis=1)
@@ -229,6 +227,8 @@ def draw_trotter_terms(model: HamiltonianModel, r: int, order: int, rng) -> np.n
 
 def trotter_thetas(model: HamiltonianModel, t: float, r: int, order: int) -> list[float]:
     """Rotation angle of each term in every instruction of a randomized plan."""
+    if r < 1:
+        raise ValueError("repetition count must be >= 1")
     step = finite_time(t) / r
     step = step if order == 1 else 0.5 * step
     return (np.array([term.coefficient for term in model.terms]) * step).tolist()

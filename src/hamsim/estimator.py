@@ -1,7 +1,7 @@
 """Monte Carlo observable estimation for compiled randomized plans.
 
-Every sampled estimator (qDRIFT, order-K qSWIFT, all-order, Trotter)
-returns one `EstimateReport`.
+Every sampled estimator returns an `EstimateReport`: `_estimate` builds it
+for qDRIFT and order-K qSWIFT, `_one_row` for all-order and Trotter.
 
 Estimators own streams, budgets, shot readout and reduction. The `compiler`
 draw layer fills rows from streams derived as (seed, stream labels, variant,
@@ -233,7 +233,7 @@ def _shutdown_pool(pool=_pool):  # join the workers of this process's pool, if a
 
 @lru_cache(maxsize=1)
 def _kernel(model: HamiltonianModel, axes: str) -> Kernel:
-    """The jobs' Kernel: each process builds it once per model and observable."""
+    """Every estimator's Kernel: each process builds it once per model and observable."""
     return Kernel(model, axes)
 
 
@@ -288,29 +288,29 @@ def _bucket_job(model, axes, thetas, n_segments, n_shot, term, units) -> list:
     return [_shot_means(v, n_shot, rng) for v, rng in zip(np.split(vals, ends), rngs)]
 
 
-def _eval_correction_stats(
-    model: HamiltonianModel, t: float, terms: list, config: EstimatorConfig
-) -> list:
-    """(value, variance) of each bucket of terms.
+def _estimate(model, t, config, terms) -> EstimateReport:
+    """The baseline plus every bucket in terms, each from its own streams.
 
     A bucket value is coeff times the signed sum over all (s, b)
     combinations of averaged expectations: ancilla-dressed for correction
-    buckets, the system observable for the baseline (k = 0). A bucket's
+    buckets, the system observable for the baseline (k = 0). Each row's
     (variant, stream chunk) units pack into batches of a few tiles, one
-    `_map_jobs` runs every bucket's batches, and shot means reduce here in
-    unit order.
+    `_map_jobs` runs every batch, and shot means reduce here in unit order.
     """
     axes = config.observable_axes(model)
     thetas = signed_angles(model, tau(model, t, config.n_segments))
     # about four tiles per batch: few partial tiles and small code arrays
     batch_rows = 4 * _tile_rows(2 << model.n_qubits)
-    jobs, parities, circuits = [], [], 0
+    terms = [BASELINE, *terms]
+    jobs, parities, budgets, plan_count = [], [], {}, 0
     for term in terms:
         n_sample = config.n_sample(term.n_vec)
-        circuits += term.n_variants * n_sample
+        plan_count += term.n_variants * n_sample
         if term.k and term.n_variants * n_sample > CIRCUIT_CAP:
             raise BudgetOverflow(f"bucket {term.n_vec} needs "
                                  f"{term.n_variants * n_sample} circuits, cap {CIRCUIT_CAP}")
+        budget = {"n_sample": n_sample, "n_shot": config.n_shot_0}
+        budgets[term.label] = {**budget, "coeff": term.coeff} if term.k else budget
         variants = [(s_vec, b_vecs) for s_vec in term.sign_vectors()
                     for b_vecs in term.b_vector_sets()]
         parities.append([sum(s_vec) % 2 for s_vec, _ in variants])
@@ -327,9 +327,9 @@ def _eval_correction_stats(
         jobs += [(model, axes, thetas, config.n_segments, config.n_shot_0, term, batch)
                  for batch in batches]
     # every unit's shot means in unit order, each variant's chunks in turn
-    mapped = _map_jobs(_bucket_job, jobs, circuits << (model.n_qubits + 1))
+    mapped = _map_jobs(_bucket_job, jobs, plan_count << (model.n_qubits + 1))
     means = (arr for batch in mapped for arr in batch)
-    stats = []
+    values, var_total = {}, 0.0
     for term, odd in zip(terms, parities):
         chunks = len(range(0, config.n_sample(term.n_vec), _STREAM_CHUNK))
         signed_sum = var_sum = 0.0
@@ -337,23 +337,8 @@ def _eval_correction_stats(
             mean, var, _ = _pooled_stats(islice(means, chunks))
             signed_sum += -mean if negative else mean
             var_sum += var
-        stats.append((term.coeff * signed_sum, term.coeff**2 * var_sum))
-    return stats
-
-
-def _estimate(
-    model: HamiltonianModel, t: float, config: EstimatorConfig, terms: list
-) -> EstimateReport:
-    """The baseline plus every bucket in terms, each from its own streams."""
-    values, budgets = {}, {}
-    var_total, plan_count = 0.0, 0
-    terms = [BASELINE, *terms]
-    for term, (value, variance) in zip(terms, _eval_correction_stats(model, t, terms, config)):
-        values[term.n_vec] = value
-        var_total += variance
-        plan_count += term.n_variants * config.n_sample(term.n_vec)
-        budget = {"n_sample": config.n_sample(term.n_vec), "n_shot": config.n_shot_0}
-        budgets[term.label] = {**budget, "coeff": term.coeff} if term.k else budget
+        values[term.n_vec] = term.coeff * signed_sum
+        var_total += term.coeff**2 * var_sum
     baseline = values.pop(BASELINE.n_vec)
     return EstimateReport(
         method=f"QSWIFT{config.order}" if len(terms) > 1 else "QDRIFT",
@@ -365,6 +350,21 @@ def _estimate(
         shot_count=plan_count * config.n_shot_0,
         seed=config.seed,
         budgets=budgets,
+    )
+
+
+def _one_row(method, value, stderr, n_sample, n_shot, seed, **coeff) -> EstimateReport:
+    """Report of an estimator without buckets: its one row is the baseline."""
+    return EstimateReport(
+        method=method,
+        value=value,
+        baseline=value,
+        bucket_values={},
+        stderr=stderr,
+        plan_count=n_sample,
+        shot_count=n_sample * n_shot,
+        seed=seed,
+        budgets={"baseline": {"n_sample": n_sample, "n_shot": n_shot, **coeff}},
     )
 
 
@@ -417,36 +417,24 @@ def estimate_trotter(
     Deterministic: one plan, a batch of one, pools n_sample_0 * n_shot_0
     shots; stderr is the binomial sqrt((1 - v^2) / shots).
     """
-    seed = config.seed
     axes = config.observable_axes(model)
     if randomized:
         thetas = trotter_thetas(model, t, r, order)
-        jobs = [(model, axes, r, order, thetas, config.n_shot_0, seed, first, size)
+        jobs = [(model, axes, r, order, thetas, config.n_shot_0, config.seed, first, size)
                 for _, first, size in _chunk_sizes(config.n_sample_0)]
         chunks = list(_map_jobs(_trotter_job, jobs, config.n_sample_0 << model.n_qubits))
         value, var, plans = _pooled_stats([np.concatenate(chunks)])
-        stderr, shots = sqrt(var), config.n_shot_0
-    else:
-        plan = trotter_plan(model, t, r, order)
-        kernel = Kernel(model, axes)
-        states = kernel.fresh(1, ancilla=False)
-        for codes, thetas in plan_codes(plan, model.n_terms):
-            kernel.evolve(states, codes, thetas)
-        plans, shots = 1, config.n_shot_0 * config.n_sample_0
-        rng = derived_rng(seed, _STREAM_TROTTER, 0, _SUB_SHOT)
-        value = float(_shot_means(kernel.read(states, ancilla_x=False), shots, rng)[0])
-        stderr = sqrt(max(1.0 - value**2, 0.0) / shots)
-    return EstimateReport(
-        method=f"RTS{order}" if randomized else f"TS{order}",
-        value=value,
-        baseline=value,
-        bucket_values={},
-        stderr=stderr,
-        plan_count=plans,
-        shot_count=plans * shots,
-        seed=seed,
-        budgets={"baseline": {"n_sample": plans, "n_shot": shots}},
-    )
+        return _one_row(f"RTS{order}", value, sqrt(var), plans, config.n_shot_0, config.seed)
+    plan = trotter_plan(model, t, r, order)
+    kernel = _kernel(model, axes)
+    states = kernel.fresh(1, ancilla=False)
+    for codes, thetas in plan_codes(plan, model.n_terms):
+        kernel.evolve(states, codes, thetas)
+    shots = config.n_shot_0 * config.n_sample_0
+    rng = derived_rng(config.seed, _STREAM_TROTTER, 0, _SUB_SHOT)
+    value = float(_shot_means(kernel.read(states, ancilla_x=False), shots, rng)[0])
+    stderr = sqrt(max(1.0 - value**2, 0.0) / shots)
+    return _one_row(f"TS{order}", value, stderr, 1, shots, config.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -472,11 +460,11 @@ def eval_correction_exact(
     """
     k = term.k
     n_terms = model.n_terms
-    slots = np.array(list(combinations(range(n_segments), k)), dtype=np.intp)
     n_slots = comb(n_segments, k)
     size_est = term.n_variants * n_slots * n_terms ** (n_segments - k + sum(term.n_vec))
     if size_est > ENUMERATION_CAP:
         raise CombinatorialCap(f"exhaustive bucket would enumerate ~{size_est} circuits")
+    slots = np.array(list(combinations(range(n_segments), k)), dtype=np.intp)
     axes = system_observable(observable_axes, model.n_qubits)
     thetas = signed_angles(model, tau(model, t, n_segments))
     probs = model.probs
@@ -556,18 +544,8 @@ def all_order_stats(
              int(rng_seed), idx, m) for idx, _, m in _chunk_sizes(n_sample)]
     mean, var, _ = _pooled_stats(
         _map_jobs(_all_order_job, jobs, n_sample << (model.n_qubits + 1)))
-    value = b_power * mean
-    return EstimateReport(
-        method="ALLORDER",
-        value=value,
-        baseline=value,
-        bucket_values={},
-        stderr=b_power * sqrt(var),
-        plan_count=n_sample,
-        shot_count=0,
-        seed=int(rng_seed),
-        budgets={"baseline": {"n_sample": n_sample, "n_shot": 0, "coeff": b_power}},
-    )
+    return _one_row("ALLORDER", b_power * mean, b_power * sqrt(var), n_sample, 0,
+                    int(rng_seed), coeff=b_power)
 
 
 # ---------------------------------------------------------------------------

@@ -533,3 +533,18 @@ def test_verify_core_suite_passes(capsys):
 @pytest.mark.parametrize("suite", ["slopes", "all"])
 def test_verify_suite_passes(suite, capsys):
     assert_verify_suite_passes(suite, capsys)
+
+
+@pytest.mark.parametrize("command", sorted(LOADING_COMMANDS))
+def test_unwritable_out_exits_two(command, model_file, tmp_path, capsys):
+    # an --out in a missing directory is bad input: one error line naming
+    # the path, exit 2, nothing on stdout
+    out_path = tmp_path / "missing" / "out.txt"
+    argv = LOADING_COMMANDS[command] + ["--hamiltonian", model_file, "--out", str(out_path)]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {out_path}: No such file or directory\n"
+    assert not out_path.parent.exists()

@@ -138,6 +138,18 @@ def test_enumeration_cap_guards_both_oracles(monkeypatch):
         exact_qdrift_value(REF, 1.0, 8)
 
 
+def test_enumeration_cap_precedes_slot_tuples(monkeypatch):
+    # the cap is checked on comb(N, k) before any slot tuple is built, so a
+    # refused bucket allocates none of its C(N, k) tuples
+    def no_slots(*args):
+        raise AssertionError("slot tuples built before the cap check")
+
+    monkeypatch.setattr(estimator, "combinations", no_slots)
+    term = next(b for b in correction_terms(CHAIN, 1.0, 300, 4) if b.n_vec == (2, 2, 2))
+    with pytest.raises(CombinatorialCap):
+        eval_correction_exact(CHAIN, 1.0, 300, term)
+
+
 def test_exhaustive_bucket_vanishes_for_single_term_model():
     solo = parse_hamiltonian("1.0 X")
     term = correction_terms(solo, 0.9, 4, 2)[0]
@@ -317,6 +329,14 @@ def test_estimate_trotter_randomized_path():
     assert 0.0 < report.stderr < 0.05
 
 
+@pytest.mark.parametrize("randomized", [False, True])
+def test_estimate_trotter_rejects_zero_repetitions(randomized):
+    # both branches refuse r = 0 with the same message, before any division
+    config = EstimatorConfig(n_segments=1, n_sample_0=4, n_shot_0=4)
+    with pytest.raises(ValueError, match="repetition count must be >= 1"):
+        estimate_trotter(REF, 1.0, 0, 1, randomized=randomized, config=config)
+
+
 def test_shot_readout_determinism_and_eigenstates():
     kernel = Kernel(parse_hamiltonian("1.0 ZI"), "XI")
     states = kernel.fresh(3)
@@ -415,6 +435,27 @@ def test_golden_values_on_bundled_chain():
     config = EstimatorConfig(n_sample_0=200, **base)
     assert estimate_trotter(CHAIN, 1.0, 16, 2, True, config).value == 0.27290000000000003
     assert estimate_trotter(CHAIN, 1.0, 16, 2, False, config).value == 0.2667999999999999
+
+
+def test_every_estimator_reports_through_one_shape():
+    # qDRIFT, qSWIFT K = 2 and 3, all-order and both Trotter variants: the
+    # value decomposes into baseline plus buckets, every plan reads the
+    # baseline row's shots, and the JSON carries the same keys
+    config = EstimatorConfig(n_segments=4, order=3, n_sample_0=12, n_shot_0=5, seed=3)
+    reports = [
+        estimate_qdrift(CHAIN, 1.0, config),
+        estimate_qswift(CHAIN, 1.0, replace(config, order=2)),
+        estimate_qswift(CHAIN, 1.0, config),
+        all_order_stats(CHAIN, 1.0, 4, 12, 3),
+        estimate_trotter(CHAIN, 1.0, 4, 2, True, config),
+        estimate_trotter(CHAIN, 1.0, 4, 2, False, config),
+    ]
+    assert [r.method for r in reports] == ["QDRIFT", "QSWIFT2", "QSWIFT3", "ALLORDER",
+                                           "RTS2", "TS2"]
+    for report in reports:
+        assert report.value == report.baseline + sum(report.bucket_values.values())
+        assert report.shot_count == report.plan_count * report.budgets["baseline"]["n_shot"]
+    assert len({tuple(r.to_json_dict()) for r in reports}) == 1
 
 
 def test_deterministic_order_four_trotter_golden():
@@ -976,8 +1017,8 @@ def test_bucket_memory_peak(monkeypatch):
     # use count in no test order
     warm = EstimatorConfig(n_segments=16, order=2, bucket_samples={(2,): 8}, seed=3, threads=1)
     monkeypatch.setattr(estimator, "_pool", lambda: None)
-    estimator._eval_correction_stats(CHAIN, 1.0, [term], warm)
-    peak = _traced_peak_mib(lambda: estimator._eval_correction_stats(CHAIN, 1.0, [term], config))
+    estimator._estimate(CHAIN, 1.0, warm, [term])
+    peak = _traced_peak_mib(lambda: estimator._estimate(CHAIN, 1.0, config, [term]))
     print(f"traced peak {peak:.2f} MiB")
     assert peak < 11
 

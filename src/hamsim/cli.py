@@ -5,6 +5,7 @@ Subcommands: `analyze` sweeps the analytic bounds into a CSV table,
 as JSON, with the same keys for every method, `budget` prints the
 sampling-budget planner, and `verify` runs the named self-check suites.
 `--observable` is case-insensitive and must match the model width.
+An `--out` path is checked before any work; a run that fails leaves it untouched.
 `simulate` still exits 0 but prints a `warning:` line on stderr when the
 report's 1-sigma interval is wider than [-1, 1], the range of a Pauli
 expectation (all-order at large tau, where B^N dwarfs the observable).
@@ -18,7 +19,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
+import tempfile
 from functools import cache
 from math import inf
 
@@ -52,6 +55,26 @@ def _parse_t_grid(spec: str) -> list[float]:
     return [float(x) for x in np.geomspace(a, b, n)]
 
 
+def _cannot_write(path: str, exc: OSError):
+    print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _check_output(path: str | None) -> None:
+    """Exit 2 before any work if the file at path cannot be written: an
+    existing file must open for appending, else its directory must take a
+    new (anonymous) file. Neither creates nor truncates path."""
+    if path is None:
+        return
+    try:
+        if os.path.exists(path):
+            open(path, "a").close()
+        else:
+            tempfile.TemporaryFile(dir=os.path.dirname(path) or ".").close()
+    except OSError as exc:
+        _cannot_write(path, exc)
+
+
 def _write_output(text: str, path: str | None) -> None:
     """Write text, ending in one newline, to stdout or to the file at path."""
     if not text.endswith("\n"):
@@ -63,8 +86,7 @@ def _write_output(text: str, path: str | None) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
-        raise SystemExit(2)
+        _cannot_write(path, exc)
 
 
 def _load_model(path: str):
@@ -79,6 +101,7 @@ def _load_model(path: str):
 
 
 def cmd_analyze(args) -> int:
+    _check_output(args.out)
     if args.hamiltonian:
         model = _load_model(args.hamiltonian)
         lam, lam_max, n_terms = model.lam, model.lam_max, model.n_terms
@@ -108,6 +131,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    _check_output(args.out)
     model = _load_model(args.hamiltonian)
     try:
         config = EstimatorConfig(
@@ -148,6 +172,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_budget(args) -> int:
+    _check_output(args.out)
     model = _load_model(args.hamiltonian)
     try:
         table = plan_budget(model, args.t, args.segments, args.order, args.epsilon)

@@ -6,7 +6,9 @@ the reference implementation every randomized path is validated against; it is
 deliberately dense and capped at 3 qubits, not a performance path. Ordered
 sums over N segments (`mixture`, `qswift_channel`) are one block of the N-th
 power of a block lower-triangular matrix (Van Loan's construction), so they
-take any N and never enumerate interleavings or compositions.
+take any N and never enumerate interleavings or compositions. The ideal
+evolution e^{iHt} comes from the eigendecomposition of the Hermitian H, so the
+oracle, like the rest of the package, needs NumPy alone.
 """
 
 from __future__ import annotations
@@ -115,13 +117,9 @@ def qdrift_channel(model: HamiltonianModel, tau_angle: float) -> Superoperator:
 
 
 def ideal_channel(model: HamiltonianModel, t: float) -> Superoperator:
-    """Conjugation by e^{iHt}, the target evolution."""
-    # imported here so that importing the package does not load SciPy
-    from scipy.linalg import expm
-
-    _check_width(model.n_qubits)
-    u = expm(1j * dense_hamiltonian(model) * t)
-    return conjugation(u, model.n_qubits)
+    """Conjugation by e^{iHt} = V diag(e^{i lambda t}) V*, H = V diag(lambda) V*."""
+    energies, v = np.linalg.eigh(dense_hamiltonian(model))
+    return conjugation((v * np.exp(1j * energies * t)) @ v.conj().T, model.n_qubits)
 
 
 def _block_power_column(diag: np.ndarray, below: dict, n_levels: int, power: int) -> np.ndarray:

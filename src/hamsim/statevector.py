@@ -110,7 +110,7 @@ class Kernel:
         self.n_qubits = n
         self.n_terms = model.n_terms
         self.signs = [term.sign for term in model.terms]
-        self.factors = [pauli_action(term.axes).factors() for term in model.terms]
+        self.actions = [pauli_action(term.axes) for term in model.terms]
         self.obs_action = pauli_action(system_observable(observable_axes, n))
 
     def fresh(self, m: int, ancilla: bool = True) -> np.ndarray:
@@ -152,7 +152,7 @@ class Kernel:
         P_ell and cos(theta) for rotate_rows, i H_ell (b = 0) or H_ell (b = 1)
         and b for swift_rows, H_ell = sign_ell P_ell."""
         kind, ell = divmod(code, self.n_terms)
-        perm, unit, signs = self.factors[ell]
+        perm, unit, signs = self.actions[ell].factors()
         if kind == 0:
             return perm, (1j * np.sin(thetas[ell]) * unit) * signs, np.cos(thetas[ell])
         b = kind - 1

@@ -30,13 +30,36 @@ def run_cli(argv, capsys):
 
 
 def test_cli_import_stays_light():
-    # only the dense oracle needs SciPy, and the estimators' process pool
+    # the runtime never needs SciPy, and the estimators' process pool
     # imports its modules when it starts: the CLI loads without SciPy,
     # concurrent.futures or multiprocessing
     script = (
         "import sys, hamsim.cli\n"
         "print(sorted(m for m in sys.modules\n"
         "             if m.startswith(('scipy', 'concurrent.futures', 'multiprocessing'))))"
+    )
+    src = str(Path(hamsim.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "[]"
+
+
+def test_runtime_runs_without_scipy():
+    # SciPy is a test dependency only: every verify suite and a simulate
+    # that computes exact_reference from the dense oracle load none of it
+    script = (
+        "import contextlib, io, sys\n"
+        "from importlib import resources\n"
+        "from hamsim.cli import main\n"
+        "model = str(resources.files('hamsim') / 'data' / 'reference_1q.txt')\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as report:\n"
+        "    codes = [main(['verify', '--suite', 'all']),\n"
+        "             main(['simulate', '--hamiltonian', model, '--samples', '20', '--shots', '10'])]\n"
+        "assert codes == [0, 0], codes\n"
+        "assert '\"exact_reference\": null' not in report.getvalue()\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     )
     src = str(Path(hamsim.__file__).resolve().parents[1])
     out = subprocess.run(
@@ -548,3 +571,35 @@ def test_unwritable_out_exits_two(command, model_file, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == f"error: cannot write {out_path}: No such file or directory\n"
     assert not out_path.parent.exists()
+
+
+def test_unwritable_out_exits_before_the_estimate(model_file, tmp_path, monkeypatch, capsys):
+    # the --out path is checked before any sampling, not after it
+    def never(*args, **kwargs):
+        raise AssertionError("estimated before checking --out")
+
+    monkeypatch.setattr(cli, "estimate_qswift", never)
+    out_path = tmp_path / "missing" / "out.txt"
+    with pytest.raises(SystemExit) as err:
+        main(LOADING_COMMANDS["simulate"] + ["--hamiltonian", model_file, "--out", str(out_path)])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {out_path}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("command", sorted(LOADING_COMMANDS))
+def test_failed_run_leaves_out_untouched(command, tmp_path, capsys):
+    # a run that fails after the --out check neither creates nor truncates it
+    bad_model = tmp_path / "bad.txt"
+    bad_model.write_text("0.5 Q\n")
+    kept = tmp_path / "kept.txt"
+    kept.write_text("earlier output\n")
+    for out_path in (kept, tmp_path / "new.txt"):
+        argv = LOADING_COMMANDS[command] + ["--hamiltonian", str(bad_model), "--out", str(out_path)]
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert kept.read_text() == "earlier output\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.txt", "kept.txt"]

@@ -223,6 +223,13 @@ def test_ideal_channel_matches_expm_and_segments():
     assert np.allclose(got, u @ rho @ u.conj().T, atol=1e-12)
     seg = ideal_channel(TWO_QUBIT, t / 4)
     assert np.allclose(seg.power(4).matrix, ideal_channel(TWO_QUBIT, t).matrix, atol=1e-10)
+    # the eigendecomposition against SciPy's Pade expm on every width up to
+    # the cap, out to t = 10, where the phases wind several times
+    for model in (REF, TWO_QUBIT, THREE_QUBIT):
+        for t in (0.1, 1.25, 10.0):
+            u = expm(1j * dense_hamiltonian(model) * t)
+            got = ideal_channel(model, t).matrix
+            assert np.abs(got - np.kron(u.conj(), u)).max() < 1e-13
 
 
 def test_mixture_single_part_two_slots():

@@ -1,5 +1,6 @@
 """Statevector engine versus dense linear-algebra oracles."""
 
+import tracemalloc
 from importlib import resources
 
 import numpy as np
@@ -320,3 +321,22 @@ def test_kernel_schedules_give_identical_states(name, monkeypatch):
         wide.evolve(rows[bound], codes, wide_thetas)
     assert not np.array_equal(rows[row_amps], start)
     assert np.array_equal(rows[row_amps], rows[1 << 40])
+
+
+def test_kernel_keeps_no_per_term_tables():
+    # A Kernel keeps each term's bitmask action, not its 2^n permutation and
+    # sign tables: at 10 qubits those cost up to 16 KiB a term, about 16 MiB
+    # for these 2,000 terms
+    rng = np.random.default_rng(7)
+    letters = np.array(list("IXYZ"))
+    axes = {"".join(rng.choice(letters, 10)) for _ in range(2000)} - {"I" * 10}
+    model = HamiltonianModel(tuple(PauliTerm(a, 1.0) for a in sorted(axes)))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kernel = Kernel(model)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kernel.n_terms == len(axes)
+    assert retained < 2 << 20

@@ -17,7 +17,8 @@ than 10,922 terms, in `draw_qdrift` and `draw_all_order_codes` before any
 code is written. The qDRIFT baseline is the correction bucket BASELINE
 (k = 0: no blocks, one variant, coefficient 1), drawn by the same
 `draw_swift_variant`. qDRIFT and Trotter term arrays are already codes;
-`SwiftDraw.codes` expands the correction draws, and `draw_all_order_codes`,
+`SwiftDraw.codes` expands the correction draws (`idle_codes`, the lower
+ancilla half of a variant whose ancilla idles), and `draw_all_order_codes`,
 the one all-order draw, writes each segment's time codes, swift codes and
 signs straight into the growing code array. `plan_from_codes`, the one
 decoder, replays any drawn row of codes as a plan; its inverse `plan_codes`
@@ -383,6 +384,21 @@ class SwiftDraw:
         # block slots are the ones wider than one op (every n_j >= 2)
         codes[np.repeat(widths > 1, widths)] = swift.ravel()
         return codes.reshape(m, -1)
+
+    def idle_codes(self, b_vecs, n_terms: int) -> np.ndarray:
+        """Op codes of the variant's lower ancilla half when every part
+        repeats one term over an even n_j, so that the ancilla idles: the
+        fillers in slot order, block j's slot the branch-1 swift code of its
+        term when b_vecs[j] has odd weight, else dropped."""
+        codes = self.fillers.astype(CODE_DTYPE)
+        keep = np.ones(codes.shape, dtype=bool)
+        rows = np.arange(len(codes))
+        for slot, part, b_vec in zip(self.sigma.T, self.parts, b_vecs):
+            if sum(b_vec) % 2:
+                codes[rows, slot] = swift_codes(n_terms, 1, part[:, 0])
+            else:
+                keep[rows, slot] = False
+        return codes[keep].reshape(len(codes), -1)
 
 
 def draw_swift_variant(

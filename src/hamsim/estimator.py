@@ -8,12 +8,13 @@ draw layer fills rows from streams derived as (seed, stream labels, variant,
 chunk of 32,768 rows) and turns them into op codes; `Kernel.evolve` runs
 them in tiles of at most 8,192 rows and 2 MiB of amplitudes, and each
 unit's shots are drawn binomially from the exact expectations on its own
-stream. The qDRIFT baseline is the k = 0 bucket `BASELINE`, on 2^n
-amplitudes. Jobs (a bucket's batch of units, an all-order or randomized
-Trotter chunk) return per-row arrays. Work of more than one batch of
-amplitudes maps over a pool of one forked process per usable CPU (`taskset`
-limits it), as jobs or, within one evolve, as runs of whole tiles; the
-caller reduces in order, so reports are the same for any tiles and workers.
+stream. The qDRIFT baseline is the k = 0 bucket `BASELINE`; it and every
+variant whose ancilla idles evolve on 2^n amplitudes. Jobs (a bucket's
+batch of units, an all-order or randomized Trotter chunk) return per-row
+arrays. Work of more than one batch of amplitudes maps over a pool of one
+forked process per usable CPU (`taskset` limits it), as jobs or, within one
+evolve, as runs of whole tiles; the caller reduces in order, so reports
+are the same for any tiles and workers.
 
 Every circuit starts from |+>^(n+1); a run chooses only N, K, the budgets,
 the seed and the observable (`EstimatorConfig`).
@@ -276,16 +277,29 @@ def _pooled_stats(chunks) -> tuple[float, float, int]:
 def _bucket_job(model, axes, thetas, n_segments, n_shot, term, units) -> list:
     """Per-row shot means of every unit of one batch of a bucket, each unit
     (stream labels, s_vec, b_vecs, rows) drawing its rows and then its
-    shots from its own derived stream."""
-    rngs, codes = [], []
+    shots from its own derived stream.
+
+    A variant whose parts all share one index (s_j = 1) over an even n_j
+    (the baseline among them) leaves the ancilla in |+>: its upper half is
+    eps = prod_j (-1)^(n_j / 2 + |b_j|) times its lower one, exactly, so it
+    evolves as that half on 2^n amplitudes and reads eps times the
+    idle-ancilla value."""
+    reads, groups = [], {}
     for stream, s_vec, b_vecs, size in units:
         rng = derived_rng(*stream)
         draw = draw_swift_variant(model, n_segments, term, s_vec, size, rng)
-        codes.append(draw.codes(b_vecs, model.n_terms))
-        rngs.append(rng)
-    vals = _evolve_read(model, axes, np.concatenate(codes), thetas, term.k > 0)
-    ends = np.cumsum([unit[-1] for unit in units])[:-1]
-    return [_shot_means(v, n_shot, rng) for v, rng in zip(np.split(vals, ends), rngs)]
+        full = not all(s_vec) or any(n % 2 for n in term.n_vec)
+        eps = 1 if full else (-1) ** sum(n // 2 + sum(b) for n, b in zip(term.n_vec, b_vecs))
+        codes = (draw.codes if full else draw.idle_codes)(b_vecs, model.n_terms)
+        key = (full, codes.shape[1])  # rows of one width evolve together
+        groups.setdefault(key, []).append(codes)
+        reads.append((rng, eps, key))
+    vals = {}
+    for key, codes in groups.items():
+        ends = np.cumsum([len(c) for c in codes])[:-1]
+        vals[key] = iter(np.split(
+            _evolve_read(model, axes, np.concatenate(codes), thetas, key[0]), ends))
+    return [_shot_means(eps * next(vals[key]), n_shot, rng) for rng, eps, key in reads]
 
 
 def _estimate(model, t, config, terms) -> EstimateReport:

@@ -21,7 +21,9 @@ column as A * psi + C * psi[P], from one (A, C, P) table row per code.
 Every entry of A and C has one exactly zero component, so each product
 rounds as the row functions' do and both schedules give bit-identical
 states: reports do not depend on which one runs. Rows whose ancilla stays
-idle (qDRIFT baselines, Trotter) evolve on 2^n amplitudes, not 2^(n+1).
+idle (qDRIFT baselines, Trotter, correction variants that leave it in |+>)
+evolve on 2^n amplitudes, not 2^(n+1); there a branch-1 swift code applies
+H_ell, that branch's action on the lower half, and a branch-0 code raises.
 `Kernel.read` is the one exact readout, in cache-sized blocks. Every circuit
 runs through `Kernel.evolve`: the single-state functions take and return
 plain amplitude arrays and evolve them as batches of one, a plan as the
@@ -63,31 +65,31 @@ def prepare_plus_input(n_qubits: int) -> np.ndarray:
 # either the full 2^(n+1) register or, when the ancilla stays idle in |+>,
 # one 2^n half: both halves of such a row are equal, so either stands for it.
 
-def rotate_rows(rows: np.ndarray, perm, coef: np.ndarray, cos: float) -> None:
-    """psi <- cos * psi + coef * psi[perm] on every 2^n half of a contiguous
-    block of rows, in place. With P psi = unit * signs * psi[perm] and
-    coef = i sin(theta) * unit * signs this is e^{i theta P}."""
-    halves = rows.reshape(-1, coef.shape[0])
+def rotate_rows(rows: np.ndarray, perm, coef, cos: float) -> None:
+    """psi <- cos * psi + coef * psi[perm] on a contiguous block of rows, in
+    place, perm and coef spanning the whole row (`Kernel._coef`). With
+    P psi = unit * signs * psi[perm] and coef = i sin(theta) * unit * signs
+    on every 2^n half this is e^{i theta P}."""
     if perm is None:
-        gathered = halves * coef
+        gathered = rows * coef
     else:
-        gathered = halves.take(perm, axis=1)
+        gathered = rows.take(perm, axis=1)
         gathered *= coef
     rows *= cos
-    rows += gathered.reshape(rows.shape)
+    rows += gathered
 
 
 def swift_rows(rows: np.ndarray, perm, coef: np.ndarray, b: int) -> None:
-    """Swift operator S^(b) of H_ell = sign * P on a block of full-register
-    rows, in place, with coef * psi[perm] = i H_ell psi (b = 0) or H_ell psi
-    (b = 1).
+    """Swift operator S^(b) of H_ell = sign * P on a block of rows, in place,
+    with coef * psi[perm] = i H_ell psi (b = 0) or H_ell psi (b = 1). A 2^n
+    row takes branch 1 only, as its lower half: H_ell.
 
     Net unitaries (ancilla block form): S^(0) = diag(I, i H_ell) and
     S^(1) = diag(H_ell, -i I). Their channel actions on the ancilla
     off-diagonal blocks are rho -> (-i rho H, +i H rho) for b = 0 and
     rho -> (+i H rho, -i rho H) for b = 1, so the two sum to i[H, .].
     """
-    half = rows.shape[1] // 2
+    half = coef.shape[0]
     part = rows[:, half:] if b == 0 else rows[:, :half]
     if b:
         rows[:, half:] *= -1j
@@ -147,47 +149,52 @@ class Kernel:
             raise ValueError(f"non-real Pauli expectation (imag {worst:.3e})")
         return vals.real
 
-    def _coef(self, code: int, thetas) -> tuple:
+    def _coef(self, code: int, thetas, width: int) -> tuple:
         """(perm, coefficient, cosine or branch) of one op code: i sin(theta)
-        P_ell and cos(theta) for rotate_rows, i H_ell (b = 0) or H_ell (b = 1)
-        and b for swift_rows, H_ell = sign_ell P_ell."""
+        P_ell and cos(theta) for rotate_rows on rows of `width` amplitudes,
+        the coefficient a scalar when P_ell has no sign to apply; i H_ell
+        (b = 0) or H_ell (b = 1) on one 2^n half and b for swift_rows,
+        H_ell = sign_ell P_ell."""
         kind, ell = divmod(code, self.n_terms)
         perm, unit, signs = self.actions[ell].factors()
         if kind == 0:
-            return perm, (1j * np.sin(thetas[ell]) * unit) * signs, np.cos(thetas[ell])
+            coef = 1j * np.sin(thetas[ell]) * unit
+            if self.actions[ell].sign_mask:
+                coef = np.tile(coef * signs, width // signs.size)
+            if perm is not None:
+                perm = np.concatenate([perm + lo for lo in range(0, width, perm.size)])
+            return perm, coef, np.cos(thetas[ell])
         b = kind - 1
         return perm, ((1j * self.signs[ell] if b == 0 else self.signs[ell]) * unit) * signs, b
 
     def _row_tables(self, codes, thetas, width: int) -> tuple:
         """(A, C, P) rows of the per-row schedule, one per code: code u maps
         a row to A[u] * psi + C[u] * psi[P[u]]. A time operator is (cos,
-        coefficient, perm) on every 2^n half; a branch-b swift operator is
-        (0, coefficient, perm) on ancilla half 1 - b and (1, 0, identity)
-        (b = 0) or (-i, 0, identity) (b = 1) on the other; PAD is (1, 0,
-        identity)."""
+        coefficient, perm) over the row; a branch-b swift operator is (0,
+        coefficient, perm) on ancilla half 1 - b and (1, 0, identity) (b = 0)
+        or (-i, 0, identity) (b = 1) on the other, a 2^n row being the lower
+        half; PAD is (1, 0, identity)."""
         dim = 1 << self.n_qubits
-        ident = np.arange(width)
         a = np.ones((len(codes), width), dtype=complex)
         c = np.zeros_like(a)
-        p = np.tile(ident, (len(codes), 1))
+        p = np.tile(np.arange(width), (len(codes), 1))
         for row, code in enumerate(codes):
             if code < 0:
                 continue
-            perm, coef, extra = self._coef(code, thetas)
-            perm = ident[:dim] if perm is None else perm
+            perm, coef, extra = self._coef(code, thetas, width)
             if code < self.n_terms:
-                halves = range(0, width, dim)
-                a[row] = extra
-            elif width == dim:
+                a[row], c[row] = extra, coef
+                lo, hi = 0, width
+            elif width == dim and not extra:
                 raise ValueError("swift operators need the ancilla")
             else:
-                halves = [dim * (1 - extra)]
-                a[row, halves[0] : halves[0] + dim] = 0
+                lo, hi = dim * (1 - extra), dim * (2 - extra)
+                a[row, lo:hi] = 0
                 if extra:
                     a[row, dim:] = -1j
-            for lo in halves:
-                c[row, lo : lo + dim] = coef
-                p[row, lo : lo + dim] = perm + lo
+                c[row, lo:hi] = coef
+            if perm is not None:
+                p[row, lo:hi] = perm + lo
         return a, c, p
 
     def evolve(self, states: np.ndarray, codes: np.ndarray, thetas, partner=None) -> None:
@@ -232,17 +239,19 @@ class Kernel:
                     states += gathered
             return
         full = width == 2 << self.n_qubits
+        # int8 keys, when every code fits, take one radix pass, not two
+        key = np.int8 if 3 * self.n_terms <= 126 else CODE_DTYPE
         coefs = {}
 
         def apply(code: int, rows: np.ndarray) -> None:
             if code < 0:
                 return
             if code not in coefs:
-                coefs[code] = self._coef(code, thetas)
+                coefs[code] = self._coef(code, thetas, width)
             perm, coef, extra = coefs[code]
             if code < self.n_terms:
                 rotate_rows(rows, perm, coef, extra)
-            elif full:
+            elif full or extra:
                 swift_rows(rows, perm, coef, extra)
             else:
                 raise ValueError("swift operators need the ancilla")
@@ -257,7 +266,7 @@ class Kernel:
         dst = np.empty_like(states) if partner is None else partner
         for col in codes.T.copy():
             current = col if where is None else col[where]
-            order = np.argsort(current, kind="stable")
+            order = np.argsort(current.astype(key, copy=False), kind="stable")
             ranked = current[order]
             cuts = (np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist()
             # every group lands in its contiguous slot; mode="clip" takes

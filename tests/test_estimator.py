@@ -606,6 +606,48 @@ def test_batched_rows_replay_as_plans(m):
     )
 
 
+# chain_4q and 1-4 qubit models with Y strings and negative terms, each
+# with its observable
+IDLE_MODELS = {
+    "chain_4q": (CHAIN, "ZIII"),
+    "1q": (parse_hamiltonian("0.7 Y\n-0.4 Z\n0.3 X"), "Y"),
+    "2q": (parse_hamiltonian("-0.6 YX\n0.5 ZY\n-0.2 XI"), "XY"),
+    "3q": (parse_hamiltonian("0.45 YYI\n-0.3 IZX\n0.8 XIY\n-0.25 ZZZ"), "YZI"),
+    "4q": (parse_hamiltonian("-0.5 YIXZ\n0.35 IYYI\n0.2 ZIIY\n-0.6 XXZI"), "IYXZ"),
+}
+
+
+@pytest.mark.parametrize("m", [3, 5000])
+@pytest.mark.parametrize("name", sorted(IDLE_MODELS))
+def test_idle_ancilla_variants_equal_full_register(name, m):
+    # a variant whose parts all share one index (s_j = 1) over an even n_j
+    # leaves the ancilla idle: eps = prod_j (-1)^(n_j / 2 + |b_j|) times the
+    # 2^n evolve and read of its idle codes is == the full-register readout
+    # of its codes, for every such variant of K = 2-4. 3 rows take the
+    # per-row schedule, 5,000 the grouped one
+    model, axes = IDLE_MODELS[name]
+    thetas = signed_angles(model, tau(model, 1.0, 4))
+    checked = 0
+    for term in correction_terms(model, 1.0, 4, 4):
+        if any(n % 2 for n in term.n_vec):
+            continue
+        s_vec = (1,) * term.k
+        draw = draw_swift_variant(model, 4, term, s_vec, m, np.random.default_rng(term.xi))
+        b_sets = list(term.b_vector_sets())
+        # every variant's full rows in one call, which splits across the pool
+        full = estimator._evolve_read(
+            model, axes, np.concatenate([draw.codes(b_vecs, model.n_terms) for b_vecs in b_sets]),
+            thetas, True).reshape(len(b_sets), m)
+        for b_vecs, full_vals in zip(b_sets, full):
+            eps = (-1) ** sum(n // 2 + sum(b) for n, b in zip(term.n_vec, b_vecs))
+            idle = estimator._evolve_read(
+                model, axes, draw.idle_codes(b_vecs, model.n_terms), thetas, False)
+            assert np.array_equal(eps * idle, full_vals), (term.n_vec, b_vecs)
+            checked += 1
+    # (2,), (4,), (6,), (2, 2), (2, 4), (4, 2) and (2, 2, 2)
+    assert checked == 4 + 16 + 64 + 16 + 64 + 64 + 64
+
+
 @pytest.fixture
 def pool_settings(monkeypatch):
     """set_pool(cpus, tile_rows, tile_bytes, row_amps) shuts the process pool

@@ -229,10 +229,11 @@ def test_kernel_schedules_give_identical_states(name, monkeypatch):
     # ROW_SCHEDULE_AMPS = 0 sends every tile to the grouped schedule, a
     # bound above every tile sends it to the per-row one. Every entry of
     # the per-row tables has one zero component, so the two agree bit for
-    # bit: time, swift and PAD codes on full rows, time and PAD codes on
-    # rows without the ancilla. The per-row schedule gathers its table
-    # rows for blocks of columns; the 40 x 300 tiles and the one-row tiles
-    # of 8,000 columns (a deterministic plan's shape) span several blocks
+    # bit: time, swift and PAD codes on full rows, time, branch-1 swift and
+    # PAD codes on rows without the ancilla, where branch 0 still raises.
+    # The per-row schedule gathers its table rows for blocks of columns; the
+    # 40 x 300 tiles and the one-row tiles of 8,000 columns (a
+    # deterministic plan's shape) span several blocks
     row_amps = statevector.ROW_SCHEDULE_AMPS
     model = SCHEDULE_MODELS[name]
     kernel = Kernel(model)
@@ -241,8 +242,8 @@ def test_kernel_schedules_give_identical_states(name, monkeypatch):
     thetas = rng.uniform(-np.pi, np.pi, n_terms).tolist()
     for m, cols in ((60, 17), (40, 300), (1, 8000)):
         mixed = rng.integers(PAD, 3 * n_terms, size=(m, cols))
-        time_only = rng.integers(PAD, n_terms, size=(m, cols))
-        for width, codes in ((2 << model.n_qubits, mixed), (1 << model.n_qubits, time_only)):
+        idle = np.where(mixed // n_terms == 1, mixed + n_terms, mixed)  # branch 0 -> 1
+        for width, codes in ((2 << model.n_qubits, mixed), (1 << model.n_qubits, idle)):
             # 40 table bytes per amplitude and column: P, C and A
             assert cols == 17 or 40 * m * width * cols > 2 * statevector.ROW_BLOCK_BYTES
             start = rng.normal(size=(m, width)) + 1j * rng.normal(size=(m, width))

@@ -25,11 +25,18 @@ PAULI_1Q = {
 }
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two matrices: each entry the same single product a_ij * b_kl,
+    without np.kron's generic set-up."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+
+
 def pauli_matrix(axes: str) -> np.ndarray:
     """Dense 2^n x 2^n matrix for a Pauli string, axes[0] on qubit 0 (MSB)."""
     if not axes or any(c not in AXES for c in axes):
         raise ValueError(f"invalid Pauli string {axes!r}")
-    return reduce(np.kron, (PAULI_1Q[c] for c in axes))
+    return reduce(_kron, (PAULI_1Q[c] for c in axes))
 
 
 def system_observable(axes: str | None, n_qubits: int) -> str:

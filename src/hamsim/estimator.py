@@ -179,16 +179,16 @@ def _tile_rows(amps: int) -> int:
 def _evolve_read(model, axes, codes: np.ndarray, thetas, ancilla_x: bool) -> np.ndarray:
     """Exact readout of every row of op codes, evolved tile by tile in one
     reused buffer with the grouped schedule's partner; rows read as I (x) Q
-    evolve on 2^n amplitudes. On `_big_pool`, runs of whole tiles map, one
+    evolve on 2^n amplitudes. On `_big_pool`, equal runs of rows map, one
     per usable CPU: a row's arithmetic does not depend on its tile."""
     m, amps = codes.shape[0], (2 if ancilla_x else 1) << model.n_qubits
-    step = _tile_rows(amps)
-    run = step * -(-m // (step * _cpus()))
+    run = -(-m // _cpus())
     if run < m and (pool := _big_pool(m * amps)) is not None:
         jobs = [(model, axes, codes[lo : lo + run], thetas, ancilla_x) for lo in range(0, m, run)]
         return np.concatenate(list(pool.map(_evolve_read, *zip(*jobs))))
     kernel = _kernel(model, axes)
     init = kernel.fresh(1, ancilla=ancilla_x)
+    step = _tile_rows(amps)
     tile, partner = np.empty((2, min(step, m), init.shape[1]), dtype=init.dtype)
     vals = np.empty(m)
     for lo in range(0, m, step):

@@ -18,7 +18,7 @@ from math import factorial
 
 import numpy as np
 
-from ._pauli import pauli_matrix, system_observable
+from ._pauli import _kron, pauli_matrix, system_observable
 from .errors import DimensionCap, OrderExceedsSegments
 from .hamiltonian import HamiltonianModel, PauliTerm, tau
 
@@ -82,7 +82,7 @@ def term_unitary(term: PauliTerm, theta: float) -> np.ndarray:
 
 def conjugation(u: np.ndarray, n_qubits: int) -> Superoperator:
     """Channel rho -> U rho U* as a superoperator."""
-    return Superoperator(np.kron(u.conj(), u), n_qubits)
+    return Superoperator(_kron(u.conj(), u), n_qubits)
 
 
 def liouvillian_term(model: HamiltonianModel, ell: int) -> Superoperator:
@@ -91,7 +91,7 @@ def liouvillian_term(model: HamiltonianModel, ell: int) -> Superoperator:
     term = model.term(ell)
     h = term.sign * pauli_matrix(term.axes)
     eye = np.eye(h.shape[0])
-    mat = 1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    mat = 1j * (_kron(eye, h) - _kron(h.T, eye))
     return Superoperator(mat, model.n_qubits)
 
 
@@ -112,7 +112,7 @@ def qdrift_channel(model: HamiltonianModel, tau_angle: float) -> Superoperator:
     total = np.zeros((4**model.n_qubits,) * 2, dtype=complex)
     for ell in range(1, model.n_terms + 1):
         u = term_unitary(model.term(ell), tau_angle)
-        total += probs[ell - 1] * np.kron(u.conj(), u)
+        total += probs[ell - 1] * _kron(u.conj(), u)
     return Superoperator(total, model.n_qubits)
 
 
@@ -131,7 +131,7 @@ def _block_power_column(diag: np.ndarray, below: dict, n_levels: int, power: int
     level i, the ordered product of the blocks along it (first step rightmost).
     """
     d = diag.shape[0]
-    m = np.kron(np.eye(n_levels), diag)
+    m = _kron(np.eye(n_levels), diag)
     for (i, j), block in below.items():
         m[i * d : (i + 1) * d, j * d : (j + 1) * d] = block
     return np.linalg.matrix_power(m, power)[:, :d].reshape(n_levels, d, d)

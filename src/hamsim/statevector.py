@@ -9,28 +9,29 @@ operators act on both. Total width is capped at 22 qubits.
 All execution lives here. `Kernel.evolve` runs batches of rows (one
 amplitude vector each) from the op codes that `compiler` builds out of its
 draws: a small integer per instruction naming a time operator, a swift
-operator with its branch, or a pad. It has two schedules, chosen by tile
-size alone. Tiles of more than ROW_SCHEDULE_AMPS (2^12) amplitudes group,
-per column of codes, the rows that share an op, and each group is one call
-of the row functions `rotate_rows` / `swift_rows`, which update a
-contiguous block of rows in place from a precomputed permutation and
-phase: the tile ping-pongs with a partner buffer, each column copying
-every group into its own contiguous slot of the other. Smaller tiles, where
-those calls cost more than their amplitudes, update every row at once per
-column as A * psi + C * psi[P], from one (A, C, P) table row per code.
-Every entry of A and C has one exactly zero component, so each product
-rounds as the row functions' do and both schedules give bit-identical
-states: reports do not depend on which one runs. Rows whose ancilla stays
-idle (qDRIFT baselines, Trotter, correction variants that leave it in |+>)
-evolve on 2^n amplitudes, not 2^(n+1); there a branch-1 swift code applies
-H_ell, that branch's action on the lower half, and a branch-0 code raises.
-`Kernel.read` is the one exact readout, in cache-sized blocks. Every circuit
-runs through `Kernel.evolve`: the single-state functions take and return
-plain amplitude arrays and evolve them as batches of one, a plan as the
-code rows of `compiler.plan_codes` and a bare rotation as a one-term model.
+operator with its branch, or a pad. `Kernel._op` alone says what a code
+does to rows of a given width, as a record that the row function `op_rows`
+applies. Rows whose ancilla stays idle (qDRIFT baselines, Trotter,
+correction variants that leave it in |+>) evolve on 2^n amplitudes, where a
+branch-1 swift code applies H_ell, its action on the lower half, and a
+branch-0 code raises. Tiles of more than ROW_SCHEDULE_AMPS (2^12)
+amplitudes group, per column of codes, the rows that share an op into one
+`op_rows` call on a contiguous block: the tile ping-pongs with a partner
+buffer, each column copying every group into its own slot of the other.
+Smaller tiles, where those calls cost more than their amplitudes, update
+every row at once per column as A * psi + C * psi[P], one (A, C, P) table
+row per code filled from its record. Every entry of A and C has one exactly
+zero component, so each product rounds as in `op_rows` and both schedules
+give bit-identical states. `Kernel.read` is the one exact readout, in
+cache-sized blocks. Every circuit runs through `Kernel.evolve`: the
+single-state functions evolve plain amplitude arrays as batches of one, a
+plan as the code rows of `compiler.plan_codes` and a bare rotation as a
+one-term model.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 import numpy as np
 
@@ -61,40 +62,34 @@ def prepare_plus_input(n_qubits: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Row functions: every amplitude update in the package. A row is
-# either the full 2^(n+1) register or, when the ancilla stays idle in |+>,
-# one 2^n half: both halves of such a row are equal, so either stands for it.
+# The row function: every amplitude update in the package. A row is either
+# the full 2^(n+1) register or, when the ancilla stays idle in |+>, one 2^n
+# half: both halves of such a row are equal, so either stands for it.
 
-def rotate_rows(rows: np.ndarray, perm, coef, cos: float) -> None:
-    """psi <- cos * psi + coef * psi[perm] on a contiguous block of rows, in
-    place, perm and coef spanning the whole row (`Kernel._coef`). With
-    P psi = unit * signs * psi[perm] and coef = i sin(theta) * unit * signs
-    on every 2^n half this is e^{i theta P}."""
-    if perm is None:
-        gathered = rows * coef
-    else:
-        gathered = rows.take(perm, axis=1)
-        gathered *= coef
+def op_rows(rows: np.ndarray, op: tuple) -> None:
+    """Apply an op record (`Kernel._op`) to a contiguous block of rows in
+    place. A time operator spans the row: psi <- cos * psi + coef *
+    psi[perm], which is e^{i theta P} when P psi = unit * signs * psi[perm]
+    and coef = i sin(theta) * unit * signs on every 2^n half. A swift
+    operator sets its span, one ancilla half, to coef * psi[perm] and
+    scales the rest of the row by `rest`, if any.
+
+    Net swift unitaries of H_ell = sign * P (ancilla block form): S^(0) =
+    diag(I, i H_ell) and S^(1) = diag(H_ell, -i I). Their actions on the
+    ancilla off-diagonal blocks, rho -> (-i rho H, +i H rho) for b = 0 and
+    rho -> (+i H rho, -i rho H) for b = 1, sum to i[H, .].
+    """
+    span, perm, coef, cos, rest = op
+    part = rows if span is None else rows[:, span]
+    gathered = part if perm is None else part.take(perm, axis=1)
+    if cos is None:
+        np.multiply(gathered, coef, out=part)
+        if rest is not None:
+            rows[:, span.stop :] *= rest
+        return
+    gathered = np.multiply(gathered, coef, out=None if perm is None else gathered)
     rows *= cos
     rows += gathered
-
-
-def swift_rows(rows: np.ndarray, perm, coef: np.ndarray, b: int) -> None:
-    """Swift operator S^(b) of H_ell = sign * P on a block of rows, in place,
-    with coef * psi[perm] = i H_ell psi (b = 0) or H_ell psi (b = 1). A 2^n
-    row takes branch 1 only, as its lower half: H_ell.
-
-    Net unitaries (ancilla block form): S^(0) = diag(I, i H_ell) and
-    S^(1) = diag(H_ell, -i I). Their channel actions on the ancilla
-    off-diagonal blocks are rho -> (-i rho H, +i H rho) for b = 0 and
-    rho -> (+i H rho, -i rho H) for b = 1, so the two sum to i[H, .].
-    """
-    half = coef.shape[0]
-    part = rows[:, half:] if b == 0 else rows[:, :half]
-    if b:
-        rows[:, half:] *= -1j
-    gathered = part if perm is None else part.take(perm, axis=1)
-    np.multiply(gathered, coef, out=part)
 
 
 class Kernel:
@@ -149,52 +144,51 @@ class Kernel:
             raise ValueError(f"non-real Pauli expectation (imag {worst:.3e})")
         return vals.real
 
-    def _coef(self, code: int, thetas, width: int) -> tuple:
-        """(perm, coefficient, cosine or branch) of one op code: i sin(theta)
-        P_ell and cos(theta) for rotate_rows on rows of `width` amplitudes,
-        the coefficient a scalar when P_ell has no sign to apply; i H_ell
-        (b = 0) or H_ell (b = 1) on one 2^n half and b for swift_rows,
-        H_ell = sign_ell P_ell."""
+    def _op(self, code: int, thetas, width: int) -> tuple:
+        """(span, perm, coef, cos, rest) of one op code on rows of `width`
+        amplitudes, for `op_rows`. A time operator spans the whole row (span
+        None) with perm and coef = i sin(theta) P_ell over it, coef a scalar
+        when P_ell has no sign to apply, and cos(theta). A branch-b swift
+        operator spans ancilla half 1 - b with coef = i H_ell (b = 0) or
+        H_ell (b = 1), H_ell = sign_ell P_ell, and cos None; branch 1 has
+        rest -i for the upper half, which a 2^n row lacks: its lower half
+        alone takes H_ell. A branch-0 code on a 2^n row raises ValueError."""
         kind, ell = divmod(code, self.n_terms)
         perm, unit, signs = self.actions[ell].factors()
+        dim = signs.size
         if kind == 0:
             coef = 1j * np.sin(thetas[ell]) * unit
             if self.actions[ell].sign_mask:
-                coef = np.tile(coef * signs, width // signs.size)
+                coef = np.tile(coef * signs, width // dim)
             if perm is not None:
-                perm = np.concatenate([perm + lo for lo in range(0, width, perm.size)])
-            return perm, coef, np.cos(thetas[ell])
+                perm = np.concatenate([perm + lo for lo in range(0, width, dim)])
+            return None, perm, coef, np.cos(thetas[ell]), None
         b = kind - 1
-        return perm, ((1j * self.signs[ell] if b == 0 else self.signs[ell]) * unit) * signs, b
+        if width == dim and not b:
+            raise ValueError("swift operators need the ancilla")
+        coef = ((self.signs[ell] if b else 1j * self.signs[ell]) * unit) * signs
+        return slice(dim * (1 - b), dim * (2 - b)), perm, coef, None, -1j if b else None
 
     def _row_tables(self, codes, thetas, width: int) -> tuple:
         """(A, C, P) rows of the per-row schedule, one per code: code u maps
-        a row to A[u] * psi + C[u] * psi[P[u]]. A time operator is (cos,
-        coefficient, perm) over the row; a branch-b swift operator is (0,
-        coefficient, perm) on ancilla half 1 - b and (1, 0, identity) (b = 0)
-        or (-i, 0, identity) (b = 1) on the other, a 2^n row being the lower
-        half; PAD is (1, 0, identity)."""
-        dim = 1 << self.n_qubits
+        a row to A[u] * psi + C[u] * psi[P[u]]. On its record's span (the
+        whole row when None) a code is (cos, coef, perm), cos 0 for a swift
+        operator; above a span with a `rest` it is (rest, 0, identity), and
+        elsewhere, as is PAD, (1, 0, identity)."""
         a = np.ones((len(codes), width), dtype=complex)
         c = np.zeros_like(a)
         p = np.tile(np.arange(width), (len(codes), 1))
         for row, code in enumerate(codes):
             if code < 0:
                 continue
-            perm, coef, extra = self._coef(code, thetas, width)
-            if code < self.n_terms:
-                a[row], c[row] = extra, coef
-                lo, hi = 0, width
-            elif width == dim and not extra:
-                raise ValueError("swift operators need the ancilla")
-            else:
-                lo, hi = dim * (1 - extra), dim * (2 - extra)
-                a[row, lo:hi] = 0
-                if extra:
-                    a[row, dim:] = -1j
-                c[row, lo:hi] = coef
+            span, perm, coef, cos, rest = self._op(code, thetas, width)
+            span = span or slice(0, width)
+            a[row, span] = 0 if cos is None else cos
+            c[row, span] = coef
+            if rest is not None:
+                a[row, span.stop :] = rest
             if perm is not None:
-                p[row, lo:hi] = perm + lo
+                p[row, span] = perm + span.start
         return a, c, p
 
     def evolve(self, states: np.ndarray, codes: np.ndarray, thetas, partner=None) -> None:
@@ -209,9 +203,9 @@ class Kernel:
         codes groups the rows that share an op, each group is copied into
         its contiguous slot of the partner buffer (`partner`, of the
         states' shape and dtype, or a new one) by one gather of the whole
-        column, gets one row-function call there, and the buffers swap;
+        column, gets one `op_rows` call there, and the buffers swap;
         one scatter then restores input row order in `states`, and one row
-        takes every code in place. Coefficients are built once per code per
+        takes every code in place. Records are built once per code per
         call. Both schedules give bit-identical states.
         """
         codes = np.asarray(codes, dtype=CODE_DTYPE)
@@ -238,23 +232,13 @@ class Kernel:
                     states *= ab[j]
                     states += gathered
             return
-        full = width == 2 << self.n_qubits
         # int8 keys, when every code fits, take one radix pass, not two
         key = np.int8 if 3 * self.n_terms <= 126 else CODE_DTYPE
-        coefs = {}
+        op = cache(lambda code: self._op(code, thetas, width))
 
         def apply(code: int, rows: np.ndarray) -> None:
-            if code < 0:
-                return
-            if code not in coefs:
-                coefs[code] = self._coef(code, thetas, width)
-            perm, coef, extra = coefs[code]
-            if code < self.n_terms:
-                rotate_rows(rows, perm, coef, extra)
-            elif full or extra:
-                swift_rows(rows, perm, coef, extra)
-            else:
-                raise ValueError("swift operators need the ancilla")
+            if code >= 0:
+                op_rows(rows, op(code))
 
         if m == 1:  # nothing to group: every code applies in place
             for code in codes[0].tolist():

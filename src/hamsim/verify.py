@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._pauli import pauli_matrix
+from ._pauli import _kron, pauli_matrix
 from .bounds import qdrift_bound, qswift_bound, solve_min_n
 from .compiler import all_order_b, correction_terms, signed_angles, swift_codes
 from .errors import VacuousRegion
@@ -147,7 +147,7 @@ def check_time_op_vs_unitary() -> CheckResult:
     u_total = np.eye(2**model.n_qubits, dtype=complex)
     for e in ells:
         u_total = term_unitary(model.term(int(e)), tau_angle) @ u_total
-    want = np.kron(np.eye(2), u_total)  # the idle ancilla
+    want = _kron(np.eye(2), u_total)  # the idle ancilla
     thetas = signed_angles(model, tau_angle)
     err = max(float(np.abs(u - want).max()) for u in _kernel_matrices(model, ells - 1, thetas))
     return CheckResult("time-op-vs-unitary", err < 1e-12, f"max amplitude error {err:.2e}")

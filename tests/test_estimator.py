@@ -823,7 +823,7 @@ def test_pooled_reports_equal_in_process(pool_settings, monkeypatch):
 
 def test_pool_maps_jobs_and_splits_large_evolves(pool_settings, monkeypatch):
     # with 3 CPUs the one-chunk all-order estimate draws here and maps its
-    # 20,000 rows as runs of whole 4,096-row tiles, one per CPU; the qSWIFT
+    # 20,000 rows as three equal runs of rows, one per CPU; the qSWIFT
     # estimate of two jobs maps only its jobs. With 1 KiB tiles and 16-row
     # chunks the small chain_4q case maps each of the four job functions
     def recorded_maps(**settings) -> list:

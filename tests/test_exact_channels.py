@@ -22,6 +22,7 @@ from hamsim import (
     tau,
     term_unitary,
 )
+from hamsim._pauli import _kron
 from hamsim.compiler import enumerate_g2
 from hamsim.exact_channels import (
     Superoperator,
@@ -132,6 +133,32 @@ def test_superoperator_validation():
 def test_dense_hamiltonian_matches_kron_sum():
     want = 0.5 * dense_string("XZ") + 0.3 * dense_string("ZI") - 0.2 * dense_string("YY")
     assert np.allclose(dense_hamiltonian(TWO_QUBIT), want, atol=1e-15)
+
+
+def test_kron_helper_matches_numpy_bit_for_bit():
+    # the oracle's Kronecker products take one product a_ij * b_kl per entry,
+    # as np.kron does: equal values and equal sign bits, signed zeros
+    # included, for real and complex factors, transposed views and
+    # non-square shapes
+    rng = np.random.default_rng(17)
+    scales = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -2.5])
+
+    def draw(shape, kind):
+        real = rng.choice(scales, size=shape) * rng.normal(size=shape)
+        if kind == "real":
+            return real
+        return real + 1j * rng.choice(scales, size=shape) * rng.normal(size=shape)
+
+    for kind_a, kind_b in (("real", "complex"), ("complex", "real"),
+                           ("complex", "complex"), ("real", "real")):
+        for shape_a, shape_b in (((2, 2), (2, 2)), ((4, 4), (3, 3)), ((2, 3), (4, 1))):
+            for _ in range(20):
+                a, b = draw(shape_a, kind_a), draw(shape_b, kind_b)
+                for x, y in ((a, b), (a.T, b), (a, b.T)):
+                    got, want = _kron(x, y), np.kron(x, y)
+                    assert got.dtype == want.dtype and np.array_equal(got, want)
+                    for part in (np.real, np.imag):
+                        assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
 
 
 def test_term_unitary_matches_expm():

@@ -217,6 +217,9 @@ def test_kernel_swift_codes_need_the_ancilla():
 SCHEDULE_MODELS = {
     "chain_4q": load_hamiltonian(str(resources.files("hamsim").joinpath("data/chain_4q.txt"))),
     "reference_1q": parse_hamiltonian("0.5 X\n0.3 Z"),
+    # Y terms, negative coefficients, flip-only, sign-only and mixed terms:
+    # every record kind, swift branches with sign -1 among them
+    "two_qubit_y": parse_hamiltonian("0.5 XY\n-0.3 ZZ\n0.2 YI\n-0.4 IX\n0.1 YZ"),
 }
 # a 12-qubit XX+Z chain: one full-register row holds 2^13 amplitudes
 CHAIN_12Q = parse_hamiltonian("\n".join(

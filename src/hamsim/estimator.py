@@ -9,12 +9,15 @@ chunk of 32,768 rows) and turns them into op codes; `Kernel.evolve` runs
 them in tiles of at most 8,192 rows and 2 MiB of amplitudes, and each
 unit's shots are drawn binomially from the exact expectations on its own
 stream. The qDRIFT baseline is the k = 0 bucket `BASELINE`; it and every
-variant whose ancilla idles evolve on 2^n amplitudes. Jobs (a bucket's
-batch of units, an all-order or randomized Trotter chunk) return per-row
-arrays. Work of more than one batch of amplitudes maps over a pool of one
-forked process per usable CPU (`taskset` limits it), as jobs or, within one
-evolve, as runs of whole tiles; the caller reduces in order, so reports
-are the same for any tiles and workers.
+variant whose ancilla idles evolve on 2^n amplitudes. A row's value
+depends on its codes alone, so rows that repeat within one evolve call
+evolve once: `_evolve_read` keys each row by its codes when they pack into
+an int64 and copies each distinct row's value to its repeats. Jobs (a
+bucket's batch of units, an all-order or randomized Trotter chunk) return
+per-row arrays. Work of more than one batch of amplitudes maps over a pool
+of one forked process per usable CPU (`taskset` limits it), as jobs or,
+within one evolve, as equal runs of its distinct rows; the caller reduces
+in order, so reports are the same for any tiles and workers.
 
 Every circuit starts from |+>^(n+1); a run chooses only N, K, the budgets,
 the seed and the observable (`EstimatorConfig`).
@@ -25,6 +28,7 @@ from __future__ import annotations
 import atexit
 import os
 import threading
+import time
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
 from itertools import combinations, islice
@@ -68,6 +72,8 @@ CIRCUIT_CAP = 10**7
 _STREAM_CHUNK = 1 << 15
 _TILE_ROWS = 1 << 13
 _TILE_BYTES = 2 << 20
+# Seconds between a pool worker's checks that its parent still runs
+_PARENT_POLL_S = 0.5
 
 
 @dataclass(frozen=True)
@@ -176,19 +182,52 @@ def _tile_rows(amps: int) -> int:
     return max(1, min(_TILE_ROWS, _TILE_BYTES // (16 * amps)))
 
 
+def _distinct_rows(codes: np.ndarray, n_terms: int):
+    """(first, inverse): a row index per distinct row of op codes and each
+    row's distinct index, so codes[first][inverse] == codes; None when the
+    rows are all distinct or do not pack into one int64 key, digits
+    code + 1 in base 3 n_terms + 1."""
+    m, width = codes.shape
+    base = 3 * n_terms + 1
+    if m < 2 or base**width > 1 << 63:
+        return None
+    key = np.zeros(m, dtype=np.int64)
+    for col in codes.T:
+        key *= base
+        key += col
+        key += 1
+    unique, inverse = np.unique(key, return_inverse=True)
+    if unique.size == m:
+        return None
+    first = np.empty(unique.size, dtype=np.intp)
+    first[inverse] = np.arange(m)
+    return first, inverse
+
+
 def _evolve_read(model, axes, codes: np.ndarray, thetas, ancilla_x: bool) -> np.ndarray:
-    """Exact readout of every row of op codes, evolved tile by tile in one
-    reused buffer with the grouped schedule's partner; rows read as I (x) Q
-    evolve on 2^n amplitudes. On `_big_pool`, equal runs of rows map, one
-    per usable CPU: a row's arithmetic does not depend on its tile."""
-    m, amps = codes.shape[0], (2 if ancilla_x else 1) << model.n_qubits
+    """Exact readout of every row of op codes. A row's value depends on its
+    codes alone, so repeated rows evolve once (`_distinct_rows`) and copy
+    the value; on `_big_pool`, equal runs of the distinct rows map, one per
+    usable CPU, to `_evolve_tiles`."""
+    distinct = _distinct_rows(codes, model.n_terms)
+    rows = codes if distinct is None else codes[distinct[0]]
+    m, amps = rows.shape[0], (2 if ancilla_x else 1) << model.n_qubits
     run = -(-m // _cpus())
     if run < m and (pool := _big_pool(m * amps)) is not None:
-        jobs = [(model, axes, codes[lo : lo + run], thetas, ancilla_x) for lo in range(0, m, run)]
-        return np.concatenate(list(pool.map(_evolve_read, *zip(*jobs))))
+        jobs = [(model, axes, rows[lo : lo + run], thetas, ancilla_x) for lo in range(0, m, run)]
+        vals = np.concatenate(list(pool.map(_evolve_tiles, *zip(*jobs))))
+    else:
+        vals = _evolve_tiles(model, axes, rows, thetas, ancilla_x)
+    return vals if distinct is None else vals[distinct[1]]
+
+
+def _evolve_tiles(model, axes, codes: np.ndarray, thetas, ancilla_x: bool) -> np.ndarray:
+    """Exact readout of every row, evolved tile by tile in one reused buffer
+    with the grouped schedule's partner; rows read as I (x) Q evolve on 2^n
+    amplitudes. A row's arithmetic does not depend on its tile."""
     kernel = _kernel(model, axes)
     init = kernel.fresh(1, ancilla=ancilla_x)
-    step = _tile_rows(amps)
+    m, step = codes.shape[0], _tile_rows(init.shape[1])
     tile, partner = np.empty((2, min(step, m), init.shape[1]), dtype=init.dtype)
     vals = np.empty(m)
     for lo in range(0, m, step):
@@ -218,7 +257,21 @@ def _pool():
             or multiprocessing.parent_process() is not None
             or "fork" not in multiprocessing.get_all_start_methods()):
         return None
-    return ProcessPoolExecutor(_cpus(), mp_context=multiprocessing.get_context("fork"))
+    return ProcessPoolExecutor(_cpus(), mp_context=multiprocessing.get_context("fork"),
+                               initializer=_exit_with_parent, initargs=(os.getpid(),))
+
+
+def _exit_with_parent(parent: int):
+    """Pool worker initializer: a daemon thread ends the worker once its
+    parent is gone. A parent that skips its exit hooks (`os._exit`, a
+    signal) never joins its pool, and the orphans would keep its pipes open."""
+
+    def watch():
+        while os.getppid() == parent:
+            time.sleep(_PARENT_POLL_S)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
 
 
 _IMPORT_PID = os.getpid()

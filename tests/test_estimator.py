@@ -617,15 +617,24 @@ IDLE_MODELS = {
 }
 
 
+def no_distinct_rows(monkeypatch):
+    """Turn `_evolve_read`'s distinct-row step off: every row reaches the kernel."""
+    monkeypatch.setattr(estimator, "_distinct_rows", lambda codes, n_terms: None)
+
+
 @pytest.mark.parametrize("m", [3, 5000])
 @pytest.mark.parametrize("name", sorted(IDLE_MODELS))
-def test_idle_ancilla_variants_equal_full_register(name, m):
+def test_idle_ancilla_variants_equal_full_register(name, m, monkeypatch):
     # a variant whose parts all share one index (s_j = 1) over an even n_j
     # leaves the ancilla idle: eps = prod_j (-1)^(n_j / 2 + |b_j|) times the
     # 2^n evolve and read of its idle codes is == the full-register readout
     # of its codes, for every such variant of K = 2-4. 3 rows take the
-    # per-row schedule, 5,000 the grouped one
+    # per-row schedule; 5,000 take the grouped one with the distinct-row
+    # step off, since at N = 4 they repeat enough to collapse into a few
+    # per-row tiles
     model, axes = IDLE_MODELS[name]
+    if m > 3:
+        no_distinct_rows(monkeypatch)
     thetas = signed_angles(model, tau(model, 1.0, 4))
     checked = 0
     for term in correction_terms(model, 1.0, 4, 4):
@@ -646,6 +655,83 @@ def test_idle_ancilla_variants_equal_full_register(name, m):
             checked += 1
     # (2,), (4,), (6,), (2, 2), (2, 4), (4, 2) and (2, 2, 2)
     assert checked == 4 + 16 + 64 + 16 + 64 + 64 + 64
+
+
+def evolved_rows(monkeypatch, model, axes, codes, thetas, ancilla_x) -> tuple:
+    """(`_evolve_read`'s values, the code rows `Kernel.evolve` received, in order)."""
+    seen, real_evolve = [], Kernel.evolve
+
+    def spy(self, states, tile_codes, *args):
+        seen.append(np.array(tile_codes))
+        return real_evolve(self, states, tile_codes, *args)
+
+    monkeypatch.setattr(Kernel, "evolve", spy)
+    vals = estimator._evolve_read(model, axes, codes, thetas, ancilla_x)
+    monkeypatch.setattr(Kernel, "evolve", real_evolve)
+    return vals, np.concatenate(seen)
+
+
+def verify_all_order_chunk():
+    """verify's all-order check: the reference model at t = 1.25, N = 4, and
+    the first 32,768-trajectory chunk of seed 902."""
+    model, n_seg = load_hamiltonian(str(resources.files("hamsim").joinpath(
+        "data/reference_1q.txt"))), 4
+    tau_angle = tau(model, 1.25, n_seg)
+    _, sizes, cat_probs = all_order_categories(tau_angle)
+    rng = derived_rng(902, estimator._STREAM_ALL_ORDER, 0)
+    codes, _ = draw_all_order_codes(model, n_seg, sizes, cat_probs, DEFAULT_CHUNK, rng)
+    return model, "Z", codes, signed_angles(model, tau_angle), True
+
+
+def two_qubit_qdrift_draw():
+    """32,768 qDRIFT rows of a 2-qubit model at N = 4, on 2^n amplitudes."""
+    model, axes = IDLE_MODELS["2q"]
+    codes = draw_qdrift(model, 4, DEFAULT_CHUNK, np.random.default_rng(3))
+    return model, axes, codes, signed_angles(model, tau(model, 1.0, 4)), False
+
+
+@pytest.mark.parametrize("inputs", [verify_all_order_chunk, two_qubit_qdrift_draw])
+def test_repeated_rows_evolve_once(pool_settings, monkeypatch, inputs):
+    # a row's value depends on its codes alone, so the kernel evolves each
+    # distinct row once and every value is bitwise the one of evolving and
+    # reading every row. One CPU: every evolve runs here, under the spy
+    pool_settings()
+    model, axes, codes, thetas, ancilla_x = inputs()
+    distinct = np.unique(codes, axis=0)
+    assert 1 < len(distinct) < len(codes) / 2
+    vals, seen = evolved_rows(monkeypatch, model, axes, codes, thetas, ancilla_x)
+    assert len(seen) == len(distinct)
+    assert np.array_equal(np.unique(seen, axis=0), distinct)
+    no_distinct_rows(monkeypatch)
+    want, seen = evolved_rows(monkeypatch, model, axes, codes, thetas, ancilla_x)
+    assert np.array_equal(seen, codes)
+    assert np.array_equal(vals.view(np.uint64), want.view(np.uint64))
+
+
+def test_rows_that_do_not_pack_or_repeat_reach_the_kernel_whole(pool_settings, monkeypatch):
+    # digits code + 1 in base 3T + 1 pack into an int64 key up to
+    # (3T + 1)^L = 2^63: chain_4q (T = 7) packs 14 columns, not 16 even
+    # when rows repeat, and rows that are all distinct take the plain path
+    pool_settings()
+    model, axes = CHAIN, "ZIII"
+    thetas = signed_angles(model, tau(model, 1.0, 16))
+    drawn = draw_qdrift(model, 16, 500, np.random.default_rng(2))
+    repeated = np.concatenate([drawn, drawn])
+    assert estimator._distinct_rows(repeated, model.n_terms) is None
+    _, seen = evolved_rows(monkeypatch, model, axes, repeated, thetas, False)
+    assert np.array_equal(seen, repeated)
+
+    top = 3 * model.n_terms - 1  # the largest code: digit 21
+    wide = np.full((3, 14), top, dtype=drawn.dtype)
+    wide[1, 0] = PAD  # differs from row 0 in the top digit only
+    first, inverse = estimator._distinct_rows(wide, model.n_terms)
+    assert np.array_equal(wide[first][inverse], wide) and len(first) == 2
+    assert estimator._distinct_rows(np.full((3, 15), top), model.n_terms) is None
+
+    distinct = np.array(list(product(range(model.n_terms), repeat=4)))
+    assert estimator._distinct_rows(distinct, model.n_terms) is None
+    _, seen = evolved_rows(monkeypatch, model, axes, distinct, thetas, False)
+    assert np.array_equal(seen, distinct)
 
 
 @pytest.fixture
@@ -760,6 +846,7 @@ FIVE_QUBIT = Case(parse_hamiltonian("0.45 XXIII\n0.375 ZIIII\n0.45 IXXII"), 1.0,
 LARGE_QDRIFT = Case(CHAIN, 1.0, 16, 1, seed=5, shots=100, qdrift=40000)
 # a baseline and a (2,) bucket job, each under one batch of amplitudes
 TWO_JOB_QSWIFT = Case(CHAIN, 1.0, 16, 2, seed=5, shots=100, qswift=2000, buckets=(((2,), 2000),))
+DISTINCT_ROWS = estimator._distinct_rows
 DEFAULT_TILES = dict(tile_rows=estimator._TILE_ROWS, tile_bytes=estimator._TILE_BYTES,
                      row_amps=statevector.ROW_SCHEDULE_AMPS)
 
@@ -769,25 +856,34 @@ DEFAULT_TILES = dict(tile_rows=estimator._TILE_ROWS, tile_bytes=estimator._TILE_
 @given(case=small_cases(), chunk=st.sampled_from((16, DEFAULT_CHUNK)),
        cpus=st.sampled_from((1, 2, 3)), tile_rows=st.sampled_from((1, 3, estimator._TILE_ROWS)),
        tile_bytes=st.sampled_from((1 << 10, estimator._TILE_BYTES)),
-       row_amps=st.sampled_from((0, statevector.ROW_SCHEDULE_AMPS, 1 << 40)))
-@example(case=SMALL_CHAIN, chunk=16, cpus=3, tile_rows=1, tile_bytes=1 << 10, row_amps=0)
-@example(case=SMALL_CHAIN, chunk=16, cpus=3, tile_rows=3, tile_bytes=1 << 10, row_amps=1 << 40)
-@example(case=TWO_JOB_QSWIFT, chunk=DEFAULT_CHUNK, cpus=3, **DEFAULT_TILES)
-@example(case=LARGE_ALL_ORDER, chunk=DEFAULT_CHUNK, cpus=2, **DEFAULT_TILES)
-@example(case=FIVE_QUBIT, chunk=DEFAULT_CHUNK, cpus=2, **DEFAULT_TILES)
-@example(case=LARGE_QDRIFT, chunk=DEFAULT_CHUNK, cpus=2, **DEFAULT_TILES)
+       row_amps=st.sampled_from((0, statevector.ROW_SCHEDULE_AMPS, 1 << 40)),
+       distinct=st.booleans())
+@example(case=SMALL_CHAIN, chunk=16, cpus=3, tile_rows=1, tile_bytes=1 << 10, row_amps=0,
+         distinct=False)
+@example(case=SMALL_CHAIN, chunk=16, cpus=3, tile_rows=3, tile_bytes=1 << 10, row_amps=1 << 40,
+         distinct=True)
+@example(case=TWO_JOB_QSWIFT, chunk=DEFAULT_CHUNK, cpus=3, **DEFAULT_TILES, distinct=True)
+@example(case=LARGE_ALL_ORDER, chunk=DEFAULT_CHUNK, cpus=2, **DEFAULT_TILES, distinct=True)
+@example(case=FIVE_QUBIT, chunk=DEFAULT_CHUNK, cpus=2, **DEFAULT_TILES, distinct=True)
+@example(case=LARGE_QDRIFT, chunk=DEFAULT_CHUNK, cpus=2, **DEFAULT_TILES, distinct=True)
 def test_reports_independent_of_workers_and_tiles(
-    pool_settings, monkeypatch, case, chunk, cpus, tile_rows, tile_bytes, row_amps
+    pool_settings, monkeypatch, case, chunk, cpus, tile_rows, tile_bytes, row_amps, distinct
 ):
-    # streams fix every draw; workers, tiles, tile runs and the evolve
+    # streams fix every draw; workers, tiles, tile runs, the evolve
     # schedule (ROW_SCHEDULE_AMPS 0: every tile grouped, 2^40: every tile
-    # per row) only schedule rows, and the caller reduces in job order. So
-    # every report, the exhaustive oracles included, is == the one-CPU run
-    # at the default tiles, with the same stream chunk. 1 KiB tiles map every
-    # call of more than 256 amplitudes over the pool
+    # per row) and whether repeated rows evolve once only schedule rows,
+    # and the caller reduces in job order. So every report, the exhaustive
+    # oracles included, is == the one-CPU run at the default tiles, with
+    # the same stream chunk. 1 KiB tiles map every call of more than 256
+    # amplitudes over the pool; without the distinct-row step the rows of
+    # these small models, which repeat often, reach the pool and the
+    # grouped schedule whole
     monkeypatch.setattr(estimator, "_STREAM_CHUNK", chunk)
+    monkeypatch.setattr(estimator, "_distinct_rows", DISTINCT_ROWS)
     pool_settings()
     want = case.reports()
+    if not distinct:
+        no_distinct_rows(monkeypatch)
     pool_settings(cpus, tile_rows, tile_bytes, row_amps)
     assert case.reports() == want
 
@@ -845,12 +941,12 @@ def test_pool_maps_jobs_and_splits_large_evolves(pool_settings, monkeypatch):
     maps = recorded_maps()
     LARGE_ALL_ORDER.reports()
     TWO_JOB_QSWIFT.reports()
-    assert maps == [("_evolve_read", 3), ("_bucket_job", 2)]
+    assert maps == [("_evolve_tiles", 3), ("_bucket_job", 2)]
     maps = recorded_maps(tile_bytes=1 << 10)
     monkeypatch.setattr(estimator, "_STREAM_CHUNK", 16)
     SMALL_CHAIN.reports()
     assert {name for name, _ in maps} == {
-        "_bucket_job", "_all_order_job", "_trotter_job", "_evolve_read"}
+        "_bucket_job", "_all_order_job", "_trotter_job", "_evolve_tiles"}
 
 
 def test_worker_errors_keep_their_type(pool_settings, monkeypatch, capsys, tmp_path):
@@ -914,6 +1010,54 @@ for n_sample in (40, 4000):
     pids = [int(pid) for pid in large.split()]
     assert bool(pids) == (estimator._pool() is not None)
     assert not [pid for pid in pids if Path(f"/proc/{pid}").exists()]
+
+
+def _gone_or_zombie(pid: int) -> bool:
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] == "Z"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="no process pool on one CPU")
+def test_pool_workers_exit_with_a_parent_that_skips_exit_hooks():
+    # os._exit runs no atexit hook, so nothing joins the pool: each worker
+    # notices that its parent is gone within a poll and exits, where it
+    # would otherwise hold the parent's stdout open for good
+    script = """
+import os
+from importlib import resources
+from hamsim import EstimatorConfig, estimate_qdrift, estimator, load_hamiltonian
+model = load_hamiltonian(str(resources.files("hamsim").joinpath("data/chain_4q.txt")))
+estimate_qdrift(model, 1.0, EstimatorConfig(n_segments=16, n_sample_0=40000))
+pool = estimator._pool()
+print(*sorted(pool._processes) if pool else [], flush=True)
+os._exit(0)
+"""
+    src = str(Path(estimator.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script], stdout=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    pids = []
+    try:
+        # read one line, not to EOF: surviving workers keep the pipe open
+        pids = [int(pid) for pid in proc.stdout.readline().split()]
+        assert proc.wait(timeout=120) == 0
+        if not pids:
+            pytest.skip("no process pool without fork")
+        deadline = time.monotonic() + 5
+        while not all(map(_gone_or_zombie, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert [pid for pid in pids if not _gone_or_zombie(pid)] == []
+    finally:
+        for pid in pids:
+            if not _gone_or_zombie(pid):
+                os.kill(pid, signal.SIGKILL)
+        proc.kill()
+        proc.stdout.close()
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="forks children")

@@ -37,7 +37,7 @@ from math import ceil, comb, prod, sqrt
 import numpy as np
 
 from ._pauli import system_observable
-from ._rng import derived_rng, derived_rngs
+from ._rng import derived_rng
 from .compiler import (
     BASELINE,
     CorrectionTerm,
@@ -61,8 +61,6 @@ _STREAM_BASELINE = 0
 _STREAM_BUCKET = 1
 _STREAM_ALL_ORDER = 2
 _STREAM_TROTTER = 3
-_SUB_PLAN = 0
-_SUB_SHOT = 1
 
 ENUMERATION_CAP = 10**6
 CIRCUIT_CAP = 10**7
@@ -449,24 +447,12 @@ def estimate_qswift(model: HamiltonianModel, t: float, config: EstimatorConfig) 
     return _estimate(model, t, config, correction_terms(model, t, config.n_segments, config.order))
 
 
-def _trotter_job(model, axes, r, order, thetas, n_shot, seed, first, size) -> np.ndarray:
-    """Shot means of randomized Trotter plans first.. first + size - 1, plan
-    i drawn from its own plan stream and read from its own shot stream."""
-    plan_ids = range(first, first + size)
-    streams = (seed, _STREAM_TROTTER)
-    terms = np.stack([
-        draw_trotter_terms(model, r, order, rng)
-        for rng in derived_rngs(streams, plan_ids, (_SUB_PLAN,))
-    ])
-    vals = _evolve_read(model, axes, terms, thetas, ancilla_x=False)
-    # _shot_means over the chunk, each plan's binomial drawn as a scalar
-    # from its own shot stream
-    p_plus = np.clip(0.5 * (1.0 + vals), 0.0, 1.0).tolist()
-    hits = np.array([
-        rng.binomial(n_shot, p)
-        for rng, p in zip(derived_rngs(streams, plan_ids, (_SUB_SHOT,)), p_plus)
-    ])
-    return 2.0 * hits / n_shot - 1.0
+def _trotter_job(model, axes, r, order, thetas, n_shot, seed, chunk, size) -> np.ndarray:
+    """Shot means of the size randomized Trotter plans of one chunk, drawn
+    and then read from the chunk's own derived stream."""
+    rng = derived_rng(seed, _STREAM_TROTTER, chunk)
+    terms = draw_trotter_terms(model, r, order, rng, size)
+    return _shot_means(_evolve_read(model, axes, terms, thetas, ancilla_x=False), n_shot, rng)
 
 
 def estimate_trotter(
@@ -479,18 +465,18 @@ def estimate_trotter(
 ) -> EstimateReport:
     """Product-formula estimate.
 
-    Randomized: n_sample_0 plans evolve as rows, plan i with its own plan
-    and shot streams; stderr is that of the per-plan shot means.
+    Randomized: n_sample_0 plans evolve as rows, each chunk's plans and
+    shots from the chunk's stream; stderr is that of the per-plan shot means.
     Deterministic: one plan, a batch of one, pools n_sample_0 * n_shot_0
     shots; stderr is the binomial sqrt((1 - v^2) / shots).
     """
     axes = config.observable_axes(model)
     if randomized:
         thetas = trotter_thetas(model, t, r, order)
-        jobs = [(model, axes, r, order, thetas, config.n_shot_0, config.seed, first, size)
-                for _, first, size in _chunk_sizes(config.n_sample_0)]
-        chunks = list(_map_jobs(_trotter_job, jobs, config.n_sample_0 << model.n_qubits))
-        value, var, plans = _pooled_stats([np.concatenate(chunks)])
+        jobs = [(model, axes, r, order, thetas, config.n_shot_0, config.seed, idx, size)
+                for idx, _, size in _chunk_sizes(config.n_sample_0)]
+        value, var, plans = _pooled_stats(
+            _map_jobs(_trotter_job, jobs, config.n_sample_0 << model.n_qubits))
         return _one_row(f"RTS{order}", value, sqrt(var), plans, config.n_shot_0, config.seed)
     plan = trotter_plan(model, t, r, order)
     kernel = _kernel(model, axes)
@@ -498,7 +484,8 @@ def estimate_trotter(
     for codes, thetas in plan_codes(plan, model.n_terms):
         kernel.evolve(states, codes, thetas)
     shots = config.n_shot_0 * config.n_sample_0
-    rng = derived_rng(config.seed, _STREAM_TROTTER, 0, _SUB_SHOT)
+    # four labels: no randomized chunk stream (seed, 3, chunk) is this one
+    rng = derived_rng(config.seed, _STREAM_TROTTER, 0, 1)
     value = float(_shot_means(kernel.read(states, ancilla_x=False), shots, rng)[0])
     stderr = sqrt(max(1.0 - value**2, 0.0) / shots)
     return _one_row(f"TS{order}", value, stderr, 1, shots, config.seed)

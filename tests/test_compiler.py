@@ -30,7 +30,6 @@ from hamsim.compiler import (
     SwiftDraw,
     SwiftOp,
     TimeOp,
-    _identity_rows,
     all_order_categories,
     draw_all_order_codes,
     draw_categorical,
@@ -170,40 +169,27 @@ def trotter_terms_loop(n_terms: int, r: int, order: int, rng) -> np.ndarray:
 
 @pytest.mark.parametrize("order", [1, 2])
 def test_draw_trotter_terms_matches_permutation_loop(order):
-    # the same terms, and the generator left in the same state, from one
-    # segment (r = 1) and a one-term model up; the five seeds at each shape
-    # permute one shared identity table in turn
+    # the same terms as CODE_DTYPE, and the generator left in the same
+    # state, from one segment (r = 1) and a one-term model up: m plans are
+    # m r segments of one draw, each a permutation() in turn. The decoded
+    # m = 1 row is randomized_trotter_plan's plan
     for n_terms in (1, 2, 3, 7, 23):
         model = parse_hamiltonian("\n".join(
             f"0.{i % 9 + 1} " + "".join("IXYZ"[(i >> (2 * q)) & 3] for q in range(3))
             for i in range(1, n_terms + 1)
         ))
         for r in (1, 2, 16, 33):
+            thetas = trotter_thetas(model, 1.0, r, order)
             for seed in range(5):
+                m = 1 + seed % 3
                 ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-                got = draw_trotter_terms(model, r, order, ours)
-                want = trotter_terms_loop(n_terms, r, order, theirs)
-                assert got.dtype == want.dtype and np.array_equal(got, want)
+                got = draw_trotter_terms(model, r, order, ours, m)
+                want = np.stack([trotter_terms_loop(n_terms, r, order, theirs) for _ in range(m)])
+                assert got.dtype == CODE_DTYPE and np.array_equal(got, want)
                 assert ours.random() == theirs.random()
-
-
-def test_trotter_identity_table_is_shared_read_only():
-    # every draw at one (n_terms, r) permutes the same read-only table, and
-    # returns a fresh array that does not share its memory
-    model = parse_hamiltonian("0.5 XI\n0.3 ZZ\n0.2 IY")
-    r = 4
-    table = _identity_rows(model.n_terms, r)
-    assert table is _identity_rows(model.n_terms, r)
-    assert np.array_equal(table, np.tile(np.arange(model.n_terms), (r, 1)))
-    with pytest.raises(ValueError, match="read-only"):
-        table[0, 0] = 1
-    rng = np.random.default_rng(5)
-    for order in (1, 2):
-        terms = draw_trotter_terms(model, r, order, rng)
-        assert terms.flags.writeable
-        assert not np.shares_memory(terms, table)
-        terms[:] = 0
-    assert np.array_equal(table, np.tile(np.arange(model.n_terms), (r, 1)))
+                assert randomized_trotter_plan(model, 1.0, r, order, seed) == plan_from_codes(
+                    model, trotter_terms_loop(n_terms, r, order, np.random.default_rng(seed)),
+                    thetas)
 
 
 def test_randomized_trotter_rejects_higher_orders():
@@ -294,7 +280,7 @@ def _code_rows(model, rng):
     _, sizes, probs = all_order_categories(0.4)
     yield "all-order", draw_all_order_codes(model, n_seg, sizes, probs, m, rng)[0], thetas
     for order in (1, 2):
-        terms = np.stack([draw_trotter_terms(model, 3, order, rng) for _ in range(m)])
+        terms = draw_trotter_terms(model, 3, order, rng, m)
         yield f"rtrotter{order}", terms, trotter_thetas(model, 1.0, 3, order)
 
 
@@ -582,6 +568,7 @@ def test_samplers_refuse_models_whose_codes_overflow():
         lambda: qdrift_row_plan(over, 1.0, 4, 1),
         lambda: swift_row_plan(over, 1.0, 4, term, (0,), ((1, 1),), 1),
         lambda: all_order_row(over, 0.5, 1),
+        lambda: randomized_trotter_plan(over, 1.0, 1, 2, 0),
     ):
         with pytest.raises(ValueError, match="overflow the op codes"):
             sample()

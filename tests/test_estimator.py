@@ -8,7 +8,7 @@ import time
 import tracemalloc
 from dataclasses import dataclass, replace
 from importlib import resources
-from itertools import product
+from itertools import permutations, product
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +43,7 @@ from hamsim import (
 )
 from hamsim.compiler import (
     BASELINE,
+    CODE_DTYPE,
     PAD,
     GatePlan,
     all_order_categories,
@@ -433,7 +434,7 @@ def test_golden_values_on_bundled_chain():
     stats = all_order_stats(CHAIN, 1.0, 16, 2000, 7)
     assert (stats.value, stats.stderr) == (0.35063913360850707, 0.04791938702929044)
     config = EstimatorConfig(n_sample_0=200, **base)
-    assert estimate_trotter(CHAIN, 1.0, 16, 2, True, config).value == 0.27290000000000003
+    assert estimate_trotter(CHAIN, 1.0, 16, 2, True, config).value == 0.25970000000000004
     assert estimate_trotter(CHAIN, 1.0, 16, 2, False, config).value == 0.2667999999999999
 
 
@@ -473,37 +474,110 @@ def test_deterministic_order_four_trotter_golden():
     assert expectation(state, "ZIII") == 0.26326349879352995
 
 
-def randomized_trotter_loop(model, t: float, r: int, order: int, config) -> tuple:
-    """(value, stderr) of the former randomized estimate_trotter, kept as the
-    reference for its batch-derived streams: each plan draws its terms from
-    a derived_rng of its own, evolves alone, and reads its shots from a
-    second derived_rng."""
-    kernel = Kernel(model, config.observable_axes(model))
+def randomized_trotter_chunks(model, t: float, r: int, order: int, config) -> tuple:
+    """(value, stderr) of the randomized estimate_trotter, rebuilt as the
+    reference for its per-chunk streams: chunk c's plans take a
+    permutation() per segment from derived_rng(seed, 3, c), mirrored for
+    order 2, each plan runs alone through run_plan, and then the chunk's
+    binomial shots come from the same generator."""
+    axes = config.observable_axes(model)
     thetas = trotter_thetas(model, t, r, order)
-    means = []
-    for i in range(config.n_sample_0):
-        plan_rng = derived_rng(config.seed, estimator._STREAM_TROTTER, i, estimator._SUB_PLAN)
-        states = kernel.fresh(1, ancilla=False)
-        kernel.evolve(states, draw_trotter_terms(model, r, order, plan_rng)[None], thetas)
-        p_plus = np.clip(0.5 * (1.0 + kernel.read(states, ancilla_x=False)), 0.0, 1.0)
-        shot_rng = derived_rng(config.seed, estimator._STREAM_TROTTER, i, estimator._SUB_SHOT)
-        means.append(2.0 * shot_rng.binomial(config.n_shot_0, float(p_plus[0])) / config.n_shot_0
-                     - 1.0)
-    mean, var, _ = estimator._pooled_stats([np.array(means)])
+    chunk, means = estimator._STREAM_CHUNK, []
+    for idx, start in enumerate(range(0, config.n_sample_0, chunk)):
+        rng = derived_rng(config.seed, 3, idx)
+        p_plus = []
+        for _ in range(min(chunk, config.n_sample_0 - start)):
+            perms = [rng.permutation(model.n_terms) for _ in range(r)]
+            if order == 2:
+                perms = [np.concatenate([perm, perm[::-1]]) for perm in perms]
+            plan = plan_from_codes(model, np.concatenate(perms), thetas)
+            state = run_plan(prepare_plus_input(model.n_qubits), plan, model)
+            p_plus.append(0.5 * (1.0 + expectation(state, axes)))
+        hits = rng.binomial(config.n_shot_0, np.clip(p_plus, 0.0, 1.0))
+        means.append(2.0 * hits / config.n_shot_0 - 1.0)
+    mean, var, _ = estimator._pooled_stats(means)
     return mean, np.sqrt(var)
 
 
 @pytest.mark.parametrize("order", [1, 2])
-def test_randomized_trotter_matches_per_plan_streams(order, monkeypatch):
-    # streams derived in one pass per chunk give every plan the draws and
-    # shots of its own derived_rng, at any chunk size
+def test_randomized_trotter_matches_per_chunk_streams(order, monkeypatch):
+    # each chunk draws its plans, and then their shots, from its own
+    # derived stream, at any chunk size
     for seed in (0, 3, 2**40 + 3):
         config = EstimatorConfig(n_segments=4, n_sample_0=150, n_shot_0=50, seed=seed)
-        want = randomized_trotter_loop(CHAIN, 1.0, 4, order, config)
         for chunk in (7, 64, 1 << 15):
             monkeypatch.setattr(estimator, "_STREAM_CHUNK", chunk)
             report = estimate_trotter(CHAIN, 1.0, 4, order, True, config)
-            assert (report.value, report.stderr) == want
+            assert (report.value, report.stderr) == randomized_trotter_chunks(
+                CHAIN, 1.0, 4, order, config)
+
+
+def test_randomized_trotter_draws_every_plan_evenly():
+    # a 3-term 2-qubit model at r = 2 has 3!^2 = 36 equally likely order-1
+    # plans and as many order-2 mirrors: their exact mean, evolved on the
+    # Kernel, lies within 5 sigma of a 20,000-plan estimate, and in one
+    # chunk draw every permutation of the terms fills a segment with
+    # frequency within 5 sigma of 1/3!
+    model = parse_hamiltonian("0.6 XY\n-0.4 ZI\n0.5 IX")
+    t, r = 1.0, 2
+    kernel = Kernel(model, "ZI")
+    perms = [np.array(perm) for perm in permutations(range(3))]
+    for order in (1, 2):
+        halves = [[perm, perm[::-1]] if order == 2 else [perm] for perm in perms]
+        codes = np.array([np.concatenate(a + b) for a, b in product(halves, repeat=r)],
+                         dtype=CODE_DTYPE)
+        states = kernel.fresh(len(codes), ancilla=False)
+        kernel.evolve(states, codes, trotter_thetas(model, t, r, order))
+        vals = kernel.read(states, ancilla_x=False)
+        assert len(codes) == 36 and vals.std() > 0.01
+        config = EstimatorConfig(n_segments=r, n_sample_0=20_000, n_shot_0=100, seed=order)
+        report = estimate_trotter(model, t, r, order, True, config)
+        assert abs(report.value - vals.mean()) < 5 * report.stderr
+
+        drawn = draw_trotter_terms(model, r, order, derived_rng(5, 3, 0), estimator._STREAM_CHUNK)
+        segments = drawn.reshape(-1, 3 * order)
+        if order == 2:
+            assert np.array_equal(segments[:, 3:], segments[:, 2::-1])
+        keys = segments[:, :3].astype(np.intp) @ [9, 3, 1]
+        freq = np.bincount(keys, minlength=27) / len(keys)
+        perm_keys = [int(perm @ [9, 3, 1]) for perm in perms]
+        assert np.flatnonzero(freq).tolist() == sorted(perm_keys)
+        p = 1 / 6
+        assert np.abs(freq[perm_keys] - p).max() < 5 * np.sqrt(p * (1 - p) / len(keys))
+
+
+def test_randomized_trotter_chunk_streams_are_their_own(pool_settings, monkeypatch):
+    # randomized Trotter chunk c draws from (seed, 3, c). Those states
+    # differ from the deterministic Trotter shot stream (seed, 3, 0, 1) and
+    # from the all-order and qDRIFT baseline chunk streams (seed, 2, c) and
+    # (seed, 0, c). SeedSequence pads entropy shorter than its four-word
+    # pool with zeros, so for a one-word seed (s, 3, 0) is the stream
+    # (s, 3, 0, 0) that plan 0 drew its terms from when every plan had a
+    # plan and a shot stream of its own; harmless, because no estimator
+    # derives those per-plan streams any more
+    labels, real = [], estimator.derived_rng
+
+    def spy(*entropy):
+        labels.append(entropy)
+        return real(*entropy)
+
+    pool_settings()
+    monkeypatch.setattr(estimator, "derived_rng", spy)
+    monkeypatch.setattr(estimator, "_STREAM_CHUNK", 7)
+    for seed in (0, 3, 2**40 + 3):
+        labels.clear()
+        config = EstimatorConfig(n_segments=2, n_sample_0=20, n_shot_0=5, seed=seed)
+        estimate_trotter(CHAIN, 1.0, 2, 2, True, config)
+        estimate_trotter(CHAIN, 1.0, 2, 2, False, config)
+        estimate_qdrift(CHAIN, 1.0, config)
+        all_order_stats(CHAIN, 1.0, 2, 20, seed)
+        assert labels == [*((seed, 3, c) for c in range(3)), (seed, 3, 0, 1),
+                          *((seed, 0, c) for c in range(3)), *((seed, 2, c) for c in range(3))]
+        states = {tuple(real(*entropy).bit_generator.state["state"].values())
+                  for entropy in labels}
+        assert len(states) == len(labels)
+        padded = real(seed, 3, 0).bit_generator.state == real(seed, 3, 0, 0).bit_generator.state
+        assert padded == (seed < 2**32)
 
 
 def test_one_observable_rule_at_every_entry_point():
@@ -600,7 +674,7 @@ def test_batched_rows_replay_as_plans(m):
         plan = plan_from_codes(CHAIN, codes[row], big_thetas)
         assert abs(signs[row] * _replayed(CHAIN, plan.ops, axes, True) - vals[row]) <= 1e-12
 
-    terms = draw_trotter_terms(CHAIN, 3, 2, np.random.default_rng(m))
+    [terms] = draw_trotter_terms(CHAIN, 3, 2, np.random.default_rng(m))
     assert randomized_trotter_plan(CHAIN, t, 3, 2, np.random.default_rng(m)) == (
         plan_from_codes(CHAIN, terms, trotter_thetas(CHAIN, t, 3, 2))
     )
@@ -915,6 +989,27 @@ def test_pooled_reports_equal_in_process(pool_settings, monkeypatch):
         if estimator._pool() is None:
             pytest.skip("no process pool without fork")
         assert case.reports() == in_process, name
+
+
+def test_two_chunk_randomized_trotter_pooled_equals_one_cpu(pool_settings, monkeypatch):
+    # at the default chunk, 33,000 plans are two jobs of 32,768 and 232
+    # plans: mapped over a pool of two workers they give the report of
+    # one CPU
+    pool_settings()
+    want = LARGE_RTROTTER.reports()
+    pool_settings(cpus=2)
+    pool = estimator._pool()
+    if pool is None:
+        pytest.skip("no process pool without fork")
+    maps, real_map = [], pool.map
+
+    def recording_map(fn, *iterables):
+        maps.append((fn.__name__, len(iterables[0])))
+        return real_map(fn, *iterables)
+
+    monkeypatch.setattr(pool, "map", recording_map)
+    assert LARGE_RTROTTER.reports() == want
+    assert maps == [("_trotter_job", 2)]
 
 
 def test_pool_maps_jobs_and_splits_large_evolves(pool_settings, monkeypatch):

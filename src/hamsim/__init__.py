@@ -33,6 +33,7 @@ from .errors import (
 )
 from .estimator import (
     EstimatorConfig,
+    all_order_segments,
     all_order_stats,
     estimate_qdrift,
     estimate_qswift,
@@ -82,6 +83,7 @@ __all__ = [
     "HamiltonianModel",
     "PauliTerm",
     "all_order_b",
+    "all_order_segments",
     "all_order_stats",
     "correction_terms",
     "estimate_qdrift",

@@ -31,6 +31,7 @@ from .bounds import sweep_table
 from .errors import HamsimError, WidthOverflow
 from .estimator import (
     EstimatorConfig,
+    all_order_segments,
     all_order_stats,
     estimate_qswift,
     estimate_trotter,
@@ -134,6 +135,9 @@ def cmd_simulate(args) -> int:
     _check_output(args.out)
     model = _load_model(args.hamiltonian)
     try:
+        if args.segments is None:  # all-order picks N by cost, the rest take 16
+            args.segments = (all_order_segments(model, args.t, args.samples)
+                             if args.method == "all-order" else 16)
         config = EstimatorConfig(
             n_segments=args.segments,
             # qdrift is the order-1 estimate: the baseline without buckets
@@ -236,7 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="qswift",
     )
     simulate.add_argument("--order", type=int, default=2, help="correction or formula order")
-    simulate.add_argument("--segments", type=int, default=16)
+    simulate.add_argument("--segments", type=int,
+                          help="N; default 16, all-order round(8 (lambda t)^2)")
     simulate.add_argument("--samples", type=int, default=100)
     simulate.add_argument("--shots", type=int, default=100)
     simulate.add_argument("--seed", type=int, default=DEFAULT_SEED)

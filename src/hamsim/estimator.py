@@ -53,7 +53,7 @@ from .compiler import (
     trotter_thetas,
 )
 from .errors import AllOrderOverflow, BudgetOverflow, CombinatorialCap
-from .hamiltonian import HamiltonianModel, tau
+from .hamiltonian import HamiltonianModel, finite_time, tau
 from .statevector import Kernel
 
 # Stream labels separating the independent sampling contexts under one seed.
@@ -121,7 +121,7 @@ class EstimateReport:
 
     Every sampled estimator returns one. budgets maps each row label to its
     n_sample and n_shot, plus the coeff that scales a bucket's mean (B^N
-    for the all-order baseline row).
+    for the all-order baseline row, which also names its n_segments N).
     """
 
     method: str
@@ -577,7 +577,8 @@ def all_order_stats(
     Each segment draws a plain time operator with probability 1/B or a
     swift block of size n with probability beta(n)/B; trajectory signs
     track the s draws and the mean is rescaled by B^N, the baseline row's
-    coeff; AllOrderOverflow when B^N is not finite. Expectations are read
+    coeff; AllOrderOverflow when B^N is not finite. Any N is unbiased;
+    `all_order_segments` picks one by cost. Expectations are read
     exactly per trajectory, so no shots are simulated. Chunks of 32,768
     trajectories, or one chunk's tile runs, map over the process pool and
     reduce here in order, so the report is the same for any worker count.
@@ -599,7 +600,18 @@ def all_order_stats(
     mean, var, _ = _pooled_stats(
         _map_jobs(_all_order_job, jobs, n_sample << (model.n_qubits + 1)))
     return _one_row("ALLORDER", b_power * mean, b_power * sqrt(var), n_sample, 0,
-                    int(rng_seed), coeff=b_power)
+                    int(rng_seed), coeff=b_power, n_segments=n_segments)
+
+
+def all_order_segments(model: HamiltonianModel, t: float, n_sample: int) -> int:
+    """All-order segment count by cost: round(8 (lam |t|)^2), at least 1.
+
+    B^N ~ e^{4 (lam t)^2 / N} sets the spread and N the circuit length; the
+    one-ancilla cost, gates times one-shot variance N w(N) B^{2N}, is least
+    near this N (B^N ~ 1.7). Capped so that N * n_sample <= CIRCUIT_CAP;
+    ValueError when t is not finite."""
+    lam_t = model.lam * abs(float(finite_time(t)))
+    return max(1, round(min(8.0 * lam_t * lam_t, CIRCUIT_CAP // max(n_sample, 1))))
 
 
 # ---------------------------------------------------------------------------

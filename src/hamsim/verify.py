@@ -20,6 +20,7 @@ from .bounds import qdrift_bound, qswift_bound, solve_min_n
 from .compiler import all_order_b, correction_terms, signed_angles, swift_codes
 from .errors import VacuousRegion
 from .estimator import (
+    all_order_segments,
     all_order_stats,
     eval_correction_exact,
     exact_qdrift_value,
@@ -98,44 +99,49 @@ def check_qswift2_unroll() -> CheckResult:
     return CheckResult("qswift2-unroll", err < 1e-10, f"frobenius error {err:.2e}")
 
 
-def _kernel_matrices(model: HamiltonianModel, codes, thetas) -> list[np.ndarray]:
-    """Full-register unitary of one row of op codes, rebuilt column by column
-    by Kernel.evolve from the basis rows, once per schedule: the basis rows
-    alone are a per-row tile, tiled past ROW_SCHEDULE_AMPS a grouped one,
-    which sorts and copies its one-code columns like any other."""
+def _kernel_matrices(model: HamiltonianModel, rows, thetas) -> list[list[np.ndarray]]:
+    """Full-register unitary of each row of op codes, rebuilt column by
+    column by Kernel.evolve from the basis rows, every row in one tile per
+    schedule: the basis rows alone are a per-row tile, tiled past
+    ROW_SCHEDULE_AMPS a grouped one, which sorts and copies its one-code
+    columns like any other. One list of unitaries per schedule."""
     kernel = Kernel(model)
     dim = 2 << model.n_qubits
+    basis = np.tile(np.eye(dim, dtype=complex), (len(rows), 1))
+    codes = np.repeat(np.asarray(rows), dim, axis=0)
     mats = []
-    for reps in (1, ROW_SCHEDULE_AMPS // dim**2 + 1):
-        states = np.tile(np.eye(dim, dtype=complex), (reps, 1))
-        kernel.evolve(states, np.tile(codes, (len(states), 1)), thetas)
-        mats.append(states[:dim].T)
+    for reps in (1, ROW_SCHEDULE_AMPS // basis.size + 1):
+        states = np.tile(basis, (reps, 1))
+        kernel.evolve(states, np.tile(codes, (reps, 1)), thetas)
+        mats.append([states[lo : lo + dim].T for lo in range(0, len(basis), dim)])
     return mats
 
 
 def check_swift_sum() -> CheckResult:
     """Sum of the two swift variants acts as i[H, .] on off-diagonal
-    ancilla blocks, for every signed one-qubit generator."""
+    ancilla blocks, for every signed one-qubit generator: the terms of one
+    model, both branches of each evolved together."""
     worst = 0.0
     rng = np.random.default_rng(23)
-    for axes in "IXYZ":
-        for sign in (1, -1):
-            model = HamiltonianModel((PauliTerm(axes=axes, strength=1.0, sign=sign),))
-            h_mat = sign * pauli_matrix(axes)
-            u0s, u1s = (_kernel_matrices(model, [swift_codes(1, b, 0)], [0.0]) for b in (0, 1))
-            for _ in range(3):
-                block = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-                rho = np.zeros((4, 4), dtype=complex)
-                rho[:2, 2:] = block
-                rho[2:, :2] = block.conj().T
-                want01 = 1j * (h_mat @ block - block @ h_mat)
-                for u0, u1 in zip(u0s, u1s):
-                    total = u0 @ rho @ u0.conj().T + u1 @ rho @ u1.conj().T
-                    worst = max(
-                        worst,
-                        float(np.abs(total[:2, 2:] - want01).max()),
-                        float(np.abs(total[2:, :2] - want01.conj().T).max()),
-                    )
+    terms = [PauliTerm(axes=axes, strength=1.0, sign=sign) for axes in "IXYZ" for sign in (1, -1)]
+    rows = [[swift_codes(len(terms), b, ell)] for ell in range(len(terms)) for b in (0, 1)]
+    mats = _kernel_matrices(HamiltonianModel(tuple(terms)), rows, [0.0] * len(terms))
+    for ell, term in enumerate(terms):
+        h_mat = term.sign * pauli_matrix(term.axes)
+        u0s, u1s = ([per[2 * ell + b] for per in mats] for b in (0, 1))
+        for _ in range(3):
+            block = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            rho = np.zeros((4, 4), dtype=complex)
+            rho[:2, 2:] = block
+            rho[2:, :2] = block.conj().T
+            want01 = 1j * (h_mat @ block - block @ h_mat)
+            for u0, u1 in zip(u0s, u1s):
+                total = u0 @ rho @ u0.conj().T + u1 @ rho @ u1.conj().T
+                worst = max(
+                    worst,
+                    float(np.abs(total[:2, 2:] - want01).max()),
+                    float(np.abs(total[2:, :2] - want01.conj().T).max()),
+                )
     return CheckResult("swift-sum", worst < 1e-12, f"max block deviation {worst:.2e}")
 
 
@@ -149,7 +155,7 @@ def check_time_op_vs_unitary() -> CheckResult:
         u_total = term_unitary(model.term(int(e)), tau_angle) @ u_total
     want = _kron(np.eye(2), u_total)  # the idle ancilla
     thetas = signed_angles(model, tau_angle)
-    err = max(float(np.abs(u - want).max()) for u in _kernel_matrices(model, ells - 1, thetas))
+    err = max(float(np.abs(u - want).max()) for (u,) in _kernel_matrices(model, [ells - 1], thetas))
     return CheckResult("time-op-vs-unitary", err < 1e-12, f"max amplitude error {err:.2e}")
 
 
@@ -185,7 +191,8 @@ def check_all_order_b() -> CheckResult:
 
 def check_all_order_small() -> CheckResult:
     model = _reference_model()
-    t, n_seg, n_sample = 1.25, 4, 40000
+    t, n_sample = 1.25, 12000  # at the all-order rule's N = 8
+    n_seg = all_order_segments(model, t, n_sample)
     stats = all_order_stats(model, t, n_seg, n_sample, rng_seed=902)
     oracle = plus_input_expectation(ideal_channel(model, t))
     gap = abs(stats.value - oracle)

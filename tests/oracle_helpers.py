@@ -6,6 +6,8 @@ the dense swift operators or the exhaustive order-K value.
 """
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.linalg import expm_multiply
 
 from hamsim import (
     HamiltonianModel,
@@ -84,3 +86,20 @@ def exact_qswift_value(
         eval_correction_exact(model, t, n_segments, term, observable_axes)
         for term in [BASELINE, *correction_terms(model, t, n_segments, order)]
     )
+
+
+def ideal_expectation(model: HamiltonianModel, t: float, axes: str) -> float:
+    """<+|e^{-iHt} Q e^{iHt}|+> at any width, Q the system Pauli string axes:
+    SciPy expm_multiply on the sparse H, the sign convention of
+    `ideal_channel`. The all-order estimator is unbiased for it at every N."""
+
+    def sparse(string):
+        mat = sp.identity(1, dtype=complex, format="csr")
+        for axis in string:
+            mat = sp.kron(mat, sp.csr_matrix(pauli_matrix(axis)), format="csr")
+        return mat
+
+    h = sum(term.coefficient * sparse(term.axes) for term in model.terms)
+    psi = np.full(1 << model.n_qubits, 2.0 ** (-model.n_qubits / 2), dtype=complex)
+    out = expm_multiply(1j * t * h.tocsc(), psi)
+    return float(np.vdot(out, sparse(axes) @ out).real)

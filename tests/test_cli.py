@@ -183,25 +183,36 @@ def test_overflowing_bucket_exits_two(argv, bucket, capsys):
     assert "overflows" in err or "float" in err
 
 
-@pytest.mark.parametrize("t", ["inf", "nan"])
-@pytest.mark.parametrize("command", [
-    ["simulate", "--method", "qdrift"],
-    ["simulate", "--method", "qswift"],
-    ["simulate", "--method", "trotter"],
-    ["simulate", "--method", "trotter", "--order", "4"],
-    ["simulate", "--method", "rtrotter"],
-    ["simulate", "--method", "all-order"],
-    BUDGET[:1] + BUDGET[3:] + ["--epsilon", "0.05"],
+ALL_ORDER = ["simulate", "--method", "all-order"]  # no --segments: N by the rule
+
+
+@pytest.mark.parametrize("command, t", [
+    *((command, t) for t in ("inf", "nan") for command in [
+        ["simulate", "--method", "qdrift"],
+        ["simulate", "--method", "qswift"],
+        ["simulate", "--method", "trotter"],
+        ["simulate", "--method", "trotter", "--order", "4"],
+        ["simulate", "--method", "rtrotter"],
+        ALL_ORDER,
+        BUDGET[:1] + BUDGET[3:] + ["--epsilon", "0.05"],
+    ]),
+    (ALL_ORDER, "1e100"),
 ], ids=lambda v: "-".join(v[::2]) if isinstance(v, list) else v)
 def test_non_finite_time_exits_two(command, t, capsys):
-    # one error naming the input, before any NumPy warning can leak
+    # one error naming the input, before any NumPy warning can leak. The
+    # finite t = 1e100 passes the all-order rule, which caps N at
+    # CIRCUIT_CAP / 5, and its tau ~ 1e94 passes the sampled block sizes
     argv = command[:1] + ["--hamiltonian", CHAIN_FILE, "--t", t] + command[1:]
     if command[0] == "simulate":
         argv += ["--samples", "5", "--shots", "5"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rc, out, err = run_cli(argv, capsys)
-    assert (rc, out, err) == (2, "", f"error: evolution time t = {t} is not finite\n")
+    assert (rc, out, err.count("\n")) == (2, "", 1)
+    if t == "1e100":
+        assert err.startswith("error: all-order blocks at tau = 1.42") and "n = 500" in err
+    else:
+        assert err == f"error: evolution time t = {t} is not finite\n"
 
 
 def test_analyze_overflowing_counts_are_na_rows(capsys):
@@ -326,6 +337,27 @@ def test_simulate_all_order(model_file, capsys):
     assert report["buckets"] == {}
     assert report["stderr"] > 0.0
     assert abs(report["value"] - report["exact_reference"]) <= 5 * report["stderr"]
+
+
+def test_simulate_all_order_segments_by_cost(capsys):
+    # without --segments all-order runs round(8 (lambda t)^2) segments, 65
+    # on chain_4q at t = 1, and says so; an explicit --segments runs as
+    # given, and every other method keeps 16
+    base = ["simulate", "--hamiltonian", CHAIN_FILE, "--samples", "20", "--shots", "5"]
+    reports = {}
+    for method in ("all-order", "qdrift", "rtrotter"):
+        for segments in ([], ["--segments", "16"]):
+            rc, out, _ = run_cli(base + ["--method", method, *segments], capsys)
+            assert rc == 0
+            reports[method, bool(segments)] = json.loads(out)
+    assert reports["all-order", False]["budgets"]["baseline"]["n_segments"] == 65
+    assert reports["all-order", True]["budgets"]["baseline"]["n_segments"] == 16
+    assert reports["all-order", False]["value"] != reports["all-order", True]["value"]
+    for method in ("qdrift", "rtrotter"):
+        assert reports[method, False] == reports[method, True]
+        assert "n_segments" not in reports[method, False]["budgets"]["baseline"]
+    rc, out, _ = run_cli(base + ["--method", "all-order", "--segments", "65"], capsys)
+    assert json.loads(out) == reports["all-order", False]
 
 
 def test_simulate_all_order_at_large_tau(capsys):

@@ -23,6 +23,7 @@ from hamsim import (
     EstimatorConfig,
     HamiltonianModel,
     all_order_b,
+    all_order_segments,
     all_order_stats,
     correction_terms,
     estimate_qdrift,
@@ -63,7 +64,7 @@ from hamsim._rng import derived_rng
 from hamsim.estimator import _shot_means
 from hamsim.exact_channels import plus_input_expectation
 from hamsim.statevector import Kernel, expectation, prepare_plus_input
-from oracle_helpers import THREE_QUBIT, TWO_QUBIT, exact_qswift_value
+from oracle_helpers import THREE_QUBIT, TWO_QUBIT, exact_qswift_value, ideal_expectation
 
 REF = parse_hamiltonian("0.5 X\n0.3 Z")
 PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
@@ -608,6 +609,56 @@ def test_all_order_power_overflow_is_refused():
         all_order_stats(CHAIN, 140.0, 4, 10, rng_seed=1)
 
 
+def test_all_order_segments_rule():
+    # round(8 (lambda |t|)^2), at least 1: lambda t = 1 on the reference
+    # model at t = 1.25 and 2.85 on chain_4q at t = 1
+    assert all_order_segments(REF, 1.25, 12000) == 8
+    assert all_order_segments(CHAIN, 1.0, 20000) == all_order_segments(CHAIN, -1.0, 20000) == 65
+    assert all_order_segments(CHAIN, 1e-3, 100) == all_order_segments(CHAIN, 0.0, 100) == 1
+    # t = 40 (lambda t = 114) asks for 103,968 segments; N * n_sample <= CIRCUIT_CAP
+    assert all_order_segments(CHAIN, 40.0, 50) == 103_968
+    assert all_order_segments(CHAIN, 40.0, 100) == estimator.CIRCUIT_CAP // 100
+    assert all_order_segments(CHAIN, 1e300, estimator.CIRCUIT_CAP + 1) == 1
+    for t in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="not finite"):
+            all_order_segments(CHAIN, t, 100)
+
+
+def test_verify_all_order_check_runs_at_the_rule_segments(monkeypatch):
+    # N = 8 by the rule and 12,000 trajectories of seed 902: a tighter
+    # allowance than N = 4 with 40,000 trajectories gave (5 stderr 0.0278)
+    from hamsim import verify
+
+    calls, real = [], verify.all_order_stats
+    monkeypatch.setattr(verify, "all_order_stats",
+                        lambda *args, **kw: calls.append((args, kw)) or real(*args, **kw))
+    result = verify.check_all_order_small()
+    (_, t, n_seg, n_sample), kw = calls[0]
+    assert (t, n_seg, n_sample, kw) == (1.25, 8, 12000, {"rng_seed": 902})
+    assert result.passed
+    assert float(result.detail.rsplit("= ", 1)[1]) <= 0.0278
+
+
+WIDE_CHAIN = parse_hamiltonian("".join(
+    [f"0.45 {'I' * i}XX{'I' * (6 - i)}\n" for i in range(7)]
+    + [f"0.375 {'I' * i}Z{'I' * (7 - i)}\n" for i in range(8)]))
+
+
+@pytest.mark.parametrize("model, n_sample", [(CHAIN, 4000), (WIDE_CHAIN, 2000)],
+                         ids=["chain_4q", "xx_z_8q"])
+def test_all_order_at_the_rule_segments_matches_the_ideal_value(model, n_sample):
+    # every N is unbiased for the ideal value: at the rule's N (65 and 303)
+    # the estimate lies within 5 sigma of SciPy's expm_multiply
+    axes = "Z" + "I" * (model.n_qubits - 1)
+    ideal = ideal_expectation(model, 1.0, axes)
+    if model is CHAIN:
+        assert ideal == pytest.approx(0.263263505602, abs=1e-12)
+    n_seg = all_order_segments(model, 1.0, n_sample)
+    report = all_order_stats(model, 1.0, n_seg, n_sample, 11, observable_axes=axes)
+    assert report.budgets["baseline"]["n_segments"] == n_seg
+    assert abs(report.value - ideal) <= 5 * report.stderr
+
+
 def _replayed(model, ops, axes, ancilla_x) -> float:
     plan = GatePlan(ops=tuple(ops))
     state = run_plan(prepare_plus_input(model.n_qubits), plan, model)
@@ -746,8 +797,8 @@ def evolved_rows(monkeypatch, model, axes, codes, thetas, ancilla_x) -> tuple:
 
 
 def verify_all_order_chunk():
-    """verify's all-order check: the reference model at t = 1.25, N = 4, and
-    the first 32,768-trajectory chunk of seed 902."""
+    """Short rows of few terms: the reference model at t = 1.25, N = 4, and
+    the first 32,768-trajectory all-order chunk of seed 902."""
     model, n_seg = load_hamiltonian(str(resources.files("hamsim").joinpath(
         "data/reference_1q.txt"))), 4
     tau_angle = tau(model, 1.25, n_seg)

@@ -283,7 +283,7 @@ def test_kernel_schedules_give_identical_states(name, monkeypatch):
     # (chain_4q) amplitudes per row: no columns, all-PAD columns, columns
     # that are one whole-tile group, one-row tiles, and one, two or three
     # sorted columns, so that the rows end in the caller's array or in the
-    # partner buffer; and, as verify's gate checks evolve, one code row
+    # partner buffer; and, as verify's time-op check evolves, one code row
     # tiled over a tile above ROW_SCHEDULE_AMPS, every column one group.
     # The caller's array holds the result
     for width, top in ((2 << model.n_qubits, 3 * n_terms), (1 << model.n_qubits, n_terms)):
